@@ -8,7 +8,7 @@ and standard-coefficient checks, all in exact rational arithmetic.
 from .dualgraph import (BoundaryBranch, GraphDivisor, LcClass,
                         ResolutionGraph, boundary_coefficients, cartier_index,
                         intersection_matrix, is_contractible,
-                        leading_principal_minors, log_canonical_class)
+                        log_canonical_class)
 from .errors import (BadParameters, GermError, GlueMismatch, NotApplicable,
                      ParseError, SingularSystem, ValidationError)
 from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
@@ -37,7 +37,7 @@ __all__ = [
     "dihedral_image_twist", "find_failure_m", "floor_scale", "format_rat",
     "glued_mcartier", "glued_restriction_coeff", "hj_contract", "hj_expand",
     "intersection_matrix", "is_contractible", "is_standard",
-    "leading_principal_minors", "log_canonical_class", "multibranch_deficit",
+    "log_canonical_class", "multibranch_deficit",
     "parse_rat", "plt_modification", "resolution_graph",
     "single_branch_report", "vanishing_hypothesis",
 ]

@@ -166,6 +166,8 @@ def parse_germ_file(text: str | bytes) -> GermFile:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno,
                          expected=exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nesting too deep") from exc
     if not isinstance(raw, dict):
         raise ValidationError("top level must be a JSON object")
     kind = raw.get("kind")
@@ -327,6 +329,8 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
         if cls.gamma is None:
             raise NotApplicable("residue table needs a plt chain with a slope")
         germ = _gamma_germ(cls.gamma)
+    if m_max < 1:
+        raise ValidationError(f"--m-max {m_max} must be >= 1")
     return {"input": gf.payload, "m_max": m_max,
             "residue_table": _residue_rows(germ, m_max)}
 
@@ -334,6 +338,8 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
 def _cmd_glue(gf: GermFile, m: int) -> dict:
     if gf.kind != "glued":
         raise NotApplicable("glue analysis needs a glued germ file")
+    if m < 1:
+        raise ValidationError(f"--m {m} must be >= 1")
     out = _glue_fields(gf, m)
     out["input"] = gf.payload
     return out
@@ -480,22 +486,30 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    code = 0
     try:
         payload = _dispatch(args)
     except ParseError as exc:
-        err = {"error": {"type": "ParseError", "message": str(exc),
-                         "line": exc.line, "column": exc.column,
-                         "expected": exc.expected}}
-        print(json.dumps(err, sort_keys=True, indent=2))
-        return 2
+        payload = {"error": {"type": "ParseError", "message": str(exc),
+                             "line": exc.line, "column": exc.column,
+                             "expected": exc.expected}}
+        code = 2
     except GermError as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(err, sort_keys=True, indent=2))
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 1
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Python's documented recipe: point stdout
+        # at devnull so the flush at exit cannot fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    if args.verbose:
+    if code == 0 and args.verbose:
         _verbose_summary(payload)
-    return 0
+    return code
 
 
 def run(command: str, args) -> int:

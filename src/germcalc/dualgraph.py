@@ -5,11 +5,13 @@ the positive integer c for a curve of self-intersection -c), the tree of
 intersections between them, and the boundary branches crossing them.
 From that data we compute, in exact rational arithmetic:
 
-* the intersection matrix and its contractibility test (negative
-  definiteness via leading principal minors),
-* the unique coefficients b_j making K + sum b_j E_j + (branches)
-  intersect every exceptional curve trivially; the discrepancy of E_j
-  is -b_j,
+* one elimination of the intersection matrix, leaf to root along the
+  tree (no fill-in, so a number of arithmetic operations linear in the
+  vertex count), computed once per graph object: its pivots decide
+  contractibility (negative definiteness iff every pivot is negative),
+  and its back-substitution gives the unique coefficients b_j making
+  K + sum b_j E_j + (branches) intersect every exceptional curve
+  trivially; the discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
 * the Cartier index, the least m clearing every denominator.
 
@@ -21,9 +23,10 @@ than checked input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import NotApplicable, SingularSystem, ValidationError
@@ -128,6 +131,11 @@ class ResolutionGraph:
     def branch_coeffs_at(self, v: int | None) -> list[Fraction]:
         return sorted(br.coeff for br in self.branches if br.attach == v)
 
+    @cached_property
+    def _elimination(self):
+        """The graph's one run of _eliminate, shared by every invariant."""
+        return _eliminate(self)
+
 
 @dataclass(frozen=True)
 class GraphDivisor:
@@ -163,86 +171,55 @@ def intersection_matrix(g: ResolutionGraph) -> list[list[int]]:
     return m
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
+def _eliminate(g: ResolutionGraph):
+    """Leaf-to-root elimination of the zero-intersection system M b = r.
+
+    Returns ``(pivots, coeffs)``. Vertices are taken in reverse BFS order
+    from vertex 0, so each one is folded into its parent alone and the
+    tree makes no fill-in; the pivot of a vertex is then minus the
+    continued fraction of the subtree hanging below it. ``pivots`` stops
+    at the first zero pivot, and ``coeffs`` is None exactly when one
+    occurs; otherwise ``coeffs`` holds the back-substituted b_j by
+    vertex index.
+    """
+    n = g.n_vertices
     if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def leading_principal_minors(g: ResolutionGraph) -> list[int]:
-    m = intersection_matrix(g)
-    return [_det_bareiss([row[:k] for row in m[:k]])
-            for k in range(1, g.n_vertices + 1)]
+        return (), ()
+    adj = g.adjacency()
+    order, parent = [0], [-1] * n
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    piv = [Fraction(-c) for c in g.selfints]
+    rhs = [Fraction(2 - c) for c in g.selfints]
+    for br in g.branches:
+        rhs[br.attach] -= br.coeff
+    pivots = []
+    for v in reversed(order):
+        pivots.append(piv[v])
+        if piv[v] == 0:
+            return tuple(pivots), None
+        if v:
+            piv[parent[v]] -= 1 / piv[v]
+            rhs[parent[v]] -= rhs[v] / piv[v]
+    b = [Fraction(0)] * n
+    for v in order:
+        b[v] = (rhs[v] - (b[parent[v]] if v else 0)) / piv[v]
+    return tuple(pivots), tuple(b)
 
 
 def is_contractible(g: ResolutionGraph) -> bool:
     """True iff the intersection matrix is negative definite.
 
-    Checked exactly: the k-th leading principal minor must be nonzero
-    with sign (-1)^k, equivalently every pivot of the elimination
-    without row swaps is negative (the k-th pivot is the ratio of
-    consecutive leading minors, and a zero pivot means a zero minor).
-    The empty graph is vacuously contractible.
+    Checked exactly: every pivot of the leaf-to-root elimination must be
+    negative (pivots of a symmetric elimination without row swaps, in any
+    vertex order, are ratios of consecutive principal minors). The empty
+    graph is vacuously contractible.
     """
-    n = g.n_vertices
-    a = [[Fraction(x) for x in row] for row in intersection_matrix(g)]
-    for col in range(n):
-        pivot = a[col][col]
-        if pivot >= 0:
-            return False
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / pivot
-                row = a[col]
-                for c in range(col, n):
-                    if row[c] != 0:
-                        a[r][c] -= f * row[c]
-    return True
-
-
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(b)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystem("intersection matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                if a[col][c] != 0:
-                    a[r][c] -= f * a[col][c]
-            b[r] -= f * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = b[r]
-        row = a[r]
-        for c in range(r + 1, n):
-            if row[c] != 0 and x[c] != 0:
-                s -= row[c] * x[c]
-        x[r] = s / row[r]
-    return x
+    pivots, _ = g._elimination
+    return all(p < 0 for p in pivots)
 
 
 def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
@@ -255,15 +232,20 @@ def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
 
     using adjunction K.E_j = c - 2 for a rational curve of
     self-intersection -c. The discrepancy of E_j is -b_j.
+
+    Domain: every graph whose leaf-to-root elimination meets no zero
+    pivot, which includes every contractible graph. A zero pivot at the
+    root (vertex 0) makes the determinant, the product of the pivots,
+    zero: SingularSystem. A zero pivot anywhere else proves the graph is
+    not negative definite: NotApplicable, even when the matrix is
+    nonsingular (chain [1, 1, 1], say).
     """
-    n = g.n_vertices
-    if n == 0:
-        return GraphDivisor(())
-    a = [[Fraction(x) for x in row] for row in intersection_matrix(g)]
-    rhs = [Fraction(2 - g.selfints[j]) for j in range(n)]
-    for br in g.branches:
-        rhs[br.attach] -= br.coeff
-    return GraphDivisor(tuple(_solve_exact(a, rhs)))
+    pivots, coeffs = g._elimination
+    if coeffs is None:
+        if len(pivots) < g.n_vertices:
+            raise NotApplicable("exceptional configuration is not contractible")
+        raise SingularSystem("intersection matrix is singular")
+    return GraphDivisor(coeffs)
 
 
 def log_canonical_class(g: ResolutionGraph) -> LcClass:

@@ -195,14 +195,13 @@ def resolution_graph(germ: CyclicQuotientGerm) -> ResolutionGraph:
     return ResolutionGraph.chain(chain, branches)
 
 
-def _path_order(g: ResolutionGraph) -> list[int] | None:
+def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:
     """Vertices in path order, or None when the tree is not a path."""
     n = g.n_vertices
     if n == 0:
         return []
     if n == 1:
         return [0]
-    adj = g.adjacency()
     if any(len(nb) > 2 for nb in adj):
         return None
     start = min(v for v in range(n) if len(adj[v]) == 1)
@@ -215,20 +214,19 @@ def _path_order(g: ResolutionGraph) -> list[int] | None:
     return order
 
 
-def _branchless_prongs(g: ResolutionGraph, f: int) -> list[int]:
+def _branchless_prongs(g: ResolutionGraph, adj: list[list[int]], f: int) -> list[int]:
     """Leaves adjacent to f that are bare -2 curves."""
-    adj = g.adjacency()
     attached = {br.attach for br in g.branches}
     return [v for v in adj[f]
             if len(adj[v]) == 1 and g.selfints[v] == 2 and v not in attached]
 
 
-def _arm_from(g: ResolutionGraph, f: int, removed: set[int]) -> list[int] | None:
+def _arm_from(g: ResolutionGraph, adj: list[list[int]], f: int,
+              removed: set[int]) -> list[int] | None:
     """Path order of the graph minus ``removed``, starting at f.
 
     Returns None unless the remainder is a path with f at one end.
     """
-    adj = g.adjacency()
     keep = [v for v in range(g.n_vertices) if v not in removed]
     deg = {v: sum(1 for w in adj[v] if w not in removed) for v in keep}
     if any(d > 2 for d in deg.values()) or deg[f] > 1:
@@ -301,13 +299,13 @@ def _match_d33(g: ResolutionGraph, order: list[int]):
     return GermTag.DIHEDRAL_33
 
 
-def _match_d31(g: ResolutionGraph):
+def _match_d31(g: ResolutionGraph, adj: list[list[int]]):
     if len(g.branches) != 1 or g.branches[0].coeff != 1:
         return None
     conductor = g.branches[0].attach
     for f in range(g.n_vertices):
-        for p1, p2 in combinations(_branchless_prongs(g, f), 2):
-            arm = _arm_from(g, f, {p1, p2})
+        for p1, p2 in combinations(_branchless_prongs(g, adj, f), 2):
+            arm = _arm_from(g, adj, f, {p1, p2})
             if arm is None or conductor != arm[-1]:
                 continue
             if any(g.selfints[v] < 2 for v in arm):
@@ -316,7 +314,7 @@ def _match_d31(g: ResolutionGraph):
     return None
 
 
-def _match_d32(g: ResolutionGraph):
+def _match_d32(g: ResolutionGraph, adj: list[list[int]]):
     ones = [br for br in g.branches if br.coeff == 1]
     halves = [br for br in g.branches if br.coeff == HALF]
     if len(g.branches) != 2 or len(ones) != 1 or len(halves) != 1:
@@ -324,8 +322,8 @@ def _match_d32(g: ResolutionGraph):
     f = halves[0].attach
     if f is None:
         return None
-    for p in _branchless_prongs(g, f):
-        arm = _arm_from(g, f, {p})
+    for p in _branchless_prongs(g, adj, f):
+        arm = _arm_from(g, adj, f, {p})
         if arm is None or ones[0].attach != arm[-1]:
             continue
         if any(g.selfints[v] < 2 for v in arm if v != f):
@@ -347,9 +345,8 @@ def _match_empty(g: ResolutionGraph):
     return None
 
 
-def _diagnose(g: ResolutionGraph) -> str:
+def _diagnose(g: ResolutionGraph, adj: list[list[int]]) -> str:
     """Name one diagram constraint the graph violates."""
-    adj = g.adjacency()
     if any(len(nb) > 3 for nb in adj):
         return "a vertex has more than three chain neighbors"
     if sum(1 for nb in adj if len(nb) == 3) > 1:
@@ -357,7 +354,7 @@ def _diagnose(g: ResolutionGraph) -> str:
     ones = sum(1 for br in g.branches if br.coeff == 1)
     if ones > 2:
         return "more than two coefficient-1 branches"
-    order = _path_order(g)
+    order = _path_order(g, adj)
     if order is not None and g.n_vertices >= 1:
         ends = {order[0], order[-1]}
         for br in g.branches:
@@ -392,15 +389,16 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     if not any(br.coeff == 1 for br in g.branches):
         raise NotApplicable("no coefficient-1 branch through the point")
     index = cartier_index(g)
+    adj = g.adjacency()
 
     if g.n_vertices == 0:
         hit = _match_empty(g)
         if hit is not None:
             tag, gamma = hit
             return GermClass(tag, index, gamma)
-        return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g))
+        return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g, adj))
 
-    order = _path_order(g)
+    order = _path_order(g, adj)
     if order is not None:
         if (tag := _match_cyclic(g, order)) is not None:
             return GermClass(tag, index)
@@ -408,11 +406,11 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
             return GermClass(hit[0], index, hit[1])
         if (tag := _match_d33(g, order)) is not None:
             return GermClass(tag, index)
-    if (tag := _match_d31(g)) is not None:
+    if (tag := _match_d31(g, adj)) is not None:
         return GermClass(tag, index)
-    if (tag := _match_d32(g)) is not None:
+    if (tag := _match_d32(g, adj)) is not None:
         return GermClass(tag, index)
-    return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g))
+    return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g, adj))
 
 
 def different_coeff(germ: CyclicQuotientGerm) -> Fraction:

@@ -1,0 +1,74 @@
+"""Dense reference oracles for the dual-graph kernel.
+
+Plain Gaussian elimination and Bareiss determinants over the full
+intersection matrix, with no use of the tree structure. They are slow
+(O(n^3) and O(n^4)) and serve only as independent checks of
+``germcalc.dualgraph``'s leaf-to-root elimination.
+"""
+
+from fractions import Fraction
+
+from germcalc.dualgraph import intersection_matrix
+
+
+def det_bareiss(rows: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def leading_principal_minors(m: list[list[int]]) -> list[int]:
+    return [det_bareiss([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def sylvester_negative_definite(g) -> bool:
+    """Sylvester's criterion: the k-th leading minor has sign (-1)^k."""
+    minors = leading_principal_minors(intersection_matrix(g))
+    return all(d * (-1) ** k > 0 for k, d in enumerate(minors, start=1))
+
+
+def dense_boundary_coefficients(g) -> tuple[Fraction, ...] | None:
+    """Solve M b = r by elimination with row swaps; None if M is singular.
+
+    r_j = 2 - selfint(j) - (sum of branch coefficients at j), the
+    right-hand side of the zero-intersection equations.
+    """
+    n = g.n_vertices
+    a = [[Fraction(x) for x in row] for row in intersection_matrix(g)]
+    b = [Fraction(2 - c) for c in g.selfints]
+    for br in g.branches:
+        b[br.attach] -= br.coeff
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+                b[r] -= f * b[col]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        s = b[r] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))
+        x[r] = s / a[r][r]
+    return tuple(x)

@@ -252,3 +252,39 @@ def test_verbose_summary_on_stderr(tmp_path, capsys, monkeypatch):
     assert main(["--verbose", "classify", write(tmp_path, PLT_GERM)]) == 0
     captured = capsys.readouterr()
     assert "PLT_CHAIN" in captured.err
+
+
+def test_residue_rejects_nonpositive_m_max(tmp_path, capsys):
+    assert main(["residue", write(tmp_path, PLT_GERM), "--m-max", "-3"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
+
+def test_glue_rejects_nonpositive_m(tmp_path, capsys):
+    assert main(["glue", write(tmp_path, GLUED), "--m", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
+
+def test_deeply_nested_json_is_a_parse_failure(tmp_path, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    assert main(["report", write(tmp_path, deep)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    import os
+    import subprocess
+    import sys
+
+    fixture = Path(__file__).parent / "fixtures" / "glued_pair.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "germcalc.cli", "report", str(fixture)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import (dense_boundary_coefficients, det_bareiss,
+                          leading_principal_minors,
+                          sylvester_negative_definite)
+from germcalc import dualgraph
 from germcalc.dualgraph import (LcClass, ResolutionGraph,
                                 boundary_coefficients, cartier_index,
                                 intersection_matrix, is_contractible,
-                                leading_principal_minors,
                                 log_canonical_class)
 from germcalc.errors import NotApplicable, SingularSystem, ValidationError
+from germcalc.germs import classify_lc_germ
 
 HALF = Fraction(1, 2)
 
@@ -39,7 +43,10 @@ def test_intersection_matrix_fork():
 
 
 def test_leading_minors_alternate_on_a2_chain():
-    assert leading_principal_minors(ResolutionGraph.chain([2, 2, 2])) == [-2, 3, -4]
+    # checks the dense oracle itself: the A_3 chain has minors -2, 3, -4
+    g = ResolutionGraph.chain([2, 2, 2])
+    assert leading_principal_minors(intersection_matrix(g)) == [-2, 3, -4]
+    assert sylvester_negative_definite(g)
 
 
 @pytest.mark.parametrize("selfints", [[2, 2, 2], [1], [5], [2, 3, 2, 4]])
@@ -189,3 +196,63 @@ def test_adding_a_branch_never_decreases_coefficients(g, data):
     v = data.draw(st.integers(0, g.n_vertices - 1))
     after = boundary_coefficients(g.with_branch(v, HALF)).coeffs
     assert all(y >= x for x, y in zip(before, after))
+
+
+@st.composite
+def random_trees(draw):
+    """Trees on 1..12 vertices with a fork allowed anywhere (each vertex
+    joins a random earlier one), labels 1..6, and 0..3 branches. Labels
+    down to 1 keep non-contractible trees in the sample."""
+    k = draw(st.integers(1, 12))
+    selfints = tuple(draw(st.integers(1, 6)) for _ in range(k))
+    edges = frozenset((draw(st.integers(0, v - 1)), v) for v in range(1, k))
+    g = ResolutionGraph(selfints, edges)
+    for _ in range(draw(st.integers(0, 3))):
+        g = g.with_branch(draw(st.integers(0, k - 1)), draw(coeff_strategy))
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_trees())
+def test_tree_elimination_matches_dense_oracles(g):
+    contractible = sylvester_negative_definite(g)
+    assert is_contractible(g) == contractible
+    det = det_bareiss(intersection_matrix(g))
+    dense = dense_boundary_coefficients(g)
+    assert (dense is None) == (det == 0)
+    # a contractible graph has det != 0, so it must reach the else branch
+    try:
+        solved = boundary_coefficients(g).coeffs
+    except SingularSystem:
+        assert det == 0  # zero pivot at the root: det = product of pivots
+    except NotApplicable:
+        assert not contractible  # zero pivot below the root
+    else:
+        assert solved == dense
+
+
+def test_zero_pivot_below_root_is_not_applicable():
+    # nonsingular (det = 1) but not contractible; the middle pivot is 0
+    g = ResolutionGraph.chain([1, 1, 1])
+    assert det_bareiss(intersection_matrix(g)) == 1
+    assert not is_contractible(g)
+    with pytest.raises(NotApplicable, match="not contractible"):
+        boundary_coefficients(g)
+
+
+def test_one_elimination_per_graph_object(monkeypatch):
+    runs = []
+
+    def counting(g):
+        runs.append(g)
+        return eliminate(g)
+
+    eliminate = dualgraph._eliminate
+    monkeypatch.setattr(dualgraph, "_eliminate", counting)
+    g = ResolutionGraph.chain([2], [(0, 1)]).with_fork(0, 2).with_fork(0, 2)
+    assert is_contractible(g)
+    boundary_coefficients(g)
+    assert log_canonical_class(g) is LcClass.LC_CENTER
+    assert cartier_index(g) == 2
+    classify_lc_germ(g)
+    assert runs == [g]

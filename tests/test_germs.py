@@ -287,6 +287,36 @@ def test_different_equals_conductor_end_coefficient(n, q, side):
     assert different_coeff(germ) == b[0]
 
 
+def toric_boundary_coefficients(n, q, side):
+    """Closed form of the b_j for the chain of n/q with a conductor at
+    the left end and a side branch of coefficient ``side`` at the right.
+
+    On the toric fan the rays satisfy v_{j-1} + v_{j+1} = c_j v_j, and
+    the log discrepancy is the linear function a with a(v_0) = 1 - 1 = 0
+    and a(v_{k+1}) = 1 - side on the two boundary rays. So a(v_j) is a
+    multiple of the HJ numerator x_j (x_0 = 0, x_1 = 1,
+    x_{j+1} = c_j x_j - x_{j-1}, x_{k+1} = n), and b_j = 1 - a(v_j).
+    """
+    chain = hj_expand(n, q)
+    x = [0, 1]
+    for c in chain:
+        x.append(c * x[-1] - x[-2])
+    assert x[-1] == n
+    slope = (1 - side) / n
+    return tuple(1 - slope * xj for xj in x[1:-1])
+
+
+def test_boundary_coefficients_match_toric_closed_form():
+    for n in range(1, 201):
+        for q in range(1, max(n, 2)):
+            if gcd(n, q) != 1:
+                continue
+            for side in (Fraction(0), HALF):
+                g = resolution_graph(CyclicQuotientGerm(n, q, 1, side))
+                assert boundary_coefficients(g).coeffs == \
+                    toric_boundary_coefficients(n, q, side), (n, q, side)
+
+
 # ------------------------------------------------------------------- gluing
 
 def test_check_slc_glue_examples():
