@@ -9,8 +9,9 @@ from .dualgraph import (BoundaryBranch, GraphDivisor, LcClass,
                         ResolutionGraph, boundary_coefficients, cartier_index,
                         intersection_matrix, is_contractible,
                         log_canonical_class)
-from .errors import (BadParameters, GermError, GlueMismatch, NotApplicable,
-                     ParseError, SingularSystem, ValidationError)
+from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
+                     NotApplicable, ParseError, SingularSystem,
+                     ValidationError)
 from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
@@ -29,6 +30,7 @@ __all__ = [
     "BadParameters", "BoundaryBranch", "CHAIN_GLUE_RESTRICTION_TWISTS",
     "ClassGroup", "CoeffCheck", "CyclicQuotientGerm", "GermClass",
     "GermError", "GermTag", "GlueMismatch", "GraphDivisor", "LcClass",
+    "LimitExceeded",
     "NonNormalGerm", "NotApplicable", "ParseError", "Rat",
     "ResidueReport", "ResolutionGraph", "SingularSystem", "Trichotomy",
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",

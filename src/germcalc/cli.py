@@ -23,11 +23,13 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from .dualgraph import (ResolutionGraph, boundary_coefficients, cartier_index,
                         log_canonical_class)
-from .errors import GermError, GlueMismatch, NotApplicable, ParseError, ValidationError
+from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
+                     ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, classify_lc_germ, classify_nonnormal,
                     different_coeff, resolution_graph)
@@ -37,6 +39,8 @@ from .residue import (find_failure_m, glued_mcartier,
 from .stdcoeff import coeff_check
 
 DEFAULT_M_MAX = 24
+# Largest --m-max accepted by residue: one table row per m.
+M_MAX_LIMIT = 10_000
 
 KINDS = ("cyclic_quotient", "dual_graph", "glued")
 
@@ -331,6 +335,8 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
         germ = _gamma_germ(cls.gamma)
     if m_max < 1:
         raise ValidationError(f"--m-max {m_max} must be >= 1")
+    if m_max > M_MAX_LIMIT:
+        raise LimitExceeded(f"--m-max {m_max} exceeds the limit {M_MAX_LIMIT}")
     return {"input": gf.payload, "m_max": m_max,
             "residue_table": _residue_rows(germ, m_max)}
 
@@ -420,7 +426,9 @@ def _verbose_summary(payload: dict) -> None:
     print("  ".join(parts) if parts else "ok", file=sys.stderr)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="germcalc",
         description="Exact invariants of log surface germs from germ files.")

@@ -7,13 +7,18 @@ From that data we compute, in exact rational arithmetic:
 
 * one elimination of the intersection matrix, leaf to root along the
   tree (no fill-in, so a number of arithmetic operations linear in the
-  vertex count), computed once per graph object: its pivots decide
-  contractibility (negative definiteness iff every pivot is negative),
-  and its back-substitution gives the unique coefficients b_j making
-  K + sum b_j E_j + (branches) intersect every exceptional curve
-  trivially; the discrepancy of E_j is -b_j,
+  vertex count): its pivots decide contractibility (negative
+  definiteness iff every pivot is negative), and its back-substitution
+  gives the unique coefficients b_j making K + sum b_j E_j + (branches)
+  intersect every exceptional curve trivially; the discrepancy of E_j
+  is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
 * the Cartier index, the least m clearing every denominator.
+
+The elimination, the log canonical class and the Cartier index are each
+computed once per graph object and cached on it; the graph is frozen, so
+no cache ever goes stale. A graph that is not contractible, or not log
+canonical, caches no class or index and raises again on every call.
 
 All exceptional curves are assumed rational and the graph a tree; that
 is checked at construction time. Branches meet their attachment curve
@@ -136,6 +141,33 @@ class ResolutionGraph:
         """The graph's one run of _eliminate, shared by every invariant."""
         return _eliminate(self)
 
+    @cached_property
+    def _lc_class(self) -> LcClass:
+        """log_canonical_class, read once from the solved coefficients."""
+        if not is_contractible(self):
+            raise NotApplicable("exceptional configuration is not contractible")
+        if self.n_vertices == 0:
+            virtual = sum((br.coeff for br in self.branches), Fraction(0)) - 1
+            solved: tuple[Fraction, ...] = (virtual,) if self.branches else ()
+        else:
+            solved = boundary_coefficients(self).coeffs
+        if any(b > 1 for b in solved):
+            return LcClass.NOT_LC
+        if any(b == 1 for b in solved):
+            return LcClass.LC_CENTER
+        if any(br.coeff == 1 for br in self.branches):
+            return LcClass.PLT
+        return LcClass.KLT
+
+    @cached_property
+    def _cartier_index(self) -> int:
+        """cartier_index, the lcm of the denominators, taken once."""
+        if self._lc_class is LcClass.NOT_LC:
+            raise NotApplicable("germ is not log canonical")
+        dens = [b.denominator for b in boundary_coefficients(self)]
+        dens.extend(br.coeff.denominator for br in self.branches)
+        return lcm(1, *dens)
+
 
 @dataclass(frozen=True)
 class GraphDivisor:
@@ -257,21 +289,9 @@ def log_canonical_class(g: ResolutionGraph) -> LcClass:
     the ambient smooth point itself, so the blowup there plays the role
     of the missing exceptional curve: its solved coefficient would be
     (sum of branch coefficients) - 1, and the same thresholds apply.
+    Raises NotApplicable when the graph is not contractible.
     """
-    if not is_contractible(g):
-        raise NotApplicable("exceptional configuration is not contractible")
-    if g.n_vertices == 0:
-        virtual = sum((br.coeff for br in g.branches), Fraction(0)) - 1
-        solved: tuple[Fraction, ...] = (virtual,) if g.branches else ()
-    else:
-        solved = boundary_coefficients(g).coeffs
-    if any(b > 1 for b in solved):
-        return LcClass.NOT_LC
-    if any(b == 1 for b in solved):
-        return LcClass.LC_CENTER
-    if any(br.coeff == 1 for br in g.branches):
-        return LcClass.PLT
-    return LcClass.KLT
+    return g._lc_class
 
 
 def cartier_index(g: ResolutionGraph) -> int:
@@ -279,10 +299,7 @@ def cartier_index(g: ResolutionGraph) -> int:
 
     Equals the lcm of all denominators. Numerically trivial integral
     divisors descend from the resolution, so this is the Cartier index
-    of the log canonical divisor at the germ.
+    of the log canonical divisor at the germ. Raises NotApplicable when
+    the graph is not contractible or the germ is not log canonical.
     """
-    if log_canonical_class(g) is LcClass.NOT_LC:
-        raise NotApplicable("germ is not log canonical")
-    dens = [b.denominator for b in boundary_coefficients(g)]
-    dens.extend(br.coeff.denominator for br in g.branches)
-    return lcm(1, *dens)
+    return g._cartier_index

@@ -23,6 +23,10 @@ class GlueMismatch(GermError):
     """Conductor gluing data is absent or inconsistent."""
 
 
+class LimitExceeded(GermError):
+    """An input asks for more work than a declared limit allows."""
+
+
 class SingularSystem(GermError):
     """The zero-intersection linear system has no unique solution."""
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -68,6 +69,20 @@ class CyclicQuotientGerm:
     def gamma(self) -> Fraction:
         """The invariant-generator slope (1 - side)/n."""
         return (1 - self.side_coeff) / self.n
+
+    @cached_property
+    def _graph(self) -> ResolutionGraph:
+        """resolution_graph, built once per germ object."""
+        chain = hj_expand(self.n, self.q)
+        k = len(chain)
+        left = 0 if k else None
+        right = k - 1 if k else None
+        branches: list[tuple[int | None, Fraction]] = []
+        if self.conductor_coeff != 0:
+            branches.append((left, self.conductor_coeff))
+        if self.side_coeff != 0:
+            branches.append((right, self.side_coeff))
+        return ResolutionGraph.chain(chain, branches)
 
 
 class GermTag(str, Enum):
@@ -181,18 +196,11 @@ def resolution_graph(germ: CyclicQuotientGerm) -> ResolutionGraph:
     The conductor branch attaches at the left end of the chain and the
     side branch at the right end; both attach at the ambient smooth
     point when the chain is empty. Zero-coefficient branches are
-    omitted.
+    omitted. The graph is built once per germ object, and every call on
+    that object returns it, so the invariants cached on the graph are
+    shared too.
     """
-    chain = hj_expand(germ.n, germ.q)
-    k = len(chain)
-    left = 0 if k else None
-    right = k - 1 if k else None
-    branches: list[tuple[int | None, Fraction]] = []
-    if germ.conductor_coeff != 0:
-        branches.append((left, germ.conductor_coeff))
-    if germ.side_coeff != 0:
-        branches.append((right, germ.side_coeff))
-    return ResolutionGraph.chain(chain, branches)
+    return germ._graph
 
 
 def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameters, GlueMismatch, NotApplicable
+from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
 from .rational import ceil_scale, floor_scale
 
@@ -27,6 +27,10 @@ from .rational import ceil_scale, floor_scale
 # sheaf does not. Pinned as a regression value; there is no general
 # chain-glue operation here.
 CHAIN_GLUE_RESTRICTION_TWISTS: tuple[int, int, int] = (0, -1, 0)
+
+# Largest m that find_failure_m tries, which keeps one search to about a
+# second: each step is one multibranch_deficit call.
+FAILURE_SEARCH_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,9 @@ def find_failure_m(coeffs) -> int | None:
     m making the sum integral already fails, or the multiplicative
     inverse of the numerator modulo that denominator does. The search
     stops at that bound and returns None past it, which the property
-    suite treats as a defect.
+    suite treats as a defect. It never tries more than
+    FAILURE_SEARCH_LIMIT values: when the bound lies beyond the limit
+    and no failure turns up below it, LimitExceeded is raised.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -98,10 +104,14 @@ def find_failure_m(coeffs) -> int | None:
     for c in coeffs:
         if not 0 < c < 1:
             raise BadParameters(f"coefficient {c} outside (0, 1)")
-    total = sum(coeffs, Fraction(0))
-    for m in range(1, total.denominator + 1):
+    bound = sum(coeffs, Fraction(0)).denominator
+    for m in range(1, min(bound, FAILURE_SEARCH_LIMIT) + 1):
         if multibranch_deficit(m, coeffs) > 0:
             return m
+    if bound > FAILURE_SEARCH_LIMIT:
+        raise LimitExceeded(
+            f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
+            f"the bound is {bound}")
     return None
 
 

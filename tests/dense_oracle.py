@@ -7,6 +7,7 @@ intersection matrix, with no use of the tree structure. They are slow
 """
 
 from fractions import Fraction
+from math import lcm
 
 from germcalc.dualgraph import intersection_matrix
 
@@ -72,3 +73,30 @@ def dense_boundary_coefficients(g) -> tuple[Fraction, ...] | None:
         s = b[r] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))
         x[r] = s / a[r][r]
     return tuple(x)
+
+
+def dense_log_canonical_class(g) -> str | None:
+    """The lc class's name read off the dense solve of a graph with at
+    least one vertex, or None when Sylvester's criterion finds it not
+    contractible: NOT_LC if some b_j > 1, else LC_CENTER if some
+    b_j = 1, else PLT if a coefficient-1 branch passes, else KLT."""
+    if not sylvester_negative_definite(g):
+        return None
+    solved = dense_boundary_coefficients(g)
+    if any(b > 1 for b in solved):
+        return "NOT_LC"
+    if any(b == 1 for b in solved):
+        return "LC_CENTER"
+    if any(br.coeff == 1 for br in g.branches):
+        return "PLT"
+    return "KLT"
+
+
+def dense_cartier_index(g) -> int | None:
+    """lcm of the denominators of the dense solve and of the branch
+    coefficients, or None when the germ is not contractible or not lc."""
+    if dense_log_canonical_class(g) in (None, "NOT_LC"):
+        return None
+    dens = [b.denominator for b in dense_boundary_coefficients(g)]
+    dens.extend(br.coeff.denominator for br in g.branches)
+    return lcm(1, *dens)

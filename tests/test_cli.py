@@ -1,11 +1,16 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from germcalc.cli import format_germ_file, main, parse_germ_file, run
+from germcalc import cli, dualgraph
+from germcalc.cli import (M_MAX_LIMIT, format_germ_file, main, parse_germ_file,
+                          run)
 from germcalc.errors import ParseError, ValidationError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 PLT_GERM = '{"kind":"cyclic_quotient","n":5,"q":2,"conductor":"1","side":"1/2"}'
 GRAPH = '{"kind":"dual_graph","chain":[3,2],"branches":[[1,"1"],[2,"2/3"]]}'
@@ -259,6 +264,25 @@ def test_residue_rejects_nonpositive_m_max(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
 
 
+def test_residue_table_reaches_the_m_max_limit(tmp_path, capsys):
+    assert main(["residue", write(tmp_path, PLT_GERM), "--m-max", str(M_MAX_LIMIT)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["residue_table"]) == M_MAX_LIMIT
+
+
+@pytest.mark.parametrize("m_max", [M_MAX_LIMIT + 1, 1_000_000_000])
+def test_residue_m_max_past_the_limit_is_an_error(tmp_path, capsys, m_max):
+    assert main(["residue", write(tmp_path, PLT_GERM), "--m-max", str(m_max)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+    assert str(M_MAX_LIMIT) in err["message"]
+
+
+def test_failure_m_past_the_search_limit_is_an_error(capsys):
+    assert main(["failure-m", "--coeffs", "1/1000000007,1/1000000009"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+
+
 def test_glue_rejects_nonpositive_m(tmp_path, capsys):
     assert main(["glue", write(tmp_path, GLUED), "--m", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
@@ -275,7 +299,7 @@ def test_closed_stdout_exits_one_without_traceback():
     import subprocess
     import sys
 
-    fixture = Path(__file__).parent / "fixtures" / "glued_pair.json"
+    fixture = FIXTURES / "glued_pair.json"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     read_end, write_end = os.pipe()
@@ -288,3 +312,64 @@ def test_closed_stdout_exits_one_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call of main."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse errors exit 2 from parse_args
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # subcommand parsers are "germcalc <name>"
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setenv("NO_COLOR", "1")
+    path = write(tmp_path, GLUED)
+    calls = [["no-such-command", path], ["report", path], ["--verbose", "report", path]]
+    try:
+        cli._build_parser.cache_clear()
+        shared = [_outcome(argv, capsys) for argv in calls]
+        assert built.count("germcalc") == 1
+        assert cli._build_parser() is cli._build_parser()
+        assert built.count("germcalc") == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(_outcome(argv, capsys))
+        assert built.count("germcalc") == 1 + len(calls)
+    finally:
+        cli._build_parser.cache_clear()
+    assert shared == fresh
+    assert shared[0][0] == 2 and "invalid choice" in shared[0][2]
+    assert shared[1][0] == 0 and shared[1][2] == ""
+    assert shared[2][0] == 0 and shared[2][1] == shared[1][1]
+    assert "case=TWO_COMPONENT_PLT" in shared[2][2]
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("plt_chain", 1), ("cyclic_center", 1), ("dihedral_fork", 1),
+    ("dihedral_half_branch", 1), ("dihedral_two_half", 1),
+    ("glued_pair", 2),  # one per component
+])
+def test_one_elimination_per_graph_in_a_report(capsys, monkeypatch, name, solves):
+    runs = []
+
+    def counting(g):
+        runs.append(g)
+        return eliminate(g)
+
+    eliminate = dualgraph._eliminate
+    monkeypatch.setattr(dualgraph, "_eliminate", counting)
+    assert main(["report", str(FIXTURES / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert len(runs) == solves

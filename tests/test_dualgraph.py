@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (dense_boundary_coefficients, det_bareiss,
+from dense_oracle import (dense_boundary_coefficients, dense_cartier_index,
+                          dense_log_canonical_class, det_bareiss,
                           leading_principal_minors,
                           sylvester_negative_definite)
 from germcalc import dualgraph
@@ -229,6 +230,22 @@ def test_tree_elimination_matches_dense_oracles(g):
         assert not contractible  # zero pivot below the root
     else:
         assert solved == dense
+    lc = dense_log_canonical_class(g)
+    index = dense_cartier_index(g)
+    for _ in range(2):  # the second round reads the graph's caches
+        if lc is None:
+            with pytest.raises(NotApplicable, match="not contractible"):
+                log_canonical_class(g)
+        else:
+            assert log_canonical_class(g).value == lc
+        if index is None:
+            with pytest.raises(NotApplicable):
+                cartier_index(g)
+        else:
+            assert cartier_index(g) == index
+    # a raising read caches nothing, so it raises again on the next call
+    assert ("_lc_class" in vars(g)) == (lc is not None)
+    assert ("_cartier_index" in vars(g)) == (index is not None)
 
 
 def test_zero_pivot_below_root_is_not_applicable():

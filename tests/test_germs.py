@@ -82,6 +82,16 @@ def test_resolution_graph_omits_zero_side():
     assert g.branch_coeffs_at(0) == [1]
 
 
+def test_resolution_graph_is_shared_per_germ_object():
+    germ = CyclicQuotientGerm(5, 2, 1, HALF)
+    twin = CyclicQuotientGerm(5, 2, 1, HALF)
+    g = resolution_graph(germ)
+    assert resolution_graph(germ) is g
+    # equal germs give equal graphs; the cache is not part of the value
+    assert resolution_graph(twin) == g and resolution_graph(twin) is not g
+    assert germ == twin and hash(germ) == hash(twin)
+
+
 def test_germ_validation():
     with pytest.raises(BadParameters):
         CyclicQuotientGerm(4, 2)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germcalc.errors import BadParameters, GlueMismatch, NotApplicable
+from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
+                             NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
 from germcalc.residue import (CHAIN_GLUE_RESTRICTION_TWISTS,
-                              dihedral_image_twist, find_failure_m,
+                              FAILURE_SEARCH_LIMIT, dihedral_image_twist,
+                              find_failure_m,
                               glued_mcartier, glued_restriction_coeff,
                               multibranch_deficit, single_branch_report)
 
@@ -95,6 +97,29 @@ def test_find_failure_m_rejects_bad_input():
         find_failure_m([HALF, Fraction(3, 2)])
     with pytest.raises(BadParameters):
         multibranch_deficit(0, [HALF])
+
+
+def test_find_failure_m_answers_early_past_a_huge_bound():
+    # the sum's denominator is about 2e9, but m = 1 already fails
+    coeffs = [HALF, Fraction(1_000_000_006, 1_000_000_007)]
+    assert sum(coeffs).denominator > FAILURE_SEARCH_LIMIT
+    assert find_failure_m(coeffs) == 1
+
+
+def test_find_failure_m_scans_up_to_the_limit():
+    # 1/p + 1/q with p, q coprime and below the failure: the first
+    # failure is the least m with m (p + q) >= p q, deep in the scan
+    p, q = 100_000, 100_001
+    coeffs = [Fraction(1, p), Fraction(1, q)]
+    expected = -(-p * q // (p + q))
+    assert expected <= FAILURE_SEARCH_LIMIT < sum(coeffs).denominator
+    assert find_failure_m(coeffs) == expected
+
+
+def test_find_failure_m_raises_past_the_limit():
+    coeffs = [Fraction(1, 1_000_000_007), Fraction(1, 1_000_000_009)]
+    with pytest.raises(LimitExceeded, match="search limit"):
+        find_failure_m(coeffs)
 
 
 @pytest.mark.parametrize("m, expected", [(1, 0), (2, 2), (3, 2)])
