@@ -16,7 +16,7 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
-from .rational import Rat, ceil_scale, floor_scale, format_rat, parse_rat
+from .rational import ceil_scale, floor_scale, format_rat, parse_rat
 from .residue import (CHAIN_GLUE_RESTRICTION_TWISTS, ResidueReport,
                       dihedral_image_twist, find_failure_m,
                       glued_mcartier, glued_restriction_coeff,
@@ -31,7 +31,7 @@ __all__ = [
     "ClassGroup", "CoeffCheck", "CyclicQuotientGerm", "GermClass",
     "GermError", "GermTag", "GlueMismatch", "GraphDivisor", "LcClass",
     "LimitExceeded",
-    "NonNormalGerm", "NotApplicable", "ParseError", "Rat",
+    "NonNormalGerm", "NotApplicable", "ParseError",
     "ResidueReport", "ResolutionGraph", "SingularSystem", "Trichotomy",
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",
     "cartier_index", "ceil_scale", "check_slc_glue", "classify_lc_germ",

@@ -26,13 +26,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Any
 
-from .dualgraph import (ResolutionGraph, boundary_coefficients, cartier_index,
-                        log_canonical_class)
+from .dualgraph import (BoundaryBranch, ResolutionGraph, boundary_coefficients,
+                        cartier_index, check_label, log_canonical_class)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, classify_lc_germ, classify_nonnormal,
-                    different_coeff, resolution_graph)
+                    different_coeff, germ_class, resolution_graph)
 from .rational import format_rat, parse_rat
 from .residue import (find_failure_m, glued_mcartier,
                       glued_restriction_coeff, single_branch_report)
@@ -117,19 +117,24 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
     if not isinstance(chain, list) or not all(
             isinstance(c, int) and not isinstance(c, bool) for c in chain):
         raise ValidationError("'chain' must be a list of integers")
-    g = ResolutionGraph.chain(chain)
-    n = len(chain)
+    # Every entry is checked as it is read, so the first fault in file
+    # order is the one reported; the graph is built once, at the end.
+    selfints = [check_label(c) for c in chain]
+    edges = [(i, i + 1) for i in range(len(chain) - 1)]
     norm_forks = []
     for entry in forks:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
             raise ValidationError(f"fork entry {entry!r} must be [attach, selfint]")
         attach, selfint = entry
+        n = len(selfints)
         if not 1 <= attach <= n:
             raise ValidationError(f"fork attach index {attach} out of range 1..{n}")
-        g = g.with_fork(attach - 1, selfint)
-        n += 1
+        selfints.append(check_label(selfint))
+        edges.append((attach - 1, n))
         norm_forks.append([attach, selfint])
+    n = len(selfints)
+    brs = []
     norm_branches = []
     for entry in branches:
         if not isinstance(entry, list) or len(entry) != 2:
@@ -146,15 +151,15 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         if attach == 0:
             if n:
                 raise ValidationError("attach index 0 is only valid on an empty graph")
-            g = g.with_branch(None, coeff)
+            brs.append(BoundaryBranch(None, coeff))
         elif 1 <= attach <= n:
-            g = g.with_branch(attach - 1, coeff)
+            brs.append(BoundaryBranch(attach - 1, coeff))
         else:
             raise ValidationError(f"branch attach index {attach} out of range 0..{n}")
         norm_branches.append([attach, format_rat(coeff)])
     payload = {"kind": "dual_graph", "chain": list(chain),
                "forks": norm_forks, "branches": norm_branches}
-    return g, payload
+    return ResolutionGraph(tuple(selfints), frozenset(edges), tuple(brs)), payload
 
 
 def parse_germ_file(text: str | bytes) -> GermFile:
@@ -357,7 +362,7 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
         out["components_detail"] = []
         for comp in gf.components:
             g = resolution_graph(comp)
-            cls = classify_lc_germ(g)
+            cls = germ_class(comp)
             detail = {"input": _germ_payload(comp)}
             detail.update(_class_dict(cls))
             detail.update(_discrepancy_fields(g))

@@ -56,6 +56,13 @@ class BoundaryBranch:
             raise ValidationError(f"branch coefficient {self.coeff} outside (0, 1]")
 
 
+def check_label(c: int) -> int:
+    """Return c, a self-intersection label, or raise when it is below 1."""
+    if c < 1:
+        raise ValidationError(f"self-intersection label {c} must be >= 1")
+    return c
+
+
 @dataclass(frozen=True)
 class ResolutionGraph:
     """Tree of exceptional curves plus attached boundary branches."""
@@ -71,8 +78,7 @@ class ResolutionGraph:
         object.__setattr__(self, "branches", tuple(self.branches))
         n = len(self.selfints)
         for c in self.selfints:
-            if c < 1:
-                raise ValidationError(f"self-intersection label {c} must be >= 1")
+            check_label(c)
         for i, j in self.edges:
             if i == j:
                 raise ValidationError("self-loop edge")

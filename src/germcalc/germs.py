@@ -1,22 +1,35 @@
-"""Germ taxonomy: cyclic-quotient models, chain/fork pattern matching,
-differents, and the non-normal trichotomy.
+"""Germ taxonomy: cyclic-quotient models, the shape decomposition of
+decorated dual graphs, differents, and the non-normal trichotomy.
 
 The cyclic quotient germ is the model pair
 
     (A^2, conductor * (y=0) + side * (x=0)) / (1/n)(1, q),
 
 whose minimal resolution is the Hirzebruch-Jung chain of n/q. Every
-classification here is purely combinatorial: a germ is turned into its
-decorated dual graph and matched against five diagram shapes, a single
-chain with a coefficient-1 branch at one end and either
+classification here is purely combinatorial. A germ is turned into its
+decorated dual graph, and one walk splits the graph into
 
-  1. a fractional branch (or nothing) at the other end   -> plt chain,
-  2. a second coefficient-1 branch at the other end       -> cyclic,
-  3. a two-pronged fork at the other end, the prongs being bare
-     -2 curves or coefficient-1/2 branches                -> dihedral.
+  * the arm, the path of curves from the one carrying a coefficient-1
+    branch to the far end, the first curve that carries another branch
+    or does not go on in exactly one direction;
+  * the prongs, bare -2 leaves hanging off the far end, which must be
+    all that lies beyond it;
+  * the far coefficients, those of the other branches, which the walk
+    has put at the far end.
 
-The three dihedral variants are distinguished by how many prongs are
-curves: two (31), one (32), none (33).
+One table maps (prongs, far coefficients) to the shape:
+
+    (0, (1,))            cyclic lc center
+    (0, (1/2, 1/2))      dihedral 33
+    (1, (1/2,))          dihedral 32
+    (2, ())              dihedral 31
+    (0, ()), (0, (c,))   plt chain, c < 1, with gamma = (1 - c)/n
+                         for the arm's Hirzebruch-Jung string of n/q
+
+Every arm curve has self-intersection label >= 2, except that the far
+end may drop to 1 in the dihedral 32 and 33 shapes. The empty graph is
+an empty arm, whose string gives n = 1. A graph that fits no shape is
+UNCLASSIFIED, and one constraint it violates is named.
 """
 
 from __future__ import annotations
@@ -25,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 
 from .dualgraph import (LcClass, ResolutionGraph, cartier_index,
@@ -83,6 +95,11 @@ class CyclicQuotientGerm:
         if self.side_coeff != 0:
             branches.append((right, self.side_coeff))
         return ResolutionGraph.chain(chain, branches)
+
+    @cached_property
+    def _class(self) -> GermClass:
+        """germ_class, classified once per germ object."""
+        return classify_lc_germ(self._graph)
 
 
 class GermTag(str, Enum):
@@ -203,6 +220,12 @@ def resolution_graph(germ: CyclicQuotientGerm) -> ResolutionGraph:
     return germ._graph
 
 
+def germ_class(germ: CyclicQuotientGerm) -> GermClass:
+    """classify_lc_germ of the germ's graph, once per germ object. A
+    classification that raises caches nothing and raises on every call."""
+    return germ._class
+
+
 def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:
     """Vertices in path order, or None when the tree is not a path."""
     n = g.n_vertices
@@ -222,135 +245,45 @@ def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:
     return order
 
 
-def _branchless_prongs(g: ResolutionGraph, adj: list[list[int]], f: int) -> list[int]:
-    """Leaves adjacent to f that are bare -2 curves."""
-    attached = {br.attach for br in g.branches}
-    return [v for v in adj[f]
-            if len(adj[v]) == 1 and g.selfints[v] == 2 and v not in attached]
-
-
-def _arm_from(g: ResolutionGraph, adj: list[list[int]], f: int,
-              removed: set[int]) -> list[int] | None:
-    """Path order of the graph minus ``removed``, starting at f.
-
-    Returns None unless the remainder is a path with f at one end.
-    """
-    keep = [v for v in range(g.n_vertices) if v not in removed]
-    deg = {v: sum(1 for w in adj[v] if w not in removed) for v in keep}
-    if any(d > 2 for d in deg.values()) or deg[f] > 1:
-        return None
-    order = [f]
-    prev = -1
+def _decompose(g: ResolutionGraph, adj: list[list[int]]):
+    """The graph as (arm, number of prongs, sorted far coefficients),
+    walked from the first coefficient-1 branch as the module docstring
+    says; None when something beyond the far end is not a prong."""
+    i = next(i for i, br in enumerate(g.branches) if br.coeff == 1)
+    rest = g.branches[:i] + g.branches[i + 1:]
+    far = tuple(sorted(br.coeff for br in rest))
+    if g.n_vertices == 0:
+        return [], 0, far
+    attached = {br.attach for br in rest}
+    arm, prev = [g.branches[i].attach], -1
     while True:
-        nxt = [w for w in adj[order[-1]] if w not in removed and w != prev]
-        if not nxt:
-            return order
-        prev = order[-1]
-        order.append(nxt[0])
+        v = arm[-1]
+        ahead = [w for w in adj[v] if w != prev]
+        if v in attached or len(ahead) != 1:
+            break
+        arm.append(ahead[0])
+        prev = v
+    if any(len(adj[w]) != 1 or g.selfints[w] != 2 or w in attached
+           for w in ahead):
+        return None
+    return arm, len(ahead), far
 
 
-def _match_cyclic(g: ResolutionGraph, order: list[int]):
-    if len(g.branches) != 2 or any(br.coeff != 1 for br in g.branches):
-        return None
-    ends = sorted((order[0], order[-1]))
-    if sorted(br.attach for br in g.branches) != (ends if order[0] != order[-1]
-                                                  else [order[0], order[0]]):
-        return None
-    if len(order) > 1 and g.branches[0].attach == g.branches[1].attach:
-        return None
-    if any(g.selfints[v] < 2 for v in order):
-        return None
-    return GermTag.CYCLIC_NONPLT
+# (prongs, far coefficients) -> (tag, whether the far end may carry label 1)
+SHAPES = {
+    (0, (Fraction(1),)): (GermTag.CYCLIC_NONPLT, False),
+    (0, (HALF, HALF)): (GermTag.DIHEDRAL_33, True),
+    (1, (HALF,)): (GermTag.DIHEDRAL_32, True),
+    (2, ()): (GermTag.DIHEDRAL_31, False),
+}
 
 
-def _match_plt(g: ResolutionGraph, order: list[int]):
-    """Plt chain; returns gamma on success.
-
-    The fractional end branch may carry any coefficient in (0, 1); the
-    taxonomy's guarantees only cover [1/2, 1), but the plt chain and its
-    slope are well defined below that window too.
-    """
-    ones = [br for br in g.branches if br.coeff == 1]
-    others = [br for br in g.branches if br.coeff != 1]
-    if len(ones) != 1 or len(others) > 1:
-        return None
-    conductor_end = ones[0].attach
-    if conductor_end not in (order[0], order[-1]):
-        return None
-    side = Fraction(0)
-    if others:
-        far = order[-1] if conductor_end == order[0] else order[0]
-        if others[0].attach != far:
-            return None
-        side = others[0].coeff
-    if any(g.selfints[v] < 2 for v in order):
-        return None
-    oriented = order if conductor_end == order[0] else order[::-1]
-    n, _q = hj_contract([g.selfints[v] for v in oriented])
-    return GermTag.PLT_CHAIN, (1 - side) / n
-
-
-def _match_d33(g: ResolutionGraph, order: list[int]):
-    ones = [br for br in g.branches if br.coeff == 1]
-    halves = [br for br in g.branches if br.coeff == HALF]
-    if len(g.branches) != 3 or len(ones) != 1 or len(halves) != 2:
-        return None
-    fork = halves[0].attach
-    if halves[1].attach != fork or fork not in (order[0], order[-1]):
-        return None
-    far = order[-1] if fork == order[0] else order[0]
-    if ones[0].attach != far:
-        return None
-    # c_n = 1 is tolerated at the fork vertex only
-    if any(g.selfints[v] < 2 for v in order if v != fork):
-        return None
-    return GermTag.DIHEDRAL_33
-
-
-def _match_d31(g: ResolutionGraph, adj: list[list[int]]):
-    if len(g.branches) != 1 or g.branches[0].coeff != 1:
-        return None
-    conductor = g.branches[0].attach
-    for f in range(g.n_vertices):
-        for p1, p2 in combinations(_branchless_prongs(g, adj, f), 2):
-            arm = _arm_from(g, adj, f, {p1, p2})
-            if arm is None or conductor != arm[-1]:
-                continue
-            if any(g.selfints[v] < 2 for v in arm):
-                continue
-            return GermTag.DIHEDRAL_31
-    return None
-
-
-def _match_d32(g: ResolutionGraph, adj: list[list[int]]):
-    ones = [br for br in g.branches if br.coeff == 1]
-    halves = [br for br in g.branches if br.coeff == HALF]
-    if len(g.branches) != 2 or len(ones) != 1 or len(halves) != 1:
-        return None
-    f = halves[0].attach
-    if f is None:
-        return None
-    for p in _branchless_prongs(g, adj, f):
-        arm = _arm_from(g, adj, f, {p})
-        if arm is None or ones[0].attach != arm[-1]:
-            continue
-        if any(g.selfints[v] < 2 for v in arm if v != f):
-            continue
-        return GermTag.DIHEDRAL_32
-    return None
-
-
-def _match_empty(g: ResolutionGraph):
-    coeffs = sorted(br.coeff for br in g.branches)
-    if coeffs == [1, 1]:
-        return GermTag.CYCLIC_NONPLT, None
-    if coeffs == [HALF, HALF, 1]:
-        return GermTag.DIHEDRAL_33, None
-    if coeffs == [1]:
-        return GermTag.PLT_CHAIN, Fraction(1)
-    if len(coeffs) == 2 and coeffs[1] == 1 and 0 < coeffs[0] < 1:
-        return GermTag.PLT_CHAIN, 1 - coeffs[0]
-    return None
+def _shape(prongs: int, far: tuple[Fraction, ...]) -> tuple[GermTag | None, bool]:
+    """Look a decomposition up in SHAPES; no prongs and at most one
+    fractional far branch is a plt chain. (None, False) when no shape fits."""
+    if prongs == 0 and len(far) <= 1 and 1 not in far:
+        return GermTag.PLT_CHAIN, False
+    return SHAPES.get((prongs, far), (None, False))
 
 
 def _diagnose(g: ResolutionGraph, adj: list[list[int]]) -> str:
@@ -385,7 +318,7 @@ def _diagnose(g: ResolutionGraph, adj: list[list[int]]) -> str:
 
 
 def classify_lc_germ(g: ResolutionGraph) -> GermClass:
-    """Match the decorated graph against the five diagram shapes.
+    """Decompose the decorated graph and look its shape up in SHAPES.
 
     Requires a plt or lc-center germ carrying a coefficient-1 branch.
     Graphs outside the shapes come back UNCLASSIFIED with the violated
@@ -398,26 +331,16 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
         raise NotApplicable("no coefficient-1 branch through the point")
     index = cartier_index(g)
     adj = g.adjacency()
-
-    if g.n_vertices == 0:
-        hit = _match_empty(g)
-        if hit is not None:
-            tag, gamma = hit
-            return GermClass(tag, index, gamma)
-        return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g, adj))
-
-    order = _path_order(g, adj)
-    if order is not None:
-        if (tag := _match_cyclic(g, order)) is not None:
-            return GermClass(tag, index)
-        if (hit := _match_plt(g, order)) is not None:
-            return GermClass(hit[0], index, hit[1])
-        if (tag := _match_d33(g, order)) is not None:
-            return GermClass(tag, index)
-    if (tag := _match_d31(g, adj)) is not None:
-        return GermClass(tag, index)
-    if (tag := _match_d32(g, adj)) is not None:
-        return GermClass(tag, index)
+    parts = _decompose(g, adj)
+    if parts is not None:
+        arm, prongs, far = parts
+        tag, unit_end = _shape(prongs, far)
+        if tag is not None and all(g.selfints[v] >= 2
+                                   for v in (arm[:-1] if unit_end else arm)):
+            if tag is not GermTag.PLT_CHAIN:
+                return GermClass(tag, index)
+            n, _q = hj_contract(g.selfints[v] for v in arm)
+            return GermClass(tag, index, (1 - sum(far, Fraction(0))) / n)
     return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g, adj))
 
 
@@ -462,7 +385,7 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     if not glue_ok:
         raise GlueMismatch("no conductor gluing isomorphism/involution provided")
 
-    classes = [classify_lc_germ(resolution_graph(c)) for c in components]
+    classes = [germ_class(c) for c in components]
     if any(cl.tag in LC_CENTER_TAGS for cl in classes):
         index = lcm(*(cl.cartier_index for cl in classes))
         return NonNormalGerm(components, Trichotomy.LC_CENTER_CASE,

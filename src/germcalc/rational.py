@@ -11,10 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# The universal exact scalar. Stored in lowest terms with positive
-# denominator, with unbounded integer numerator and denominator.
-Rat = Fraction
-
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 

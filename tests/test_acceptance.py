@@ -15,8 +15,9 @@ import pytest
 from germcalc.cli import main
 from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
                                 cartier_index, is_contractible)
-from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
-                            hj_expand, resolution_graph, check_slc_glue)
+from germcalc.germs import (CyclicQuotientGerm, GermTag, classify_lc_germ,
+                            hj_contract, hj_expand, resolution_graph,
+                            check_slc_glue)
 from germcalc.rational import ceil_scale, floor_scale
 from germcalc.residue import (dihedral_image_twist, find_failure_m,
                               glued_mcartier, multibranch_deficit,
@@ -59,7 +60,7 @@ def test_criterion_1_closed_form_discrepancy():
 
 def _center_shapes(max_len=5, max_selfint=5):
     """Every cyclic and dihedral diagram with the stated bounds and all
-    fractional branches pinned to 1/2."""
+    fractional branches pinned to 1/2, each with the tag it is built as."""
     selfint_range = range(2, max_selfint + 1)
 
     def chains(length):
@@ -70,14 +71,15 @@ def _center_shapes(max_len=5, max_selfint=5):
             for c in selfint_range:
                 yield head + (c,)
 
-    yield ResolutionGraph.chain([], [(None, 1), (None, 1)])
-    yield ResolutionGraph.chain([], [(None, 1), (None, HALF), (None, HALF)])
+    yield ResolutionGraph.chain([], [(None, 1), (None, 1)]), GermTag.CYCLIC_NONPLT
+    yield (ResolutionGraph.chain([], [(None, 1), (None, HALF), (None, HALF)]),
+           GermTag.DIHEDRAL_33)
     for length in range(1, max_len + 1):
         for cs in chains(length):
             end = length - 1
-            yield ResolutionGraph.chain(cs, [(0, 1), (end, 1)])
+            yield ResolutionGraph.chain(cs, [(0, 1), (end, 1)]), GermTag.CYCLIC_NONPLT
             yield (ResolutionGraph.chain(cs, [(0, 1)])
-                   .with_fork(end, 2).with_fork(end, 2))
+                   .with_fork(end, 2).with_fork(end, 2)), GermTag.DIHEDRAL_31
         # the fork vertex may drop to self-intersection 1 in the
         # half-branch shapes
         for cs in chains(length - 1):
@@ -85,18 +87,20 @@ def _center_shapes(max_len=5, max_selfint=5):
                 full = cs + (last,)
                 end = length - 1
                 yield (ResolutionGraph.chain(full, [(0, 1), (end, HALF)])
-                       .with_fork(end, 2))
-                yield ResolutionGraph.chain(
-                    full, [(0, 1), (end, HALF), (end, HALF)])
+                       .with_fork(end, 2)), GermTag.DIHEDRAL_32
+                yield (ResolutionGraph.chain(full, [(0, 1), (end, HALF), (end, HALF)]),
+                       GermTag.DIHEDRAL_33)
 
 
 def test_criterion_2_taxonomy_cartier_bound():
-    with Criterion(2, "cyclic/dihedral Cartier index divides 2", 10.0):
+    with Criterion(2, "cyclic/dihedral shapes keep their tag; Cartier index divides 2",
+                   10.0):
         checked = 0
-        for g in _center_shapes():
+        for g, tag in _center_shapes():
             if not is_contractible(g):
                 continue
             assert 2 % cartier_index(g) == 0
+            assert classify_lc_germ(g).tag is tag
             checked += 1
         assert checked > 5000
 

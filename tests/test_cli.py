@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from germcalc import cli, dualgraph
+from germcalc import cli, dualgraph, germs
 from germcalc.cli import (M_MAX_LIMIT, format_germ_file, main, parse_germ_file,
                           run)
 from germcalc.errors import ParseError, ValidationError
@@ -373,3 +373,63 @@ def test_one_elimination_per_graph_in_a_report(capsys, monkeypatch, name, solves
     assert main(["report", str(FIXTURES / f"{name}.json")]) == 0
     capsys.readouterr()
     assert len(runs) == solves
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("plt_chain", 1), ("cyclic_center", 1), ("dihedral_fork", 1),
+    ("dihedral_half_branch", 1), ("dihedral_two_half", 1),
+    ("glued_pair", 2),  # one per component
+])
+def test_one_classification_per_germ_in_a_report(capsys, monkeypatch, name, classes):
+    runs = []
+
+    def counting(g):
+        runs.append(g)
+        return classify(g)
+
+    classify = germs.classify_lc_germ
+    monkeypatch.setattr(germs, "classify_lc_germ", counting)
+    monkeypatch.setattr(cli, "classify_lc_germ", counting)
+    assert main(["report", str(FIXTURES / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert len(runs) == classes
+
+
+def test_a_parsed_dual_graph_is_built_once(monkeypatch):
+    built = []
+    post_init = dualgraph.ResolutionGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(dualgraph.ResolutionGraph, "__post_init__", counting)
+    gf = parse_germ_file((FIXTURES / "dihedral_fork.json").read_text())
+    assert built == [gf.graph]
+    assert gf.graph.selfints == (2, 2, 2)
+    assert gf.graph.edges == {(0, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("record, message", [
+    # a bad chain label comes before any fork or branch fault
+    ({"chain": [2, 0], "forks": [[9, 2]], "branches": [[9, "x"]]},
+     "self-intersection label 0 must be >= 1"),
+    # fork entries are read in order, each before any branch entry
+    ({"chain": [2], "forks": [[1, -1], "x"], "branches": [[9, "1"]]},
+     "self-intersection label -1 must be >= 1"),
+    ({"chain": [2], "forks": [[1, 2], [3, 2]], "branches": [[1, "3/2"]]},
+     "fork attach index 3 out of range 1..2"),
+    ({"chain": [2], "forks": [[1, 2], [1, 0]]},
+     "self-intersection label 0 must be >= 1"),
+    ({"chain": [2], "forks": [[1, 2]], "branches": [[2, "3/2"], [9, "1"]]},
+     "branch coefficient 3/2 outside (0, 1]"),
+    ({"chain": [2], "forks": [[1, 2]], "branches": [[1, "1"], [3, "1"]]},
+     "branch attach index 3 out of range 0..2"),
+    ({"chain": [], "branches": [[0, "0"]]}, "branch coefficient 0 outside (0, 1]"),
+    ({"chain": [2], "branches": [[0, "3/2"]]},
+     "attach index 0 is only valid on an empty graph"),
+])
+def test_dual_graph_reports_its_first_fault_in_file_order(record, message):
+    with pytest.raises(ValidationError) as err:
+        parse_germ_file(json.dumps({"kind": "dual_graph", **record}))
+    assert str(err.value) == message

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
-                                intersection_matrix, is_contractible,
-                                log_canonical_class, LcClass)
+from germcalc.dualgraph import (BoundaryBranch, ResolutionGraph,
+                                boundary_coefficients, intersection_matrix,
+                                is_contractible, log_canonical_class, LcClass)
 from germcalc.errors import BadParameters, GlueMismatch, NotApplicable
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
                             Trichotomy, check_slc_glue, classify_lc_germ,
-                            classify_nonnormal, different_coeff, hj_contract,
-                            hj_expand, resolution_graph)
+                            classify_nonnormal, different_coeff, germ_class,
+                            hj_contract, hj_expand, resolution_graph)
 
 HALF = Fraction(1, 2)
 
@@ -238,6 +238,82 @@ def test_taxonomy_totality_or_named_violation(data):
         return
     cls = classify_lc_germ(g)
     assert cls.tag is not GermTag.UNCLASSIFIED or cls.violation
+
+
+@st.composite
+def near_shapes(draw):
+    """(labels, edges, branches) of a plt, cyclic or dihedral shape on a
+    random arm from vertex 0, then up to two edits: a leaf or a branch
+    added anywhere."""
+    k = draw(st.integers(0, 5))
+    labels = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    if k and draw(st.booleans()):
+        labels[-1] = 1
+    edges = [(i, i + 1) for i in range(k - 1)]
+    end = k - 1 if k else None
+    branches = [(0 if k else None, Fraction(1))]
+    kind = draw(st.sampled_from(["plt", "cyclic", "d31", "d32", "d33"]))
+    if kind == "plt":
+        branches.append((end, draw(st.sampled_from([Fraction(1, 3), HALF]))))
+    elif kind == "cyclic":
+        branches.append((end, Fraction(1)))
+    elif kind == "d33":
+        branches += [(end, HALF), (end, HALF)]
+    elif k:
+        if kind == "d32":
+            branches.append((end, HALF))
+        for _ in range(2 if kind == "d31" else 1):
+            edges.append((end, len(labels)))
+            labels.append(2)
+    for _ in range(draw(st.integers(0, 2))):
+        n = len(labels)
+        if n and draw(st.booleans()):
+            edges.append((draw(st.integers(0, n - 1)), n))
+            labels.append(draw(st.integers(1, 3)))
+        else:
+            branches.append((draw(st.integers(0, n - 1)) if n else None,
+                             draw(st.sampled_from([Fraction(1), HALF, Fraction(1, 3)]))))
+    return labels, edges, branches
+
+
+def class_or_error(labels, edges, branches):
+    g = ResolutionGraph(tuple(labels), frozenset(edges),
+                        tuple(BoundaryBranch(a, c) for a, c in branches))
+    try:
+        cls = classify_lc_germ(g)
+    except NotApplicable as exc:
+        return str(exc)
+    return cls.tag, cls.gamma, cls.cartier_index
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_shapes(), st.data())
+def test_classification_invariant_under_relabelling(shape, data):
+    # the violation text is left out: the shared-end message lists
+    # whichever chain end comes first
+    labels, edges, branches = shape
+    perm = data.draw(st.permutations(range(len(labels))))
+    moved = [0] * len(labels)
+    for v, c in enumerate(labels):
+        moved[perm[v]] = c
+    assert class_or_error(labels, edges, branches) == class_or_error(
+        moved, [(perm[i], perm[j]) for i, j in edges],
+        [(None if a is None else perm[a], c) for a, c in branches])
+
+
+def test_germ_class_is_cached_per_germ_object():
+    germ = CyclicQuotientGerm(5, 2, 1, HALF)
+    cls = germ_class(germ)
+    assert germ_class(germ) is cls
+    assert cls == classify_lc_germ(resolution_graph(germ))
+
+
+def test_a_raising_germ_class_caches_nothing():
+    germ = CyclicQuotientGerm(3, 1, HALF, 0)  # klt: no coefficient-1 branch
+    for _ in range(2):
+        with pytest.raises(NotApplicable, match="KLT, not plt or lc-center"):
+            germ_class(germ)
+    assert "_class" not in vars(germ)
 
 
 # ---------------------------------------------------------------- differents
