@@ -26,14 +26,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Any
 
-from .dualgraph import (BoundaryBranch, ResolutionGraph, boundary_coefficients,
-                        cartier_index, check_label, log_canonical_class)
+from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
+                        boundary_coefficients, cartier_index, check_label,
+                        log_canonical_class)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, classify_lc_germ, classify_nonnormal,
                     different_coeff, germ_class, resolution_graph)
-from .rational import format_rat, parse_rat
+from .rational import DIGITS_EXCEEDED, format_rat, parse_rat
 from .residue import (find_failure_m, glued_mcartier,
                       glued_restriction_coeff, single_branch_report)
 from .stdcoeff import coeff_check
@@ -120,6 +121,11 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
     # Every entry is checked as it is read, so the first fault in file
     # order is the one reported; the graph is built once, at the end.
     selfints = [check_label(c) for c in chain]
+    if not isinstance(forks, list):
+        raise ValidationError("'forks' must be a list of [attach, selfint] entries")
+    if len(chain) + len(forks) > VERTEX_LIMIT:
+        raise LimitExceeded(f"{len(chain) + len(forks)} curves exceed the "
+                            f"limit {VERTEX_LIMIT}")
     edges = [(i, i + 1) for i in range(len(chain) - 1)]
     norm_forks = []
     for entry in forks:
@@ -134,6 +140,8 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         edges.append((attach - 1, n))
         norm_forks.append([attach, selfint])
     n = len(selfints)
+    if not isinstance(branches, list):
+        raise ValidationError("'branches' must be a list of [attach, coeff] entries")
     brs = []
     norm_branches = []
     for entry in branches:
@@ -177,6 +185,10 @@ def parse_germ_file(text: str | bytes) -> GermFile:
                          expected=exc.msg) from exc
     except RecursionError as exc:
         raise ParseError("JSON nesting too deep") from exc
+    except ValueError as exc:
+        # json.loads raises a bare ValueError only for an integer literal
+        # past the interpreter's int-from-text digit limit
+        raise ParseError("JSON integer literal has too many digits") from exc
     if not isinstance(raw, dict):
         raise ValidationError("top level must be a JSON object")
     kind = raw.get("kind")
@@ -497,11 +509,22 @@ def _dispatch(args: argparse.Namespace) -> dict:
     return _cmd_report(gf, DEFAULT_M_MAX)
 
 
+def _dumps(payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    except ValueError as exc:
+        # json.dumps raises ValueError otherwise only for a cycle or a
+        # float, and a payload holds neither: an int is past the
+        # interpreter's int-to-text digit limit
+        raise LimitExceeded(DIGITS_EXCEEDED) from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     code = 0
     try:
         payload = _dispatch(args)
+        text = _dumps(payload)
     except ParseError as exc:
         payload = {"error": {"type": "ParseError", "message": str(exc),
                              "line": exc.line, "column": exc.column,
@@ -510,8 +533,10 @@ def main(argv=None) -> int:
     except GermError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 1
+    if code:
+        text = _dumps(payload)
     try:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away. Python's documented recipe: point stdout

@@ -5,13 +5,19 @@ the positive integer c for a curve of self-intersection -c), the tree of
 intersections between them, and the boundary branches crossing them.
 From that data we compute, in exact rational arithmetic:
 
-* one elimination of the intersection matrix, leaf to root along the
+* one elimination of the intersection matrix M, leaf to root along the
   tree (no fill-in, so a number of arithmetic operations linear in the
-  vertex count): its pivots decide contractibility (negative
-  definiteness iff every pivot is negative), and its back-substitution
-  gives the unique coefficients b_j making K + sum b_j E_j + (branches)
-  intersect every exceptional curve trivially; the discrepancy of E_j
-  is -b_j,
+  vertex count), done on integers without a gcd (Bareiss's
+  fraction-free elimination, which on a tree is Neumann's plumbing
+  calculus): each vertex v carries A_v, the determinant of -M on the
+  subtree below v, B_v, the product of its children's A, and S_v, its
+  right-hand side scaled by B_v and by the lcm L of the branch
+  denominators. The determinants decide contractibility (negative
+  definiteness iff every A_v is positive), and back-substitution, whose
+  every division is exact by Cramer's rule, gives the unique
+  coefficients b_j making K + sum b_j E_j + (branches) intersect every
+  exceptional curve trivially, as integers over A_root * L; only then
+  is one Fraction built per vertex. The discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
 * the Cartier index, the least m clearing every denominator.
 
@@ -35,6 +41,10 @@ from functools import cached_property
 from math import lcm
 
 from .errors import NotApplicable, SingularSystem, ValidationError
+
+# Most exceptional curves a graph read from input may have: hj_expand and
+# the CLI's dual-graph reader stop past it with LimitExceeded.
+VERTEX_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ class ResolutionGraph:
         n = len(self.selfints)
         seen = {0}
         stack = [0]
-        adj = self.adjacency()
+        adj = self._adj
         while stack:
             for w in adj[stack.pop()]:
                 if w not in seen:
@@ -132,12 +142,18 @@ class ResolutionGraph:
     def n_vertices(self) -> int:
         return len(self.selfints)
 
-    def adjacency(self) -> list[list[int]]:
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only neighbour lists, in sorted edge order, built once."""
         adj: list[list[int]] = [[] for _ in range(len(self.selfints))]
         for i, j in sorted(self.edges):
             adj[i].append(j)
             adj[j].append(i)
-        return adj
+        return tuple(map(tuple, adj))
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbour lists of every vertex; a fresh copy the caller may edit."""
+        return [list(nb) for nb in self._adj]
 
     def branch_coeffs_at(self, v: int | None) -> list[Fraction]:
         return sorted(br.coeff for br in self.branches if br.attach == v)
@@ -210,54 +226,76 @@ def intersection_matrix(g: ResolutionGraph) -> list[list[int]]:
 
 
 def _eliminate(g: ResolutionGraph):
-    """Leaf-to-root elimination of the zero-intersection system M b = r.
+    """Fraction-free leaf-to-root elimination of the zero-intersection
+    system M b = r.
 
-    Returns ``(pivots, coeffs)``. Vertices are taken in reverse BFS order
+    Returns ``(dets, coeffs)``. Vertices are taken in reverse BFS order
     from vertex 0, so each one is folded into its parent alone and the
-    tree makes no fill-in; the pivot of a vertex is then minus the
-    continued fraction of the subtree hanging below it. ``pivots`` stops
-    at the first zero pivot, and ``coeffs`` is None exactly when one
-    occurs; otherwise ``coeffs`` holds the back-substituted b_j by
-    vertex index.
+    tree makes no fill-in. Every vertex v carries three integers: A_v,
+    the determinant of -M on the subtree below v (v included); B_v, the
+    product of A_w over the children w of v, which is the determinant of
+    that subtree with v removed; and S_v, the right-hand side of v's
+    eliminated row scaled by L * B_v, where L (``scale``) is the lcm of
+    the branch denominators. The pivot of v is -A_v / B_v, minus the
+    continued fraction of the subtree. Folding child w into parent p is
+
+        A_p, S_p, B_p = A_p A_w - B_w B_p, S_p A_w + S_w B_p, B_p A_w,
+
+    with no gcd: the numbers stay the size of subtree determinants
+    (times L for S). ``dets`` lists A_v in that order and stops at the
+    first zero, and ``coeffs`` is None exactly when one occurs.
+    Otherwise back-substitution from the root gives X_v = b_v A_root L,
+    with X_root = -S_root and X_v = (B_v X_parent - S_v A_root) / A_v, a
+    division that is exact by Cramer's rule (A_root L clears every
+    denominator of the solution); ``coeffs`` holds b_v = X_v / (A_root L)
+    by vertex index, one Fraction built per vertex.
     """
     n = g.n_vertices
     if n == 0:
         return (), ()
-    adj = g.adjacency()
+    adj = g._adj
     order, parent = [0], [-1] * n
     for v in order:
         for w in adj[v]:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
-    piv = [Fraction(-c) for c in g.selfints]
-    rhs = [Fraction(2 - c) for c in g.selfints]
+    scale = lcm(1, *(br.coeff.denominator for br in g.branches))
+    A = list(g.selfints)
+    B = [1] * n
+    S = [scale * (2 - c) for c in g.selfints]
     for br in g.branches:
-        rhs[br.attach] -= br.coeff
-    pivots = []
+        S[br.attach] -= scale // br.coeff.denominator * br.coeff.numerator
+    dets = []
     for v in reversed(order):
-        pivots.append(piv[v])
-        if piv[v] == 0:
-            return tuple(pivots), None
+        a = A[v]
+        dets.append(a)
+        if a == 0:
+            return tuple(dets), None
         if v:
-            piv[parent[v]] -= 1 / piv[v]
-            rhs[parent[v]] -= rhs[v] / piv[v]
-    b = [Fraction(0)] * n
-    for v in order:
-        b[v] = (rhs[v] - (b[parent[v]] if v else 0)) / piv[v]
-    return tuple(pivots), tuple(b)
+            p = parent[v]
+            A[p], S[p], B[p] = (A[p] * a - B[v] * B[p],
+                                S[p] * a + S[v] * B[p], B[p] * a)
+    root = A[0]
+    X = [0] * n
+    X[0] = -S[0]
+    for v in order[1:]:
+        X[v] = (B[v] * X[parent[v]] - S[v] * root) // A[v]
+    den = root * scale
+    return tuple(dets), tuple(Fraction(x, den) for x in X)
 
 
 def is_contractible(g: ResolutionGraph) -> bool:
     """True iff the intersection matrix is negative definite.
 
-    Checked exactly: every pivot of the leaf-to-root elimination must be
-    negative (pivots of a symmetric elimination without row swaps, in any
-    vertex order, are ratios of consecutive principal minors). The empty
-    graph is vacuously contractible.
+    Checked exactly: every subtree determinant A_v of -M from the
+    leaf-to-root elimination must be positive. That is the same as every
+    pivot -A_v / B_v being negative, and pivots of a symmetric elimination
+    without row swaps, in any vertex order, are ratios of consecutive
+    principal minors. The empty graph is vacuously contractible.
     """
-    pivots, _ = g._elimination
-    return all(p < 0 for p in pivots)
+    dets, _ = g._elimination
+    return all(a > 0 for a in dets)
 
 
 def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
@@ -272,15 +310,15 @@ def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
     self-intersection -c. The discrepancy of E_j is -b_j.
 
     Domain: every graph whose leaf-to-root elimination meets no zero
-    pivot, which includes every contractible graph. A zero pivot at the
-    root (vertex 0) makes the determinant, the product of the pivots,
-    zero: SingularSystem. A zero pivot anywhere else proves the graph is
-    not negative definite: NotApplicable, even when the matrix is
-    nonsingular (chain [1, 1, 1], say).
+    subtree determinant A_v, which includes every contractible graph.
+    A_root is the determinant of -M, so a zero there is SingularSystem.
+    A zero A_v anywhere else (a zero pivot below the root) proves the
+    graph is not negative definite: NotApplicable, even when the matrix
+    is nonsingular (chain [1, 1, 1], say).
     """
-    pivots, coeffs = g._elimination
+    dets, coeffs = g._elimination
     if coeffs is None:
-        if len(pivots) < g.n_vertices:
+        if len(dets) < g.n_vertices:
             raise NotApplicable("exceptional configuration is not contractible")
         raise SingularSystem("intersection matrix is singular")
     return GraphDivisor(coeffs)

@@ -40,9 +40,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .dualgraph import (LcClass, ResolutionGraph, cartier_index,
+from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
-from .errors import BadParameters, GlueMismatch, NotApplicable
+from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 
 HALF = Fraction(1, 2)
 
@@ -77,9 +77,9 @@ class CyclicQuotientGerm:
         if not 0 <= self.side_coeff <= 1:
             raise BadParameters(f"side coefficient {self.side_coeff} outside [0, 1]")
 
-    @property
+    @cached_property
     def gamma(self) -> Fraction:
-        """The invariant-generator slope (1 - side)/n."""
+        """The invariant-generator slope (1 - side)/n, computed once."""
         return (1 - self.side_coeff) / self.n
 
     @cached_property
@@ -174,7 +174,10 @@ def hj_expand(n: int, q: int) -> list[int]:
     """Continued-fraction string [c_1, ..., c_k] with
     n/q = c_1 - 1/(c_2 - 1/(... - 1/c_k)) and every c_i >= 2.
 
-    The smooth case n = 1 returns the empty string.
+    The smooth case n = 1 returns the empty string. A string longer
+    than VERTEX_LIMIT raises LimitExceeded as soon as its next entry
+    would pass the limit, so n/(n-1), which has n - 1 entries, costs at
+    most VERTEX_LIMIT steps whatever n is.
     """
     if n < 1:
         raise BadParameters(f"order n = {n} must be >= 1")
@@ -187,7 +190,11 @@ def hj_expand(n: int, q: int) -> list[int]:
     if gcd(n, q) != 1:
         raise BadParameters(f"gcd({n}, {q}) != 1")
     out = []
+    n0, q0 = n, q
     while q > 0:
+        if len(out) == VERTEX_LIMIT:
+            raise LimitExceeded(f"the string of {n0}/{q0} has more than "
+                                f"{VERTEX_LIMIT} curves")
         c = -(-n // q)
         out.append(c)
         n, q = q, c * q - n
@@ -226,7 +233,8 @@ def germ_class(germ: CyclicQuotientGerm) -> GermClass:
     return germ._class
 
 
-def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:
+def _path_order(g: ResolutionGraph,
+                adj: tuple[tuple[int, ...], ...]) -> list[int] | None:
     """Vertices in path order, or None when the tree is not a path."""
     n = g.n_vertices
     if n == 0:
@@ -245,7 +253,7 @@ def _path_order(g: ResolutionGraph, adj: list[list[int]]) -> list[int] | None:
     return order
 
 
-def _decompose(g: ResolutionGraph, adj: list[list[int]]):
+def _decompose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]):
     """The graph as (arm, number of prongs, sorted far coefficients),
     walked from the first coefficient-1 branch as the module docstring
     says; None when something beyond the far end is not a prong."""
@@ -286,7 +294,7 @@ def _shape(prongs: int, far: tuple[Fraction, ...]) -> tuple[GermTag | None, bool
     return SHAPES.get((prongs, far), (None, False))
 
 
-def _diagnose(g: ResolutionGraph, adj: list[list[int]]) -> str:
+def _diagnose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]) -> str:
     """Name one diagram constraint the graph violates."""
     if any(len(nb) > 3 for nb in adj):
         return "a vertex has more than three chain neighbors"
@@ -330,7 +338,7 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     if not any(br.coeff == 1 for br in g.branches):
         raise NotApplicable("no coefficient-1 branch through the point")
     index = cartier_index(g)
-    adj = g.adjacency()
+    adj = g._adj
     parts = _decompose(g, adj)
     if parts is not None:
         arm, prongs, far = parts

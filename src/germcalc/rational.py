@@ -11,6 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import LimitExceeded
+
+DIGITS_EXCEEDED = ("a number in the result has more digits than the "
+                   "interpreter's integer-to-text conversion limit")
+
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
@@ -29,8 +34,16 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(q: Fraction) -> str:
-    """Canonical text form; ``parse_rat`` inverts it exactly."""
-    return str(q)
+    """Canonical text form; ``parse_rat`` inverts it exactly.
+
+    Raises LimitExceeded when the numerator or the denominator has more
+    digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default).
+    """
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise LimitExceeded(DIGITS_EXCEEDED) from exc
 
 
 def floor_scale(m: int, q: Fraction) -> int:

@@ -8,6 +8,7 @@ import pytest
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import (M_MAX_LIMIT, format_germ_file, main, parse_germ_file,
                           run)
+from germcalc.dualgraph import VERTEX_LIMIT
 from germcalc.errors import ParseError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -410,6 +411,24 @@ def test_a_parsed_dual_graph_is_built_once(monkeypatch):
     assert gf.graph.edges == {(0, 1), (0, 2)}
 
 
+FORKS_NOT_A_LIST = "'forks' must be a list of [attach, selfint] entries"
+BRANCHES_NOT_A_LIST = "'branches' must be a list of [attach, coeff] entries"
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"forks": 5}, FORKS_NOT_A_LIST),
+    ({"forks": None}, FORKS_NOT_A_LIST),
+    ({"chain": [2], "branches": 3}, BRANCHES_NOT_A_LIST),
+    ({"chain": [2], "branches": None}, BRANCHES_NOT_A_LIST),
+])
+def test_non_list_forks_or_branches_exit_one(tmp_path, capsys, record, message):
+    path = write(tmp_path, json.dumps({"kind": "dual_graph", **record}))
+    for command in ("report", "classify", "discrepancy", "residue"):
+        assert main([command, path]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "ValidationError", "message": message}
+
+
 @pytest.mark.parametrize("record, message", [
     # a bad chain label comes before any fork or branch fault
     ({"chain": [2, 0], "forks": [[9, 2]], "branches": [[9, "x"]]},
@@ -428,8 +447,76 @@ def test_a_parsed_dual_graph_is_built_once(monkeypatch):
     ({"chain": [], "branches": [[0, "0"]]}, "branch coefficient 0 outside (0, 1]"),
     ({"chain": [2], "branches": [[0, "3/2"]]},
      "attach index 0 is only valid on an empty graph"),
+    # 'forks' and 'branches' must be lists; a string is not one either
+    ({"chain": [2, 0], "forks": 5}, "self-intersection label 0 must be >= 1"),
+    ({"chain": [2], "forks": "12"}, FORKS_NOT_A_LIST),
+    ({"chain": [2], "forks": [[1, 0]], "branches": 3},
+     "self-intersection label 0 must be >= 1"),
+    ({"chain": [2], "forks": [[3, 2]], "branches": None},
+     "fork attach index 3 out of range 1..1"),
+    ({"chain": [2], "branches": "1"}, BRANCHES_NOT_A_LIST),
 ])
 def test_dual_graph_reports_its_first_fault_in_file_order(record, message):
     with pytest.raises(ValidationError) as err:
         parse_germ_file(json.dumps({"kind": "dual_graph", **record}))
     assert str(err.value) == message
+
+
+def test_overlong_integer_literal_is_a_parse_failure(tmp_path, capsys):
+    # json.loads refuses integer literals past the interpreter's
+    # int-from-str digit limit (4300 digits by default)
+    text = '{"kind":"cyclic_quotient","n":' + "7" * 5000 + ',"q":1}'
+    assert main(["report", write(tmp_path, text)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ParseError"
+
+
+HUGE_CHAIN = [10**50] * 100  # numerators and denominators of about 5000 digits
+
+
+@pytest.mark.parametrize("command", ["report", "discrepancy", "classify"])
+def test_rationals_past_the_digit_limit_are_limit_exceeded(tmp_path, capsys, command):
+    record = {"kind": "dual_graph", "chain": HUGE_CHAIN, "branches": [[1, "1"]]}
+    assert main([command, write(tmp_path, json.dumps(record))]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+
+
+def test_an_integer_past_the_digit_limit_is_limit_exceeded(capsys):
+    # each coefficient parses, but the search bound, the denominator of
+    # their sum, is an int of 4301 digits
+    coeffs = "1/2,1/3,1/" + "9" * 4300
+    assert main(["failure-m", "--coeffs", coeffs]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+
+
+def test_a_dual_graph_at_the_vertex_limit_parses():
+    gf = parse_germ_file(json.dumps({"kind": "dual_graph",
+                                     "chain": [2] * VERTEX_LIMIT}))
+    assert gf.graph.n_vertices == VERTEX_LIMIT
+
+
+@pytest.mark.parametrize("record", [
+    {"chain": [2] * (VERTEX_LIMIT + 1)},
+    {"chain": [2] * VERTEX_LIMIT, "forks": [[1, 2]]},
+])
+def test_a_dual_graph_past_the_vertex_limit_is_limit_exceeded(tmp_path, capsys, record):
+    path = write(tmp_path, json.dumps({"kind": "dual_graph", **record}))
+    assert main(["report", path]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+    assert str(VERTEX_LIMIT) in err["message"]
+
+
+@pytest.mark.parametrize("command", ["report", "classify", "glue"])
+def test_a_cyclic_germ_past_the_vertex_limit_is_limit_exceeded(tmp_path, capsys,
+                                                               command):
+    # n/(n-1) expands to n - 1 curves: 10^8 of them here, unless stopped
+    germ = {"kind": "cyclic_quotient", "n": 10**8 + 1, "q": 10**8}
+    if command == "glue":
+        germ = {"kind": "glued", "components": [germ]}
+    text = json.dumps(germ)
+    assert main([command, write(tmp_path, text)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from dense_oracle import (dense_boundary_coefficients, dense_cartier_index,
                           leading_principal_minors,
                           sylvester_negative_definite)
 from germcalc import dualgraph
-from germcalc.dualgraph import (LcClass, ResolutionGraph,
+from germcalc.dualgraph import (BoundaryBranch, LcClass, ResolutionGraph,
                                 boundary_coefficients, cartier_index,
                                 intersection_matrix, is_contractible,
                                 log_canonical_class)
@@ -41,6 +42,14 @@ def test_intersection_matrix_chain():
 def test_intersection_matrix_fork():
     g = ResolutionGraph.chain([2, 3]).with_fork(1, 2)
     assert intersection_matrix(g) == [[-2, 1, 0], [1, -3, 1], [0, 1, -2]]
+
+
+def test_adjacency_returns_a_fresh_copy():
+    g = ResolutionGraph.chain([2, 3]).with_fork(1, 2)
+    adj = g.adjacency()
+    assert adj == [[1], [0, 2], [1]]
+    adj[1].append(7)
+    assert g.adjacency() == [[1], [0, 2], [1]]
 
 
 def test_leading_minors_alternate_on_a2_chain():
@@ -246,6 +255,38 @@ def test_tree_elimination_matches_dense_oracles(g):
     # a raising read caches nothing, so it raises again on the next call
     assert ("_lc_class" in vars(g)) == (lc is not None)
     assert ("_cartier_index" in vars(g)) == (index is not None)
+
+
+def test_solution_satisfies_every_vertex_equation_on_large_trees():
+    # The dense oracles stop at about a dozen vertices; here the subtree
+    # determinants run to hundreds of digits, and every exact division of
+    # the back-substitution is checked through the equations it solves.
+    rng = random.Random(20261018)
+    solved = contractible = 0
+    longest_den = 0
+    for _ in range(60):
+        k = rng.randint(1, 400)
+        fork_rate = rng.choice([0.02, 0.2, 1.0])  # long paths to bushy trees
+        low = rng.choice([1, 2])
+        selfints = tuple(rng.randint(low, 9) for _ in range(k))
+        edges = frozenset((rng.randrange(v) if rng.random() < fork_rate else v - 1, v)
+                          for v in range(1, k))
+        branches = []
+        for _ in range(rng.randint(0, 3)):
+            d = rng.randint(1, 12)
+            branches.append(BoundaryBranch(rng.randrange(k),
+                                           Fraction(rng.randint(1, d), d)))
+        g = ResolutionGraph(selfints, edges, tuple(branches))
+        try:
+            b = boundary_coefficients(g).coeffs
+        except (SingularSystem, NotApplicable):
+            continue
+        assert all(r == 0 for r in residual(g, b))
+        solved += 1
+        contractible += is_contractible(g)
+        longest_den = max(longest_den, *(x.denominator.bit_length() for x in b))
+    assert solved >= 45 and contractible >= 20, (solved, contractible)
+    assert longest_den > 500  # bits: far past what the dense sweep reaches
 
 
 def test_zero_pivot_below_root_is_not_applicable():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc.dualgraph import (BoundaryBranch, ResolutionGraph,
+from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                                 boundary_coefficients, intersection_matrix,
                                 is_contractible, log_canonical_class, LcClass)
-from germcalc.errors import BadParameters, GlueMismatch, NotApplicable
+from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
+                             NotApplicable)
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
                             Trichotomy, check_slc_glue, classify_lc_germ,
                             classify_nonnormal, different_coeff, germ_class,
@@ -43,6 +44,15 @@ def test_hj_contract_examples(chain, nq):
 def test_hj_expand_rejects_bad_parameters(n, q):
     with pytest.raises(BadParameters):
         hj_expand(n, q)
+
+
+def test_hj_expand_stops_at_the_vertex_limit():
+    # n/(n-1) expands to n - 1 curves of label 2
+    assert hj_expand(VERTEX_LIMIT + 1, VERTEX_LIMIT) == [2] * VERTEX_LIMIT
+    with pytest.raises(LimitExceeded, match=str(VERTEX_LIMIT)):
+        hj_expand(VERTEX_LIMIT + 2, VERTEX_LIMIT + 1)
+    with pytest.raises(LimitExceeded):
+        hj_expand(10**8 + 1, 10**8)
 
 
 def test_hj_contract_rejects_small_entries():
