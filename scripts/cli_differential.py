@@ -1,0 +1,193 @@
+"""Differential run of the germcalc CLI: two source trees, one set of
+seeded random germ files, every file subcommand.
+
+The germ files are of all three kinds, malformed ones included. Each
+source tree runs in its own process, which calls ``cli.main`` once per
+file and subcommand variant and records the exit code and stdout. The
+script prints the runs that differ, grouped by subcommand and by the
+pair of exit codes, and exits 1 when any run differs.
+
+    python scripts/cli_differential.py --old ../parent/src --new src --files 3200
+
+With both trees set to the same ``src`` it checks that the CLI is
+deterministic, and every run must agree.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter, defaultdict
+from fractions import Fraction
+from pathlib import Path
+
+VARIANTS = (
+    ("report",),
+    ("classify",),
+    ("discrepancy",),
+    ("residue", "--m-max", "6"),
+    ("residue",),
+    ("glue",),
+    ("glue", "--m", "3"),
+)
+RATS = ["1", "1", "1/2", "1/2", "0", "1/3", "2/3", "3/4", "1/5", "7/8", "3/2",
+        "-1/2", "1/0", "x", 1]
+LABELS = [2, 2, 2, 3, 4, 1, 5]
+
+
+def _rat(rng):
+    return rng.choice(RATS)
+
+
+def _cyclic(rng, kind=True):
+    n = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12, 20, 31, rng.randint(1, 60)])
+    q = rng.randint(1, n) if rng.random() < 0.95 else rng.choice([0, n + 1, "2"])
+    rec = {"n": n, "q": q}
+    if kind:
+        rec["kind"] = "cyclic_quotient"
+    if rng.random() < 0.8:
+        rec["conductor"] = _rat(rng) if rng.random() < 0.3 else "1"
+    if rng.random() < 0.8:
+        rec["side"] = _rat(rng)
+    if rng.random() < 0.02:
+        rec["extra"] = 1
+    return rec
+
+
+def _dual_graph(rng):
+    k = rng.randint(0, 6)
+    chain = [rng.choice(LABELS) for _ in range(k)]
+    if chain and rng.random() < 0.03:
+        chain[rng.randrange(k)] = rng.choice([0, -2, "2", True])
+    forks = []
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        forks.append([rng.randint(0 if rng.random() < 0.05 else 1, max(1, k + len(forks))),
+                      2 if rng.random() < 0.8 else rng.choice(LABELS)])
+    n = k + len(forks)
+    branches = []
+    for _ in range(rng.randint(0, 4)):
+        attach = rng.randint(1, n) if n else 0
+        if rng.random() < 0.05:
+            attach = rng.choice([-1, n + 1, 0, "1"])
+        branches.append([attach, "1" if rng.random() < 0.4 else _rat(rng)])
+    rec = {"kind": "dual_graph", "chain": chain, "forks": forks, "branches": branches}
+    roll = rng.random()
+    if roll < 0.02:
+        rec["forks"] = rng.choice([5, None, "12", {}])
+    elif roll < 0.04:
+        rec["branches"] = rng.choice([3, None, "1"])
+    elif roll < 0.06:
+        del rec[rng.choice(["chain", "forks", "branches"])]
+    return rec
+
+
+def _glued(rng):
+    comps = []
+    for _ in range(rng.choice([1, 2, 2, 2, 2, 0, 3])):
+        comp = _cyclic(rng, kind=rng.random() < 0.3)
+        if rng.random() < 0.7:
+            comp["q"], comp["conductor"] = 1, "1"
+        comps.append(comp)
+    if len(comps) == 2 and rng.random() < 0.5:
+        # equal slopes (1 - side)/n, so the pair glues
+        n1, n2 = comps[0]["n"], comps[1]["n"]
+        gamma = Fraction(rng.choice([1, 1, 2, 3]), 2 * max(n1, n2) + rng.randint(1, 3))
+        comps[0]["side"] = str(1 - n1 * gamma)
+        comps[1]["side"] = str(1 - n2 * gamma)
+    rec = {"kind": "glued", "components": comps}
+    if rng.random() < 0.9:
+        rec["glue_ok"] = rng.random() < 0.85 or rng.choice([False, "yes", None])
+    return rec
+
+
+def germ_bytes(rng) -> bytes:
+    """One random germ file: a record of one of the three kinds, or a
+    malformed text."""
+    roll = rng.random()
+    if roll < 0.3:
+        rec = _cyclic(rng)
+    elif roll < 0.7:
+        rec = _dual_graph(rng)
+    elif roll < 0.92:
+        rec = _glued(rng)
+    else:
+        text = json.dumps(rng.choice([_cyclic(rng), _dual_graph(rng), _glued(rng)]))
+        return rng.choice([text[:rng.randrange(len(text))], "[]", "null", '"germ"',
+                           "{}", '{"kind":"unknown"}', text.replace('"', "'"),
+                           "\xff\xfe"]).encode("latin-1")
+    return json.dumps(rec).encode()
+
+
+def worker(src: str, directory: str) -> None:
+    """Run every variant on every file of ``directory`` with the tree at
+    ``src``; one JSON line [file, variant, exit code, stdout sha256] per
+    run."""
+    sys.path.insert(0, src)
+    from germcalc import cli
+    for path in sorted(str(p) for p in Path(directory).iterdir()):
+        for i, variant in enumerate(VARIANTS):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main([variant[0], path, *variant[1:]])
+                except Exception as exc:  # an uncaught error is a result too
+                    code = f"traceback {type(exc).__name__}"
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(json.dumps([path, i, code, digest]))
+
+
+def run_tree(src: str, directory: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, __file__, "--worker", src, directory],
+                          env=env, capture_output=True, text=True, check=True)
+    runs = {}
+    for line in proc.stdout.splitlines():
+        path, i, code, digest = json.loads(line)
+        runs[path, i] = (code, digest)
+    return runs
+
+
+def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        worker(sys.argv[2], sys.argv[3])
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--old", required=True, help="first source tree (a src/ directory)")
+    ap.add_argument("--new", required=True, help="second source tree")
+    ap.add_argument("--files", type=int, default=200, help="random germ files to run")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--show", type=int, default=3, help="example files per group")
+    args = ap.parse_args()
+
+    rng = random.Random(args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(args.files):
+            (Path(tmp) / f"germ{k:05d}.json").write_bytes(germ_bytes(rng))
+        old = run_tree(str(Path(args.old).resolve()), tmp)
+        new = run_tree(str(Path(args.new).resolve()), tmp)
+        groups = defaultdict(list)
+        for key, result in old.items():
+            if new[key] != result:
+                groups[" ".join(VARIANTS[key[1]]), result[0], new[key][0]].append(key[0])
+        differing = sum(len(paths) for paths in groups.values())
+        print(f"{args.files} files x {len(VARIANTS)} variants = {len(old)} runs, "
+              f"{differing} differ")
+        for i, variant in enumerate(VARIANTS):
+            codes = Counter(str(code) for (_, j), (code, _) in old.items() if j == i)
+            print(f"  {' '.join(variant)}: old exit codes "
+                  + ", ".join(f"{code} x{count}" for code, count in sorted(codes.items())))
+        for (variant, code_old, code_new), paths in sorted(groups.items(), key=str):
+            print(f"  {variant}: exit {code_old} -> {code_new}: {len(paths)} runs")
+            for path in paths[:args.show]:
+                print(f"    {Path(path).read_bytes().decode('utf-8', 'replace')}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

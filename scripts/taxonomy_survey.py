@@ -16,28 +16,34 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from germcalc import (ResolutionGraph, cartier_index, classify_lc_germ,
-                      is_contractible)
+from germcalc import (GermTag, ResolutionGraph, cartier_index,
+                      classify_lc_germ, is_contractible)
 
 HALF = Fraction(1, 2)
 
 
 def shapes(max_len, max_selfint):
+    """Every cyclic and dihedral diagram with the stated bounds and all
+    fractional branches pinned to 1/2, each with the tag it is built as.
+    The fork vertex may drop to self-intersection 1 in the half-branch
+    shapes."""
     rng = range(2, max_selfint + 1)
-    yield ResolutionGraph.chain([], [(None, 1), (None, 1)])
-    yield ResolutionGraph.chain([], [(None, 1), (None, HALF), (None, HALF)])
+    yield ResolutionGraph.chain([], [(None, 1), (None, 1)]), GermTag.CYCLIC_NONPLT
+    yield (ResolutionGraph.chain([], [(None, 1), (None, HALF), (None, HALF)]),
+           GermTag.DIHEDRAL_33)
     for length in range(1, max_len + 1):
         end = length - 1
         for cs in product(rng, repeat=length):
-            yield ResolutionGraph.chain(cs, [(0, 1), (end, 1)])
+            yield ResolutionGraph.chain(cs, [(0, 1), (end, 1)]), GermTag.CYCLIC_NONPLT
             yield (ResolutionGraph.chain(cs, [(0, 1)])
-                   .with_fork(end, 2).with_fork(end, 2))
+                   .with_fork(end, 2).with_fork(end, 2)), GermTag.DIHEDRAL_31
         for head in product(rng, repeat=length - 1):
             for last in range(1, max_selfint + 1):
                 cs = head + (last,)
                 yield (ResolutionGraph.chain(cs, [(0, 1), (end, HALF)])
-                       .with_fork(end, 2))
-                yield ResolutionGraph.chain(cs, [(0, 1), (end, HALF), (end, HALF)])
+                       .with_fork(end, 2)), GermTag.DIHEDRAL_32
+                yield (ResolutionGraph.chain(cs, [(0, 1), (end, HALF), (end, HALF)]),
+                       GermTag.DIHEDRAL_33)
 
 
 def main() -> int:
@@ -50,7 +56,7 @@ def main() -> int:
     indices: Counter = Counter()
     skipped = 0
     bad = []
-    for g in shapes(args.max_len, args.max_selfint):
+    for g, _tag in shapes(args.max_len, args.max_selfint):
         if not is_contractible(g):
             skipped += 1
             continue

@@ -5,8 +5,8 @@ germ taxonomy, adjunction differents, restriction degree bookkeeping,
 and standard-coefficient checks, all in exact rational arithmetic.
 """
 
-from .dualgraph import (BoundaryBranch, GraphDivisor, LcClass,
-                        ResolutionGraph, boundary_coefficients, cartier_index,
+from .dualgraph import (BoundaryBranch, LcClass, ResolutionGraph,
+                        boundary_coefficients, cartier_index,
                         intersection_matrix, is_contractible,
                         log_canonical_class)
 from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
@@ -17,8 +17,7 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
 from .rational import ceil_scale, floor_scale, format_rat, parse_rat
-from .residue import (CHAIN_GLUE_RESTRICTION_TWISTS, ResidueReport,
-                      dihedral_image_twist, find_failure_m,
+from .residue import (ResidueReport, dihedral_image_twist, find_failure_m,
                       glued_mcartier, glued_restriction_coeff,
                       multibranch_deficit, single_branch_report)
 from .stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
@@ -27,10 +26,9 @@ from .stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadParameters", "BoundaryBranch", "CHAIN_GLUE_RESTRICTION_TWISTS",
-    "ClassGroup", "CoeffCheck", "CyclicQuotientGerm", "GermClass",
-    "GermError", "GermTag", "GlueMismatch", "GraphDivisor", "LcClass",
-    "LimitExceeded",
+    "BadParameters", "BoundaryBranch", "ClassGroup", "CoeffCheck",
+    "CyclicQuotientGerm", "GermClass", "GermError", "GermTag",
+    "GlueMismatch", "LcClass", "LimitExceeded",
     "NonNormalGerm", "NotApplicable", "ParseError",
     "ResidueReport", "ResolutionGraph", "SingularSystem", "Trichotomy",
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",

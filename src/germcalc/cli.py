@@ -13,6 +13,9 @@ chain-then-forks vertex list; 0 attaches a branch at the ambient smooth
 point of an empty graph. Reports are emitted as JSON with sorted keys
 and canonical rational printing, so identical inputs give byte-identical
 output. Exit status: 0 success, 1 validation failure, 2 parse failure.
+Each input is parsed into one record, ``GermFile``, which also carries
+its analyses; every subcommand prints fields of that record, and
+``report`` prints their union.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Any
 
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
@@ -32,12 +35,12 @@ from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
-                    NonNormalGerm, classify_lc_germ, classify_nonnormal,
-                    different_coeff, germ_class, resolution_graph)
+                    classify_lc_germ, classify_nonnormal, different_coeff,
+                    germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, parse_rat
 from .residue import (find_failure_m, glued_mcartier,
                       glued_restriction_coeff, single_branch_report)
-from .stdcoeff import coeff_check
+from .stdcoeff import coeff_check, plt_modification
 
 DEFAULT_M_MAX = 24
 # Largest --m-max accepted by residue: one table row per m.
@@ -48,8 +51,12 @@ KINDS = ("cyclic_quotient", "dual_graph", "glued")
 
 @dataclass(frozen=True)
 class GermFile:
-    """Parsed input: the kind tag, the domain objects, and the
-    canonical JSON payload used for echoing."""
+    """One input: the kind tag, the domain objects, the canonical JSON
+    payload used for echoing, and the analyses every subcommand reads.
+
+    Each analysis is computed on first read and kept; one that raises
+    keeps nothing and raises again on the next read.
+    """
 
     kind: str
     germ: CyclicQuotientGerm | None = None
@@ -57,6 +64,56 @@ class GermFile:
     components: tuple[CyclicQuotientGerm, ...] = ()
     glue_ok: bool = True
     payload: Any = None
+
+    @cached_property
+    def _resolved(self) -> ResolutionGraph:
+        """The dual graph, built from the germ for a cyclic file."""
+        if self.kind == "glued":
+            raise NotApplicable(f"no single dual graph for kind {self.kind!r}")
+        return self.graph if self.germ is None else resolution_graph(self.germ)
+
+    @cached_property
+    def discrepancy(self) -> dict:
+        """The lc class, the discrepancies and the Cartier index."""
+        g = self._resolved
+        lc = log_canonical_class(g)
+        return {"lc_class": lc.value,
+                "discrepancies": [format_rat(-b) for b in boundary_coefficients(g)],
+                "cartier_index": cartier_index(g)}
+
+    @cached_property
+    def classification(self) -> GermClass:
+        """The taxonomy class; a germ's is shared with the germ object."""
+        if self.germ is not None:
+            return germ_class(self.germ)
+        return classify_lc_germ(self._resolved)
+
+    @cached_property
+    def modification(self) -> dict | None:
+        """Coefficient bookkeeping for the extraction that makes the
+        rounded multiple of the log canonical divisor numerically well
+        behaved.
+
+        Plt chains extract the conductor-end curve at its discrepancy
+        level; lc-center germs extract every solved-coefficient-1 curve
+        with coefficient 1 and keep the half-coefficient prongs, with the
+        subsequent shrinking of those coefficients recorded symbolically
+        as the "perturbed" flag rather than a concrete rational.
+        """
+        cls = self.classification
+        if cls.tag is GermTag.PLT_CHAIN:
+            # the order-1 model with drop gamma has the chain's slope
+            discrepancy, coeff = plt_modification(1, cls.gamma)
+            return {"extracted_coeff": format_rat(coeff),
+                    "extracted_discrepancy": format_rat(discrepancy),
+                    "perturbed": False}
+        if cls.tag in LC_CENTER_TAGS:
+            solved = boundary_coefficients(self._resolved)
+            return {"extracted_coeff": "1",
+                    "extracted_curves": [i + 1 for i, b in enumerate(solved) if b == 1],
+                    "kept_curves": [i + 1 for i, b in enumerate(solved) if b != 1],
+                    "perturbed": True}
+        return None
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -225,13 +282,6 @@ def _class_dict(cls: GermClass) -> dict:
             "violation": cls.violation}
 
 
-def _nonnormal_dict(nn: NonNormalGerm) -> dict:
-    return {"trichotomy": nn.trichotomy.value,
-            "class_group": nn.class_group.value if nn.class_group else None,
-            "cartier_index": nn.cartier_index,
-            "components": [_germ_payload(c) for c in nn.components]}
-
-
 def _residue_rows(germ: CyclicQuotientGerm, m_max: int) -> list[dict]:
     rows = []
     for m in range(1, m_max + 1):
@@ -242,111 +292,34 @@ def _residue_rows(germ: CyclicQuotientGerm, m_max: int) -> list[dict]:
     return rows
 
 
-def _graph_of(gf: GermFile) -> ResolutionGraph:
-    if gf.kind == "cyclic_quotient":
-        return resolution_graph(gf.germ)
-    if gf.kind == "dual_graph":
-        return gf.graph
-    raise NotApplicable(f"no single dual graph for kind {gf.kind!r}")
-
-
-def _discrepancy_fields(g: ResolutionGraph) -> dict:
-    lc = log_canonical_class(g)
-    solved = boundary_coefficients(g)
-    return {"lc_class": lc.value,
-            "discrepancies": [format_rat(-b) for b in solved],
-            "cartier_index": cartier_index(g)}
-
-
 def _gamma_germ(gamma: Fraction) -> CyclicQuotientGerm:
     # any model realizing this slope works for the degree bookkeeping
     return CyclicQuotientGerm(1, 1, Fraction(1), 1 - gamma)
 
 
-def _modification_fields(g: ResolutionGraph, cls: GermClass) -> dict | None:
-    """Coefficient bookkeeping for the extraction that makes the rounded
-    multiple of the log canonical divisor numerically well behaved.
-
-    Plt chains extract the conductor-end curve at its discrepancy level;
-    lc-center germs extract every solved-coefficient-1 curve with
-    coefficient 1 and keep the half-coefficient prongs, with the
-    subsequent shrinking of those coefficients recorded symbolically as
-    the "perturbed" flag rather than a concrete rational.
-    """
-    if cls.tag is GermTag.PLT_CHAIN:
-        return {"extracted_coeff": format_rat(1 - cls.gamma),
-                "extracted_discrepancy": format_rat(cls.gamma - 1),
-                "perturbed": False}
-    if cls.tag in LC_CENTER_TAGS:
-        solved = boundary_coefficients(g)
-        extracted = [i + 1 for i, b in enumerate(solved) if b == 1]
-        kept = [i + 1 for i, b in enumerate(solved) if b != 1]
-        return {"extracted_coeff": "1", "extracted_curves": extracted,
-                "kept_curves": kept, "perturbed": True}
-    return None
-
-
-def _glue_fields(gf: GermFile, m: int) -> dict:
-    comps = gf.components
-    flags: set[str] = set()
-    differents = [format_rat(different_coeff(c)) for c in comps]
-    gammas = [format_rat(c.gamma) for c in comps]
-    consistent = len(comps) == 1 or comps[0].gamma == comps[1].gamma
-    restriction = None
-    if len(comps) == 2:
-        if comps[0].q != comps[1].q:
-            flags.add("q-mismatch")
-        if m != 2 or any(1 - c.side_coeff >= Fraction(1, 2) for c in comps):
-            flags.add("extrapolated")
-        try:
-            equal = glued_mcartier(m, comps[0], comps[1])
-            restriction = {
-                "m": m,
-                "coefficients": [format_rat(glued_restriction_coeff(m, c.n, 1 - c.side_coeff))
-                                 for c in comps],
-                "equal": equal,
-            }
-        except GermError:
-            flags.add("restriction-unavailable")
-    classification = None
-    case = None
-    try:
-        nn = classify_nonnormal(comps, gf.glue_ok)
-        classification = _nonnormal_dict(nn)
-        case = nn.trichotomy.value
-    except GlueMismatch:
-        flags.add("glue-mismatch")
-    return {"differents": differents, "gammas": gammas,
-            "glue_consistent": consistent, "restriction": restriction,
-            "classification": classification, "case": case,
-            "flags": sorted(flags)}
-
-
 def _cmd_classify(gf: GermFile) -> dict:
     if gf.kind == "glued":
         nn = classify_nonnormal(gf.components, gf.glue_ok)
-        out = _nonnormal_dict(nn)
-        out["case"] = nn.trichotomy.value
-        out["input"] = gf.payload
-        return out
-    cls = classify_lc_germ(_graph_of(gf))
-    out = _class_dict(cls)
-    out["case"] = cls.tag.value
+        out = {"trichotomy": nn.trichotomy.value,
+               "class_group": nn.class_group.value if nn.class_group else None,
+               "cartier_index": nn.cartier_index,
+               "components": [_germ_payload(c) for c in nn.components],
+               "case": nn.trichotomy.value}
+    else:
+        out = {**_class_dict(gf.classification), "case": gf.classification.tag.value}
     out["input"] = gf.payload
     return out
 
 
 def _cmd_discrepancy(gf: GermFile) -> dict:
-    out = _discrepancy_fields(_graph_of(gf))
-    out["input"] = gf.payload
-    return out
+    return {**gf.discrepancy, "input": gf.payload}
 
 
 def _cmd_residue(gf: GermFile, m_max: int) -> dict:
     if gf.kind == "cyclic_quotient":
         germ = gf.germ
     else:
-        cls = classify_lc_germ(_graph_of(gf))
+        cls = gf.classification
         if cls.gamma is None:
             raise NotApplicable("residue table needs a plt chain with a slope")
         germ = _gamma_germ(cls.gamma)
@@ -363,9 +336,36 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
         raise NotApplicable("glue analysis needs a glued germ file")
     if m < 1:
         raise ValidationError(f"--m {m} must be >= 1")
-    out = _glue_fields(gf, m)
-    out["input"] = gf.payload
-    return out
+    comps = gf.components
+    flags: set[str] = set()
+    differents = [format_rat(different_coeff(c)) for c in comps]
+    restriction = None
+    if len(comps) == 2:
+        if comps[0].q != comps[1].q:
+            flags.add("q-mismatch")
+        if m != 2 or any(1 - c.side_coeff >= Fraction(1, 2) for c in comps):
+            flags.add("extrapolated")
+        try:
+            equal = glued_mcartier(m, comps[0], comps[1])
+            coeffs = [format_rat(glued_restriction_coeff(m, c.n, 1 - c.side_coeff))
+                      for c in comps]
+            restriction = {"m": m, "coefficients": coeffs, "equal": equal}
+        except GermError:
+            flags.add("restriction-unavailable")
+    classification = case = None
+    try:
+        classification = _cmd_classify(gf)
+    except GlueMismatch:
+        flags.add("glue-mismatch")
+    else:
+        # the classify record, less the echo and the case it names
+        case = classification.pop("case")
+        del classification["input"]
+    return {"input": gf.payload, "differents": differents,
+            "gammas": [format_rat(c.gamma) for c in comps],
+            "glue_consistent": len(comps) == 1 or comps[0].gamma == comps[1].gamma,
+            "restriction": restriction, "classification": classification,
+            "case": case, "flags": sorted(flags)}
 
 
 def _cmd_report(gf: GermFile, m_max: int) -> dict:
@@ -373,43 +373,35 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
         out = _cmd_glue(gf, 2)
         out["components_detail"] = []
         for comp in gf.components:
-            g = resolution_graph(comp)
-            cls = germ_class(comp)
-            detail = {"input": _germ_payload(comp)}
-            detail.update(_class_dict(cls))
-            detail.update(_discrepancy_fields(g))
-            detail["different"] = format_rat(different_coeff(comp))
-            detail["modification"] = _modification_fields(g, cls)
-            out["components_detail"].append(detail)
+            rec = GermFile("cyclic_quotient", germ=comp, payload=_germ_payload(comp))
+            out["components_detail"].append({
+                "input": rec.payload, **_class_dict(rec.classification),
+                **rec.discrepancy, "different": format_rat(different_coeff(comp)),
+                "modification": rec.modification})
         return out
-    g = _graph_of(gf)
-    out: dict[str, Any] = {"input": gf.payload, "flags": []}
-    out.update(_discrepancy_fields(g))
+    out: dict[str, Any] = {"input": gf.payload, "flags": [], **gf.discrepancy,
+                           "case": None, "classification": None,
+                           "modification": None}
+    gamma = None
     try:
-        cls = classify_lc_germ(g)
-        out["case"] = cls.tag.value
-        out["classification"] = _class_dict(cls)
-        out["modification"] = _modification_fields(g, cls)
-        if out["modification"] is not None and out["modification"]["perturbed"]:
-            out["flags"].append("perturbed")
+        cls = gf.classification
     except NotApplicable:
-        cls = None
-        out["case"] = None
-        out["classification"] = None
-        out["modification"] = None
         out["flags"].append("classification-not-applicable")
+    else:
+        gamma = cls.gamma
+        out.update(case=cls.tag.value, classification=_class_dict(cls),
+                   modification=gf.modification)
+        if gf.modification and gf.modification["perturbed"]:
+            out["flags"].append("perturbed")
     if gf.kind == "cyclic_quotient" and gf.germ.conductor_coeff == 1:
         out["different"] = format_rat(different_coeff(gf.germ))
-    elif cls is not None and cls.gamma is not None:
-        out["different"] = format_rat(1 - cls.gamma)
     else:
-        out["different"] = None
-    if cls is not None and cls.gamma is not None:
-        germ = gf.germ if gf.kind == "cyclic_quotient" else _gamma_germ(cls.gamma)
-        out["residue_table"] = _residue_rows(germ, m_max)
-    else:
+        out["different"] = None if gamma is None else format_rat(1 - gamma)
+    if gamma is None:
         out["residue_table"] = None
         out["flags"].append("residue-not-applicable")
+    else:
+        out["residue_table"] = _residue_rows(_gamma_germ(gamma), m_max)
     return out
 
 
@@ -548,11 +540,6 @@ def main(argv=None) -> int:
     if code == 0 and args.verbose:
         _verbose_summary(payload)
     return code
-
-
-def run(command: str, args) -> int:
-    """Programmatic entry point: run one subcommand with its arguments."""
-    return main([command, *list(args)])
 
 
 if __name__ == "__main__":

@@ -172,7 +172,7 @@ class ResolutionGraph:
             virtual = sum((br.coeff for br in self.branches), Fraction(0)) - 1
             solved: tuple[Fraction, ...] = (virtual,) if self.branches else ()
         else:
-            solved = boundary_coefficients(self).coeffs
+            solved = boundary_coefficients(self)
         if any(b > 1 for b in solved):
             return LcClass.NOT_LC
         if any(b == 1 for b in solved):
@@ -189,22 +189,6 @@ class ResolutionGraph:
         dens = [b.denominator for b in boundary_coefficients(self)]
         dens.extend(br.coeff.denominator for br in self.branches)
         return lcm(1, *dens)
-
-
-@dataclass(frozen=True)
-class GraphDivisor:
-    """Rational multiplicities indexed by the vertices of one graph."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __getitem__(self, v: int) -> Fraction:
-        return self.coeffs[v]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 class LcClass(str, Enum):
@@ -298,8 +282,9 @@ def is_contractible(g: ResolutionGraph) -> bool:
     return all(a > 0 for a in dets)
 
 
-def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
-    """Solve for the b_j with zero intersection against every E_j.
+def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
+    """Solve for the b_j with zero intersection against every E_j; the
+    tuple holds b_j by vertex index.
 
     The defining equation at vertex j, with c = selfint(j) and t the sum
     of branch coefficients crossing E_j, is
@@ -321,7 +306,7 @@ def boundary_coefficients(g: ResolutionGraph) -> GraphDivisor:
         if len(dets) < g.n_vertices:
             raise NotApplicable("exceptional configuration is not contractible")
         raise SingularSystem("intersection matrix is singular")
-    return GraphDivisor(coeffs)
+    return coeffs
 
 
 def log_canonical_class(g: ResolutionGraph) -> LcClass:

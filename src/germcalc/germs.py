@@ -233,26 +233,6 @@ def germ_class(germ: CyclicQuotientGerm) -> GermClass:
     return germ._class
 
 
-def _path_order(g: ResolutionGraph,
-                adj: tuple[tuple[int, ...], ...]) -> list[int] | None:
-    """Vertices in path order, or None when the tree is not a path."""
-    n = g.n_vertices
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    if any(len(nb) > 2 for nb in adj):
-        return None
-    start = min(v for v in range(n) if len(adj[v]) == 1)
-    order = [start]
-    prev = -1
-    while len(order) < n:
-        nxt = next(w for w in adj[order[-1]] if w != prev)
-        prev = order[-1]
-        order.append(nxt)
-    return order
-
-
 def _decompose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]):
     """The graph as (arm, number of prongs, sorted far coefficients),
     walked from the first coefficient-1 branch as the module docstring
@@ -303,16 +283,16 @@ def _diagnose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]) -> str:
     ones = sum(1 for br in g.branches if br.coeff == 1)
     if ones > 2:
         return "more than two coefficient-1 branches"
-    order = _path_order(g, adj)
-    if order is not None and g.n_vertices >= 1:
-        ends = {order[0], order[-1]}
+    if g.n_vertices >= 1 and all(len(nb) <= 2 for nb in adj):
+        # a path: its ends are the vertices of degree below 2
+        ends = {v for v in range(g.n_vertices) if len(adj[v]) < 2}
         for br in g.branches:
             if br.attach not in ends:
                 return (f"branch of coefficient {br.coeff} attached to an "
                         "interior chain vertex")
         by_end = {e: g.branch_coeffs_at(e) for e in ends}
         for e, coeffs in by_end.items():
-            if len(order) > 1 and len(coeffs) > 1 and 1 in coeffs:
+            if g.n_vertices > 1 and len(coeffs) > 1 and 1 in coeffs:
                 listed = ", ".join(str(c) for c in coeffs)
                 return (f"branches with coefficients {listed} share the chain "
                         "end that carries the coefficient-1 branch")

@@ -20,14 +20,6 @@ from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
 from .rational import ceil_scale, floor_scale
 
-# Restriction twists (relative to the expected dualizing sheaves) for
-# the fixed three-component chain glue: two fork-type germs attached to
-# the two axes of a normal-crossings plane. The middle restriction
-# drops by one twist, so it fails Serre's S_2 even though the total
-# sheaf does not. Pinned as a regression value; there is no general
-# chain-glue operation here.
-CHAIN_GLUE_RESTRICTION_TWISTS: tuple[int, int, int] = (0, -1, 0)
-
 # Largest m that find_failure_m tries, which keeps one search to about a
 # second: each step is one multibranch_deficit call.
 FAILURE_SEARCH_LIMIT = 100_000

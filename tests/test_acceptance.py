@@ -2,6 +2,7 @@
 line with its elapsed time against the stated budget. Every check is
 exact; the only tolerances are the wall-clock budgets."""
 
+import importlib.util
 import json
 import random
 import time
@@ -15,9 +16,8 @@ import pytest
 from germcalc.cli import main
 from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
                                 cartier_index, is_contractible)
-from germcalc.germs import (CyclicQuotientGerm, GermTag, classify_lc_germ,
-                            hj_contract, hj_expand, resolution_graph,
-                            check_slc_glue)
+from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
+                            hj_expand, resolution_graph, check_slc_glue)
 from germcalc.rational import ceil_scale, floor_scale
 from germcalc.residue import (dihedral_image_twist, find_failure_m,
                               glued_mcartier, multibranch_deficit,
@@ -54,49 +54,25 @@ def test_criterion_1_closed_form_discrepancy():
                 if d != 1:
                     branches.append((0, 1 - d))
                 g = ResolutionGraph.chain([n], branches)
-                (b,) = boundary_coefficients(g).coeffs
+                (b,) = boundary_coefficients(g)
                 assert -b == -1 + d / n
 
 
-def _center_shapes(max_len=5, max_selfint=5):
-    """Every cyclic and dihedral diagram with the stated bounds and all
-    fractional branches pinned to 1/2, each with the tag it is built as."""
-    selfint_range = range(2, max_selfint + 1)
-
-    def chains(length):
-        if length == 0:
-            yield ()
-            return
-        for head in chains(length - 1):
-            for c in selfint_range:
-                yield head + (c,)
-
-    yield ResolutionGraph.chain([], [(None, 1), (None, 1)]), GermTag.CYCLIC_NONPLT
-    yield (ResolutionGraph.chain([], [(None, 1), (None, HALF), (None, HALF)]),
-           GermTag.DIHEDRAL_33)
-    for length in range(1, max_len + 1):
-        for cs in chains(length):
-            end = length - 1
-            yield ResolutionGraph.chain(cs, [(0, 1), (end, 1)]), GermTag.CYCLIC_NONPLT
-            yield (ResolutionGraph.chain(cs, [(0, 1)])
-                   .with_fork(end, 2).with_fork(end, 2)), GermTag.DIHEDRAL_31
-        # the fork vertex may drop to self-intersection 1 in the
-        # half-branch shapes
-        for cs in chains(length - 1):
-            for last in range(1, max_selfint + 1):
-                full = cs + (last,)
-                end = length - 1
-                yield (ResolutionGraph.chain(full, [(0, 1), (end, HALF)])
-                       .with_fork(end, 2)), GermTag.DIHEDRAL_32
-                yield (ResolutionGraph.chain(full, [(0, 1), (end, HALF), (end, HALF)]),
-                       GermTag.DIHEDRAL_33)
+def _survey_shapes(max_len, max_selfint):
+    """scripts/taxonomy_survey.py's shapes(): every cyclic and dihedral
+    diagram up to the bounds, each with the tag it is built as."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "taxonomy_survey.py"
+    spec = importlib.util.spec_from_file_location("taxonomy_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    yield from survey.shapes(max_len, max_selfint)
 
 
 def test_criterion_2_taxonomy_cartier_bound():
     with Criterion(2, "cyclic/dihedral shapes keep their tag; Cartier index divides 2",
                    10.0):
         checked = 0
-        for g, tag in _center_shapes():
+        for g, tag in _survey_shapes(max_len=5, max_selfint=5):
             if not is_contractible(g):
                 continue
             assert 2 % cartier_index(g) == 0

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 from germcalc import cli, dualgraph, germs
-from germcalc.cli import (M_MAX_LIMIT, format_germ_file, main, parse_germ_file,
-                          run)
+from germcalc.cli import M_MAX_LIMIT, format_germ_file, main, parse_germ_file
 from germcalc.dualgraph import VERTEX_LIMIT
-from germcalc.errors import ParseError, ValidationError
+from germcalc.errors import NotApplicable, ParseError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,11 +118,6 @@ def test_stdcoeff_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == {"bracket_ok": True, "c": "3/5", "hypothesis_ok": False,
                    "m": 4, "standard": False}
-
-
-def test_run_wrapper(capsys):
-    assert run("failure-m", ["--coeffs", "1/2,1/2"]) == 0
-    assert json.loads(capsys.readouterr().out)["m"] == 1
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
@@ -520,3 +514,83 @@ def test_a_cyclic_germ_past_the_vertex_limit_is_limit_exceeded(tmp_path, capsys,
     assert main([command, write(tmp_path, text)]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
+
+
+def test_report_on_a_fractional_conductor_reads_the_class_slope(tmp_path, capsys):
+    # the side branch carries coefficient 1, so the classification walks
+    # from it and reads gamma = (1 - 1/2)/5 off the conductor end; the
+    # residue table is the one of the same germ written as a dual graph
+    germ = '{"kind":"cyclic_quotient","n":5,"q":2,"conductor":"1/2","side":"1"}'
+    graph = '{"kind":"dual_graph","chain":[3,2],"branches":[[1,"1/2"],[2,"1"]]}'
+    assert main(["report", write(tmp_path, germ)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["case"] == "PLT_CHAIN"
+    assert out["classification"]["gamma"] == "1/10"
+    assert "residue-not-applicable" not in out["flags"]
+    assert main(["residue", write(tmp_path, graph, "graph.json")]) == 0
+    table = json.loads(capsys.readouterr().out)["residue_table"]
+    assert out["residue_table"] == table
+    assert len(table) == 24 and all(row["surjective"] for row in table)
+
+
+FIXTURE_NAMES = ["plt_chain", "cyclic_center", "dihedral_fork",
+                 "dihedral_half_branch", "dihedral_two_half", "glued_pair"]
+
+
+def _fields(argv, capsys):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_subcommand_agrees_with_the_report(tmp_path, capsys, name):
+    path = str(FIXTURES / f"{name}.json")
+    code, report = _fields(["report", path], capsys)
+    assert code == 0
+    code, classified = _fields(["classify", path], capsys)
+    assert code == 0
+    assert classified.pop("input") == report["input"]
+    assert classified.pop("case") == report["case"]
+    assert classified == report["classification"]
+    if name == "glued_pair":
+        assert _fields(["discrepancy", path], capsys)[0] == 1
+        code, glue = _fields(["glue", path], capsys)
+        assert code == 0 and glue == {k: report[k] for k in glue}
+        # each component's detail is that component's own germ file
+        for detail in report["components_detail"]:
+            comp = write(tmp_path, json.dumps(detail["input"]), "comp.json")
+            fields = {**_fields(["discrepancy", comp], capsys)[1],
+                      **_fields(["classify", comp], capsys)[1]}
+            del fields["case"]
+            assert fields == {key: detail[key] for key in fields}
+        return
+    code, disc = _fields(["discrepancy", path], capsys)
+    assert code == 0 and disc == {k: report[k] for k in disc}
+    code, residue = _fields(["residue", path, "--m-max", "24"], capsys)
+    if report["residue_table"] is None:
+        assert code == 1
+    else:
+        assert code == 0 and residue["residue_table"] == report["residue_table"]
+
+
+def test_a_raising_germ_file_analysis_caches_nothing(monkeypatch):
+    # three coefficient-1 branches through one -2 curve: not log canonical
+    text = '{"kind":"dual_graph","chain":[2],"branches":[[1,"1"],[1,"1"],[1,"1"]]}'
+    runs = []
+
+    def counting(g):
+        runs.append(g)
+        return classify(g)
+
+    classify = cli.classify_lc_germ
+    monkeypatch.setattr(cli, "classify_lc_germ", counting)
+    gf = parse_germ_file(text)
+    for name in ("discrepancy", "classification", "modification"):
+        for _ in range(2):
+            with pytest.raises(NotApplicable):
+                getattr(gf, name)
+        assert name not in vars(gf)
+    assert len(runs) == 4  # classification and modification read it twice each
+    gf = parse_germ_file(PLT_GERM)
+    assert gf.modification is gf.modification and gf.discrepancy is gf.discrepancy
+    assert {"classification", "modification", "discrepancy"} <= set(vars(gf))

@@ -78,17 +78,17 @@ def test_empty_graph_is_vacuously_contractible():
 
 def test_boundary_coefficients_single_vertex():
     g = ResolutionGraph.chain([2], [(0, 1), (0, HALF)])
-    assert boundary_coefficients(g).coeffs == (Fraction(3, 4),)
+    assert boundary_coefficients(g) == (Fraction(3, 4),)
 
 
 def test_boundary_coefficients_cyclic_chain():
     g = ResolutionGraph.chain([2, 2, 2], [(0, 1), (2, 1)])
-    assert boundary_coefficients(g).coeffs == (1, 1, 1)
+    assert boundary_coefficients(g) == (1, 1, 1)
 
 
 def test_boundary_coefficients_dihedral_fork():
     g = ResolutionGraph.chain([2], [(0, 1)]).with_fork(0, 2).with_fork(0, 2)
-    assert boundary_coefficients(g).coeffs == (1, HALF, HALF)
+    assert boundary_coefficients(g) == (1, HALF, HALF)
 
 
 def test_singular_system_reported():
@@ -99,7 +99,7 @@ def test_singular_system_reported():
 
 def test_log_canonical_class_plt_chain():
     g = ResolutionGraph.chain([3], [(0, 1), (0, HALF)])
-    assert boundary_coefficients(g).coeffs == (Fraction(5, 6),)
+    assert boundary_coefficients(g) == (Fraction(5, 6),)
     assert log_canonical_class(g) is LcClass.PLT
 
 
@@ -110,7 +110,7 @@ def test_log_canonical_class_center():
 
 def test_log_canonical_class_not_lc():
     g = ResolutionGraph.chain([2], [(0, 1), (0, 1), (0, 1)])
-    assert boundary_coefficients(g).coeffs == (Fraction(3, 2),)
+    assert boundary_coefficients(g) == (Fraction(3, 2),)
     assert log_canonical_class(g) is LcClass.NOT_LC
 
 
@@ -150,7 +150,7 @@ def test_closed_form_discrepancy_single_vertex():
             if d != 1:
                 branches.append((0, 1 - d))
             g = ResolutionGraph.chain([n], branches)
-            (b,) = boundary_coefficients(g).coeffs
+            (b,) = boundary_coefficients(g)
             assert -b == -1 + d / n
 
 
@@ -194,7 +194,7 @@ def test_solver_satisfies_defining_equations(g):
     if not is_contractible(g):
         return
     b = boundary_coefficients(g)
-    assert all(r == 0 for r in residual(g, b.coeffs))
+    assert all(r == 0 for r in residual(g, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,9 +202,9 @@ def test_solver_satisfies_defining_equations(g):
 def test_adding_a_branch_never_decreases_coefficients(g, data):
     if not is_contractible(g):
         return
-    before = boundary_coefficients(g).coeffs
+    before = boundary_coefficients(g)
     v = data.draw(st.integers(0, g.n_vertices - 1))
-    after = boundary_coefficients(g.with_branch(v, HALF)).coeffs
+    after = boundary_coefficients(g.with_branch(v, HALF))
     assert all(y >= x for x, y in zip(before, after))
 
 
@@ -232,7 +232,7 @@ def test_tree_elimination_matches_dense_oracles(g):
     assert (dense is None) == (det == 0)
     # a contractible graph has det != 0, so it must reach the else branch
     try:
-        solved = boundary_coefficients(g).coeffs
+        solved = boundary_coefficients(g)
     except SingularSystem:
         assert det == 0  # zero pivot at the root: det = product of pivots
     except NotApplicable:
@@ -278,7 +278,7 @@ def test_solution_satisfies_every_vertex_equation_on_large_trees():
                                            Fraction(rng.randint(1, d), d)))
         g = ResolutionGraph(selfints, edges, tuple(branches))
         try:
-            b = boundary_coefficients(g).coeffs
+            b = boundary_coefficients(g)
         except (SingularSystem, NotApplicable):
             continue
         assert all(r == 0 for r in residual(g, b))

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
-from germcalc.residue import (CHAIN_GLUE_RESTRICTION_TWISTS,
-                              FAILURE_SEARCH_LIMIT, dihedral_image_twist,
-                              find_failure_m,
-                              glued_mcartier, glued_restriction_coeff,
-                              multibranch_deficit, single_branch_report)
+from germcalc.residue import (FAILURE_SEARCH_LIMIT, dihedral_image_twist,
+                              find_failure_m, glued_mcartier,
+                              glued_restriction_coeff, multibranch_deficit,
+                              single_branch_report)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -187,7 +186,3 @@ def test_glued_mcartier_iff_equal_orders_on_small_grid():
             gamma = Fraction(1, 2 * max(n1, n2) + 1)
             g1, g2 = germ_1n1(n1, n1 * gamma), germ_1n1(n2, n2 * gamma)
             assert glued_mcartier(2, g1, g2) == (n1 == n2)
-
-
-def test_chain_glue_restriction_twists_fixture():
-    assert CHAIN_GLUE_RESTRICTION_TWISTS == (0, -1, 0)

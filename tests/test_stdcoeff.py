@@ -122,7 +122,7 @@ def test_plt_modification_matches_solver_and_taxonomy(n, d):
     # the order-n single-curve germ with boundary drop d
     branches = [(0, 1)] + ([(0, 1 - d)] if d != 1 else [])
     g = ResolutionGraph.chain([n], branches)
-    (b,) = boundary_coefficients(g).coeffs
+    (b,) = boundary_coefficients(g)
     assert disc == -b
     germ = CyclicQuotientGerm(n, 1, 1, 1 - d)
     gamma = classify_lc_germ(resolution_graph(germ)).gamma
