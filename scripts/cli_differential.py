@@ -5,7 +5,8 @@ The germ files are of all three kinds, malformed ones included. Each
 source tree runs in its own process, which calls ``cli.main`` once per
 file and subcommand variant and records the exit code and stdout. The
 script prints the runs that differ, grouped by subcommand and by the
-pair of exit codes, and exits 1 when any run differs.
+pair of exit codes, and exits 1 when any run differs or when any run of
+the ``--new`` tree ends in a traceback, since the CLI must be total.
 
     python scripts/cli_differential.py --old ../parent/src --new src --files 3200
 
@@ -186,7 +187,11 @@ def main() -> int:
             print(f"  {variant}: exit {code_old} -> {code_new}: {len(paths)} runs")
             for path in paths[:args.show]:
                 print(f"    {Path(path).read_bytes().decode('utf-8', 'replace')}")
-    return 1 if differing else 0
+        crashed = Counter(code for code, _ in new.values()
+                          if str(code).startswith("traceback"))
+        for code, count in sorted(crashed.items()):
+            print(f"  new tree: {code} in {count} runs")
+    return 1 if differing or crashed else 0
 
 
 if __name__ == "__main__":

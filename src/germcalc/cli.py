@@ -153,12 +153,9 @@ def _germ_from_dict(obj: dict) -> CyclicQuotientGerm:
     if obj.get("kind", "cyclic_quotient") != "cyclic_quotient":
         raise ValidationError("glued components must be cyclic_quotient records")
     _check_keys(obj, {"kind", "n", "q", "conductor", "side"}, "germ")
-    try:
-        return CyclicQuotientGerm(_int_field(obj, "n"), _int_field(obj, "q"),
-                                  _rat_field(obj, "conductor", "1"),
-                                  _rat_field(obj, "side", "0"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return CyclicQuotientGerm(_int_field(obj, "n"), _int_field(obj, "q"),
+                              _rat_field(obj, "conductor", "1"),
+                              _rat_field(obj, "side", "0"))
 
 
 def _germ_payload(germ: CyclicQuotientGerm) -> dict:
@@ -282,7 +279,9 @@ def _class_dict(cls: GermClass) -> dict:
             "violation": cls.violation}
 
 
-def _residue_rows(germ: CyclicQuotientGerm, m_max: int) -> list[dict]:
+def _residue_rows(gamma: Fraction, m_max: int) -> list[dict]:
+    # any model realizing this slope works for the degree bookkeeping
+    germ = CyclicQuotientGerm(1, 1, Fraction(1), 1 - gamma)
     rows = []
     for m in range(1, m_max + 1):
         rep = single_branch_report(m, germ)
@@ -290,11 +289,6 @@ def _residue_rows(germ: CyclicQuotientGerm, m_max: int) -> list[dict]:
                      "target_exponent": rep.target_exponent,
                      "surjective": rep.surjective, "deficit": rep.deficit})
     return rows
-
-
-def _gamma_germ(gamma: Fraction) -> CyclicQuotientGerm:
-    # any model realizing this slope works for the degree bookkeeping
-    return CyclicQuotientGerm(1, 1, Fraction(1), 1 - gamma)
 
 
 def _cmd_classify(gf: GermFile) -> dict:
@@ -316,19 +310,15 @@ def _cmd_discrepancy(gf: GermFile) -> dict:
 
 
 def _cmd_residue(gf: GermFile, m_max: int) -> dict:
-    if gf.kind == "cyclic_quotient":
-        germ = gf.germ
-    else:
-        cls = gf.classification
-        if cls.gamma is None:
-            raise NotApplicable("residue table needs a plt chain with a slope")
-        germ = _gamma_germ(cls.gamma)
+    gamma = gf.classification.gamma
+    if gamma is None:
+        raise NotApplicable("residue table needs a plt chain with a slope")
     if m_max < 1:
         raise ValidationError(f"--m-max {m_max} must be >= 1")
     if m_max > M_MAX_LIMIT:
         raise LimitExceeded(f"--m-max {m_max} exceeds the limit {M_MAX_LIMIT}")
     return {"input": gf.payload, "m_max": m_max,
-            "residue_table": _residue_rows(germ, m_max)}
+            "residue_table": _residue_rows(gamma, m_max)}
 
 
 def _cmd_glue(gf: GermFile, m: int) -> dict:
@@ -401,18 +391,20 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
         out["residue_table"] = None
         out["flags"].append("residue-not-applicable")
     else:
-        out["residue_table"] = _residue_rows(_gamma_germ(gamma), m_max)
+        out["residue_table"] = _residue_rows(gamma, m_max)
     return out
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
 
 
 def _styled(text: str, code: str) -> str:

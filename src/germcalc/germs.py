@@ -29,7 +29,14 @@ One table maps (prongs, far coefficients) to the shape:
 Every arm curve has self-intersection label >= 2, except that the far
 end may drop to 1 in the dihedral 32 and 33 shapes. The empty graph is
 an empty arm, whose string gives n = 1. A graph that fits no shape is
-UNCLASSIFIED, and one constraint it violates is named.
+UNCLASSIFIED, and its violation is the rule the decomposition broke,
+in one of three texts that name no vertex:
+
+  * a curve beyond the far end is not a bare -2 prong, because the graph
+    goes on past it, else because it carries a branch, else because its
+    label is not 2;
+  * no shape or plt chain has the prong count and far coefficients;
+  * a label-1 curve sits on the arm where the shape allows none.
 """
 
 from __future__ import annotations
@@ -120,7 +127,8 @@ class GermClass:
     """Taxonomy tag with the derived invariants.
 
     ``gamma`` is present exactly for plt chains. ``violation`` names the
-    diagram constraint that failed when the tag is UNCLASSIFIED.
+    rule of the shape decomposition that failed when the tag is
+    UNCLASSIFIED.
     """
 
     tag: GermTag
@@ -233,30 +241,6 @@ def germ_class(germ: CyclicQuotientGerm) -> GermClass:
     return germ._class
 
 
-def _decompose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]):
-    """The graph as (arm, number of prongs, sorted far coefficients),
-    walked from the first coefficient-1 branch as the module docstring
-    says; None when something beyond the far end is not a prong."""
-    i = next(i for i, br in enumerate(g.branches) if br.coeff == 1)
-    rest = g.branches[:i] + g.branches[i + 1:]
-    far = tuple(sorted(br.coeff for br in rest))
-    if g.n_vertices == 0:
-        return [], 0, far
-    attached = {br.attach for br in rest}
-    arm, prev = [g.branches[i].attach], -1
-    while True:
-        v = arm[-1]
-        ahead = [w for w in adj[v] if w != prev]
-        if v in attached or len(ahead) != 1:
-            break
-        arm.append(ahead[0])
-        prev = v
-    if any(len(adj[w]) != 1 or g.selfints[w] != 2 or w in attached
-           for w in ahead):
-        return None
-    return arm, len(ahead), far
-
-
 # (prongs, far coefficients) -> (tag, whether the far end may carry label 1)
 SHAPES = {
     (0, (Fraction(1),)): (GermTag.CYCLIC_NONPLT, False),
@@ -266,51 +250,58 @@ SHAPES = {
 }
 
 
-def _shape(prongs: int, far: tuple[Fraction, ...]) -> tuple[GermTag | None, bool]:
-    """Look a decomposition up in SHAPES; no prongs and at most one
-    fractional far branch is a plt chain. (None, False) when no shape fits."""
+def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None]:
+    """(tag, gamma, violation) of the graph: walk it from the first
+    coefficient-1 branch into arm, prongs and far coefficients as the
+    module docstring says, and look the shape up in SHAPES. A graph that
+    fits no shape is UNCLASSIFIED, with the rule the walk broke."""
+    adj = g._adj
+    i = next(i for i, br in enumerate(g.branches) if br.coeff == 1)
+    rest = g.branches[:i] + g.branches[i + 1:]
+    far = tuple(sorted(br.coeff for br in rest))
+    arm, ahead = [], []
+    if g.n_vertices:
+        attached = {br.attach for br in rest}
+        arm, prev = [g.branches[i].attach], -1
+        while True:
+            v = arm[-1]
+            ahead = [w for w in adj[v] if w != prev]
+            if v in attached or len(ahead) != 1:
+                break
+            arm.append(ahead[0])
+            prev = v
+        if any(len(adj[w]) != 1 or g.selfints[w] != 2 or w in attached
+               for w in ahead):
+            why = ("the graph goes on past it" if any(len(adj[w]) != 1 for w in ahead)
+                   else "it carries a branch" if attached.intersection(ahead)
+                   else "its label is not 2")
+            return (GermTag.UNCLASSIFIED, None,
+                    f"a curve beyond the far end is not a bare -2 prong: {why}")
+    prongs = len(ahead)
     if prongs == 0 and len(far) <= 1 and 1 not in far:
-        return GermTag.PLT_CHAIN, False
-    return SHAPES.get((prongs, far), (None, False))
-
-
-def _diagnose(g: ResolutionGraph, adj: tuple[tuple[int, ...], ...]) -> str:
-    """Name one diagram constraint the graph violates."""
-    if any(len(nb) > 3 for nb in adj):
-        return "a vertex has more than three chain neighbors"
-    if sum(1 for nb in adj if len(nb) == 3) > 1:
-        return "more than one fork vertex"
-    ones = sum(1 for br in g.branches if br.coeff == 1)
-    if ones > 2:
-        return "more than two coefficient-1 branches"
-    if g.n_vertices >= 1 and all(len(nb) <= 2 for nb in adj):
-        # a path: its ends are the vertices of degree below 2
-        ends = {v for v in range(g.n_vertices) if len(adj[v]) < 2}
-        for br in g.branches:
-            if br.attach not in ends:
-                return (f"branch of coefficient {br.coeff} attached to an "
-                        "interior chain vertex")
-        by_end = {e: g.branch_coeffs_at(e) for e in ends}
-        for e, coeffs in by_end.items():
-            if g.n_vertices > 1 and len(coeffs) > 1 and 1 in coeffs:
-                listed = ", ".join(str(c) for c in coeffs)
-                return (f"branches with coefficients {listed} share the chain "
-                        "end that carries the coefficient-1 branch")
-    fractional = sorted(br.coeff for br in g.branches if br.coeff != 1)
-    if len(fractional) >= 2 and any(c != HALF for c in fractional):
-        bad = next(c for c in fractional if c != HALF)
-        return f"fork branch coefficient {bad} is not 1/2"
-    if any(c < 2 for c in g.selfints):
-        return "self-intersection label 1 outside the fork position"
-    return "does not match any chain or single-fork diagram shape"
+        tag, unit_end = GermTag.PLT_CHAIN, False
+    else:
+        tag, unit_end = SHAPES.get((prongs, far), (None, False))
+        if tag is None:
+            listed = ", ".join(str(c) for c in far)
+            return (GermTag.UNCLASSIFIED, None,
+                    f"no shape or plt chain has prong count {prongs} and far "
+                    f"coefficients [{listed}]")
+    if not all(g.selfints[v] >= 2 for v in (arm[:-1] if unit_end else arm)):
+        return (GermTag.UNCLASSIFIED, None, "self-intersection label 1 on the "
+                "arm, allowed only at the far end of a dihedral 32 or 33 shape")
+    if tag is not GermTag.PLT_CHAIN:
+        return tag, None, None
+    n, _q = hj_contract(g.selfints[v] for v in arm)
+    return tag, (1 - sum(far, Fraction(0))) / n, None
 
 
 def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     """Decompose the decorated graph and look its shape up in SHAPES.
 
     Requires a plt or lc-center germ carrying a coefficient-1 branch.
-    Graphs outside the shapes come back UNCLASSIFIED with the violated
-    constraint spelled out, rather than raising.
+    Graphs outside the shapes come back UNCLASSIFIED with the broken
+    rule of the decomposition spelled out, rather than raising.
     """
     lc = log_canonical_class(g)
     if lc not in (LcClass.PLT, LcClass.LC_CENTER):
@@ -318,18 +309,8 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     if not any(br.coeff == 1 for br in g.branches):
         raise NotApplicable("no coefficient-1 branch through the point")
     index = cartier_index(g)
-    adj = g._adj
-    parts = _decompose(g, adj)
-    if parts is not None:
-        arm, prongs, far = parts
-        tag, unit_end = _shape(prongs, far)
-        if tag is not None and all(g.selfints[v] >= 2
-                                   for v in (arm[:-1] if unit_end else arm)):
-            if tag is not GermTag.PLT_CHAIN:
-                return GermClass(tag, index)
-            n, _q = hj_contract(g.selfints[v] for v in arm)
-            return GermClass(tag, index, (1 - sum(far, Fraction(0))) / n)
-    return GermClass(GermTag.UNCLASSIFIED, index, violation=_diagnose(g, adj))
+    tag, gamma, violation = _decompose(g)
+    return GermClass(tag, index, gamma, violation)
 
 
 def different_coeff(germ: CyclicQuotientGerm) -> Fraction:
@@ -342,8 +323,7 @@ def different_coeff(germ: CyclicQuotientGerm) -> Fraction:
     """
     if germ.conductor_coeff != 1:
         raise NotApplicable("different along a branch of coefficient != 1")
-    c = 1 - germ.side_coeff
-    return 1 - c / germ.n
+    return 1 - germ.gamma
 
 
 def check_slc_glue(g1: CyclicQuotientGerm, g2: CyclicQuotientGerm) -> bool:

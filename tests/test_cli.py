@@ -127,6 +127,22 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["tag"] == "PLT_CHAIN"
 
 
+@pytest.mark.parametrize("command", ["report", "classify", "discrepancy",
+                                     "residue", "glue"])
+def test_input_that_is_not_utf8_is_a_parse_failure(tmp_path, capsys, monkeypatch,
+                                                   command):
+    import io
+    path = tmp_path / "germ.json"
+    path.write_bytes(b"\xff\xfe")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"),
+                                                      encoding="utf-8"))
+    for source in (str(path), "-"):
+        assert main([command, source]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith("input is not UTF-8: ")
+
+
 def test_exit_code_two_on_parse_failure(tmp_path, capsys):
     assert main(["classify", write(tmp_path, "{not json")]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
@@ -503,7 +519,7 @@ def test_a_dual_graph_past_the_vertex_limit_is_limit_exceeded(tmp_path, capsys, 
     assert str(VERTEX_LIMIT) in err["message"]
 
 
-@pytest.mark.parametrize("command", ["report", "classify", "glue"])
+@pytest.mark.parametrize("command", ["report", "classify", "glue", "residue"])
 def test_a_cyclic_germ_past_the_vertex_limit_is_limit_exceeded(tmp_path, capsys,
                                                                command):
     # n/(n-1) expands to n - 1 curves: 10^8 of them here, unless stopped
@@ -535,6 +551,13 @@ def test_report_on_a_fractional_conductor_reads_the_class_slope(tmp_path, capsys
 
 FIXTURE_NAMES = ["plt_chain", "cyclic_center", "dihedral_fork",
                  "dihedral_half_branch", "dihedral_two_half", "glued_pair"]
+# cyclic files whose residue table is the classification's, like the report's
+EXTRA_INPUTS = {
+    "cyclic_lc_center":
+        '{"kind":"cyclic_quotient","n":5,"q":2,"conductor":"1","side":"1"}',
+    "cyclic_half_conductor":
+        '{"kind":"cyclic_quotient","n":5,"q":2,"conductor":"1/2","side":"1"}',
+}
 
 
 def _fields(argv, capsys):
@@ -542,9 +565,12 @@ def _fields(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(EXTRA_INPUTS))
 def test_each_subcommand_agrees_with_the_report(tmp_path, capsys, name):
-    path = str(FIXTURES / f"{name}.json")
+    if name in EXTRA_INPUTS:
+        path = write(tmp_path, EXTRA_INPUTS[name])
+    else:
+        path = str(FIXTURES / f"{name}.json")
     code, report = _fields(["report", path], capsys)
     assert code == 0
     code, classified = _fields(["classify", path], capsys)

@@ -197,18 +197,68 @@ def test_classify_accepts_small_side_coefficient():
     assert cls.gamma == Fraction(2, 15)
 
 
+R = ResolutionGraph
+NOT_A_PRONG = "a curve beyond the far end is not a bare -2 prong: "
+LABEL_ONE = ("self-intersection label 1 on the arm, allowed only at the far "
+             "end of a dihedral 32 or 33 shape")
+
+
 def test_classify_reports_violation_for_interior_branch():
+    # the branch at the middle curve ends the arm; the -3 curve past it
+    # is no prong
     g = ResolutionGraph.chain([3, 3, 3], [(0, 1), (1, Fraction(1, 4))])
     cls = classify_lc_germ(g)
     assert cls.tag is GermTag.UNCLASSIFIED
-    assert "interior chain vertex" in cls.violation
+    assert cls.violation == NOT_A_PRONG + "its label is not 2"
 
 
 def test_classify_reports_violation_for_shared_end():
+    # both branches on the first curve: the arm is that curve alone, with
+    # the -2 curve past it as a prong
     g = ResolutionGraph.chain([3, 2], [(0, 1), (0, Fraction(1, 4))])
     cls = classify_lc_germ(g)
     assert cls.tag is GermTag.UNCLASSIFIED
-    assert "share the chain end" in cls.violation
+    assert cls.violation == ("no shape or plt chain has prong count 1 and "
+                             "far coefficients [1/4]")
+
+
+@pytest.mark.parametrize("g, violation", [
+    # a curve beyond the far end that is not a bare -2 prong: the graph
+    # going on past it comes before a branch on it, which comes before
+    # its label
+    pytest.param(R.chain([2, 2], [(0, 1), (0, Fraction(1, 3))]).with_fork(1, 2),
+                 NOT_A_PRONG + "the graph goes on past it", id="goes-on"),
+    pytest.param(R.chain([2, 3, 2], [(0, 1), (0, Fraction(1, 5))]),
+                 NOT_A_PRONG + "the graph goes on past it", id="goes-on-label-3"),
+    pytest.param(R.chain([2, 2, 2], [(0, 1), (0, Fraction(1, 5)), (1, Fraction(1, 5))]),
+                 NOT_A_PRONG + "the graph goes on past it", id="goes-on-with-branch"),
+    pytest.param(R.chain([2], [(0, 1), (0, Fraction(1, 3))]).with_fork(0, 2)
+                 .with_branch(1, Fraction(1, 3)),
+                 NOT_A_PRONG + "it carries a branch", id="branch"),
+    pytest.param(R.chain([3, 3], [(0, 1), (0, Fraction(1, 7)), (1, Fraction(1, 7))]),
+                 NOT_A_PRONG + "it carries a branch", id="branch-label-3"),
+    pytest.param(R.chain([2], [(0, 1), (0, Fraction(1, 3))]).with_fork(0, 3),
+                 NOT_A_PRONG + "its label is not 2", id="label-3"),
+    # prongs and far coefficients that no row of SHAPES and no plt rule take
+    pytest.param(R.chain([2], [(0, 1), (0, HALF), (0, Fraction(1, 3))]),
+                 "no shape or plt chain has prong count 0 and far coefficients "
+                 "[1/3, 1/2]", id="two-far"),
+    pytest.param(R.chain([], [(None, 1), (None, HALF), (None, Fraction(1, 3))]),
+                 "no shape or plt chain has prong count 0 and far coefficients "
+                 "[1/3, 1/2]", id="two-far-empty-graph"),
+    pytest.param(R.chain([2, 2, 2], [(0, 1), (1, Fraction(1, 3))]),
+                 "no shape or plt chain has prong count 1 and far coefficients "
+                 "[1/3]", id="prong-and-third"),
+    # a label-1 curve on the arm, away from the far end of a dihedral 32 or 33
+    pytest.param(R.chain([1], [(0, 1)]), LABEL_ONE, id="plt"),
+    pytest.param(R.chain([3, 1], [(0, 1), (1, 1)]), LABEL_ONE, id="cyclic"),
+    pytest.param(R.chain([1, 3], [(0, 1), (1, HALF), (1, HALF)]), LABEL_ONE, id="d33"),
+    pytest.param(R.chain([1, 2], [(0, 1), (1, HALF)]).with_fork(1, 2), LABEL_ONE,
+                 id="d32"),
+])
+def test_each_failure_of_the_decomposition_is_its_violation(g, violation):
+    cls = classify_lc_germ(g)
+    assert (cls.tag, cls.gamma, cls.violation) == (GermTag.UNCLASSIFIED, None, violation)
 
 
 def shaped_graphs():
@@ -293,14 +343,12 @@ def class_or_error(labels, edges, branches):
         cls = classify_lc_germ(g)
     except NotApplicable as exc:
         return str(exc)
-    return cls.tag, cls.gamma, cls.cartier_index
+    return cls.tag, cls.gamma, cls.cartier_index, cls.violation
 
 
 @settings(max_examples=300, deadline=None)
 @given(near_shapes(), st.data())
 def test_classification_invariant_under_relabelling(shape, data):
-    # the violation text is left out: the shared-end message lists
-    # whichever chain end comes first
     labels, edges, branches = shape
     perm = data.draw(st.permutations(range(len(labels))))
     moved = [0] * len(labels)
