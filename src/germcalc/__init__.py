@@ -7,8 +7,7 @@ and standard-coefficient checks, all in exact rational arithmetic.
 
 from .dualgraph import (BoundaryBranch, LcClass, ResolutionGraph,
                         boundary_coefficients, cartier_index,
-                        intersection_matrix, is_contractible,
-                        log_canonical_class)
+                        is_contractible, log_canonical_class)
 from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
                      NotApplicable, ParseError, SingularSystem,
                      ValidationError)
@@ -36,8 +35,8 @@ __all__ = [
     "classify_nonnormal", "coeff_check", "different_coeff",
     "dihedral_image_twist", "find_failure_m", "floor_scale", "format_rat",
     "glued_mcartier", "glued_restriction_coeff", "hj_contract", "hj_expand",
-    "intersection_matrix", "is_contractible", "is_standard",
-    "log_canonical_class", "multibranch_deficit",
+    "is_contractible", "is_standard", "log_canonical_class",
+    "multibranch_deficit",
     "parse_rat", "plt_modification", "resolution_graph",
     "single_branch_report", "vanishing_hypothesis",
 ]

@@ -267,11 +267,6 @@ def parse_germ_file(text: str | bytes) -> GermFile:
     return GermFile(kind, components=comps, glue_ok=glue_ok, payload=payload)
 
 
-def format_germ_file(gf: GermFile) -> str:
-    """Canonical text form; parse_germ_file inverts it exactly."""
-    return json.dumps(gf.payload, sort_keys=True, indent=2) + "\n"
-
-
 def _class_dict(cls: GermClass) -> dict:
     return {"tag": cls.tag.value,
             "gamma": format_rat(cls.gamma) if cls.gamma is not None else None,

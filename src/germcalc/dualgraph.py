@@ -26,10 +26,12 @@ computed once per graph object and cached on it; the graph is frozen, so
 no cache ever goes stale. A graph that is not contractible, or not log
 canonical, caches no class or index and raises again on every call.
 
-All exceptional curves are assumed rational and the graph a tree; that
-is checked at construction time. Branches meet their attachment curve
-transversally in one point each, which is a modeling assumption rather
-than checked input.
+All exceptional curves are assumed rational and the graph a tree. One
+breadth-first search from vertex 0, cached on the graph, checks the tree
+at construction time, and the elimination runs leaf to root along its
+order, so each graph is traversed once. Branches meet their attachment
+curve transversally in one point each, which is a modeling assumption
+rather than checked input.
 """
 
 from __future__ import annotations
@@ -97,27 +99,14 @@ class ResolutionGraph:
         if n == 0:
             if self.edges:
                 raise ValidationError("edges on an empty vertex set")
-        else:
-            if len(self.edges) != n - 1 or not self._connected():
-                raise ValidationError("edge set is not a tree on the vertex set")
+        elif len(self.edges) != n - 1 or len(self._tree[0]) != n:
+            raise ValidationError("edge set is not a tree on the vertex set")
         for br in self.branches:
             if n == 0:
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
             elif br.attach is None or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach} out of range")
-
-    def _connected(self) -> bool:
-        n = len(self.selfints)
-        seen = {0}
-        stack = [0]
-        adj = self._adj
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":
@@ -134,10 +123,6 @@ class ResolutionGraph:
                                self.edges | {(attach, k)},
                                self.branches)
 
-    def with_branch(self, attach: int | None, coeff) -> "ResolutionGraph":
-        return ResolutionGraph(self.selfints, self.edges,
-                               self.branches + (BoundaryBranch(attach, Fraction(coeff)),))
-
     @property
     def n_vertices(self) -> int:
         return len(self.selfints)
@@ -151,12 +136,23 @@ class ResolutionGraph:
             adj[j].append(i)
         return tuple(map(tuple, adj))
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbour lists of every vertex; a fresh copy the caller may edit."""
-        return [list(nb) for nb in self._adj]
-
-    def branch_coeffs_at(self, v: int | None) -> list[Fraction]:
-        return sorted(br.coeff for br in self.branches if br.attach == v)
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """BFS order from vertex 0 and each vertex's parent (-1 for vertex
+        0 and for every vertex not reached), built once for a graph with
+        at least one vertex. Visited vertices are marked, so the search
+        ends on any edge set; the edges form a tree exactly when there
+        are n - 1 of them and the order reaches all n vertices."""
+        adj = self._adj
+        order, parent = [0], [-1] * len(self.selfints)
+        seen = {0}
+        for v in order:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    order.append(w)
+        return tuple(order), tuple(parent)
 
     @cached_property
     def _elimination(self):
@@ -198,30 +194,21 @@ class LcClass(str, Enum):
     NOT_LC = "NOT_LC"
 
 
-def intersection_matrix(g: ResolutionGraph) -> list[list[int]]:
-    """M[i][i] = -selfint(i); M[i][j] = 1 exactly on edges."""
-    n = g.n_vertices
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = -g.selfints[i]
-    for i, j in g.edges:
-        m[i][j] = m[j][i] = 1
-    return m
-
-
 def _eliminate(g: ResolutionGraph):
     """Fraction-free leaf-to-root elimination of the zero-intersection
     system M b = r.
 
-    Returns ``(dets, coeffs)``. Vertices are taken in reverse BFS order
-    from vertex 0, so each one is folded into its parent alone and the
-    tree makes no fill-in. Every vertex v carries three integers: A_v,
-    the determinant of -M on the subtree below v (v included); B_v, the
-    product of A_w over the children w of v, which is the determinant of
-    that subtree with v removed; and S_v, the right-hand side of v's
-    eliminated row scaled by L * B_v, where L (``scale``) is the lcm of
-    the branch denominators. The pivot of v is -A_v / B_v, minus the
-    continued fraction of the subtree. Folding child w into parent p is
+    Returns ``(dets, coeffs)``. Vertices are taken in reverse order of
+    ``g._tree``, the BFS from vertex 0 that already checked at
+    construction that the graph is a tree, so each one is folded into its
+    parent alone and the tree makes no fill-in. Every vertex v carries
+    three integers: A_v, the determinant of -M on the subtree below v (v
+    included); B_v, the product of A_w over the children w of v, which
+    is the determinant of that subtree with v removed; and S_v, the
+    right-hand side of v's eliminated row scaled by L * B_v, where L
+    (``scale``) is the lcm of the branch denominators. The pivot of v is
+    -A_v / B_v, minus the continued fraction of the subtree. Folding
+    child w into parent p is
 
         A_p, S_p, B_p = A_p A_w - B_w B_p, S_p A_w + S_w B_p, B_p A_w,
 
@@ -237,13 +224,7 @@ def _eliminate(g: ResolutionGraph):
     n = g.n_vertices
     if n == 0:
         return (), ()
-    adj = g._adj
-    order, parent = [0], [-1] * n
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    order, parent = g._tree
     scale = lcm(1, *(br.coeff.denominator for br in g.branches))
     A = list(g.selfints)
     B = [1] * n

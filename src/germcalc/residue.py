@@ -78,17 +78,19 @@ def multibranch_deficit(m: int, coeffs) -> int:
     return floor_scale(m, total) - sum(floor_scale(m, c) for c in coeffs)
 
 
-def find_failure_m(coeffs) -> int | None:
+def find_failure_m(coeffs) -> int:
     """Least m with a positive rounding deficit.
 
-    With two or more fractional branches a failure always exists, no
-    later than the denominator of the coefficient sum: either the least
-    m making the sum integral already fails, or the multiplicative
-    inverse of the numerator modulo that denominator does. The search
-    stops at that bound and returns None past it, which the property
-    suite treats as a defect. It never tries more than
-    FAILURE_SEARCH_LIMIT values: when the bound lies beyond the limit
-    and no failure turns up below it, LimitExceeded is raised.
+    With r >= 2 coefficients c_i in (0, 1) a failure always exists. Let
+    sum c_i = p/D in lowest terms; the deficit at m is sum {m c_i} minus
+    {m p/D}, an integer. If some D c_i is not an integer, m = D fails:
+    {D p/D} = 0 and {D c_i} > 0. Otherwise D >= 2, and m = p^-1 mod D
+    fails: m is prime to D, so each residue m (D c_i) mod D is nonzero;
+    the residues sum to m p = 1 mod D, and there are at least two of
+    them, so their sum is at least D + 1, which makes sum {m c_i} > 1.
+    So the search ends by m = D with an answer. It never tries more than
+    FAILURE_SEARCH_LIMIT values: when D lies beyond the limit and no
+    failure turns up below it, LimitExceeded is raised.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -100,11 +102,9 @@ def find_failure_m(coeffs) -> int | None:
     for m in range(1, min(bound, FAILURE_SEARCH_LIMIT) + 1):
         if multibranch_deficit(m, coeffs) > 0:
             return m
-    if bound > FAILURE_SEARCH_LIMIT:
-        raise LimitExceeded(
-            f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
-            f"the bound is {bound}")
-    return None
+    raise LimitExceeded(
+        f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
+        f"the bound is {bound}")
 
 
 def dihedral_image_twist(m: int) -> int:

@@ -1,15 +1,25 @@
 """Dense reference oracles for the dual-graph kernel.
 
 Plain Gaussian elimination and Bareiss determinants over the full
-intersection matrix, with no use of the tree structure. They are slow
-(O(n^3) and O(n^4)) and serve only as independent checks of
-``germcalc.dualgraph``'s leaf-to-root elimination.
+intersection matrix, built here from the graph's edges, with no use of
+the tree structure. They are slow (O(n^3) and O(n^4)) and serve only as
+independent checks of ``germcalc.dualgraph``'s leaf-to-root elimination.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from germcalc.dualgraph import intersection_matrix
+
+def intersection_matrix(g) -> list[list[int]]:
+    """M[i][i] = -selfint(i); M[i][j] = 1 exactly on edges, read off the
+    graph's raw fields."""
+    n = g.n_vertices
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = -g.selfints[i]
+    for i, j in g.edges:
+        m[i][j] = m[j][i] = 1
+    return m
 
 
 def det_bareiss(rows: list[list[int]]) -> int:

@@ -1,13 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germcalc import cli, dualgraph, germs
-from germcalc.cli import M_MAX_LIMIT, format_germ_file, main, parse_germ_file
-from germcalc.dualgraph import VERTEX_LIMIT
+from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
+from germcalc.dualgraph import VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -39,8 +43,7 @@ def test_parse_rejects_non_coprime():
 def test_parse_valid_dual_graph():
     gf = parse_germ_file(GRAPH)
     assert gf.kind == "dual_graph"
-    assert gf.graph.selfints == (3, 2)
-    assert gf.graph.branch_coeffs_at(1) == [Fraction(2, 3)]
+    assert gf.graph == ResolutionGraph.chain([3, 2], [(0, 1), (1, Fraction(2, 3))])
 
 
 def test_parse_rejects_malformed_json():
@@ -51,8 +54,9 @@ def test_parse_rejects_malformed_json():
 
 @pytest.mark.parametrize("text", [PLT_GERM, GRAPH, GLUED])
 def test_format_parse_roundtrip(text):
+    # the report's echo, reparsed, gives back the parsed file
     gf = parse_germ_file(text)
-    assert parse_germ_file(format_germ_file(gf)) == gf
+    assert parse_germ_file(json.dumps(gf.payload)) == gf
 
 
 def test_classify_command(tmp_path, capsys):
@@ -194,6 +198,77 @@ def test_fuzzed_malformed_inputs_never_exit_zero(tmp_path, capsys, text):
     code = main(["report", write(tmp_path, text)])
     capsys.readouterr()
     assert code in (1, 2)
+
+
+# Generated inputs: JSON values from st.recursive whose object keys lean
+# to the germ file schema, and records of each kind that carry every
+# schema field well typed, or some of them, each well typed or any JSON
+# value.
+SCHEMA = {"cyclic_quotient": ("n", "q", "conductor", "side"),
+          "dual_graph": ("chain", "forks", "branches"),
+          "glued": ("glue_ok", "components")}
+FRACTIONS = st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12))
+RATIONALS = st.one_of(FRACTIONS,
+                      st.builds("{}/{}".format, st.integers(-2, 2), st.integers(0, 2)),
+                      st.integers(-2, 3).map(str),
+                      st.sampled_from(["", "x", "0.5", "1/2/3", " 1/2 "]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 12), RATIONALS,
+              st.sampled_from(sorted(SCHEMA))),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["kind", *sum(SCHEMA.values(), ())])
+                        | st.text(max_size=2), kids, max_size=5)),
+    max_leaves=10)
+
+
+def _records(fields, kind=None):
+    head = {} if kind is None else {"kind": st.just(kind)}
+    return st.fixed_dictionaries({**head, **fields}) | st.fixed_dictionaries(
+        head, optional={key: value | JSON_VALUES for key, value in fields.items()})
+
+
+_CYCLIC = {"n": st.integers(1, 12), "q": st.integers(1, 12),
+           "conductor": FRACTIONS, "side": FRACTIONS}
+FIELDS = {
+    **_CYCLIC,
+    "chain": st.lists(st.integers(1, 6), max_size=5),
+    "forks": st.lists(st.lists(st.integers(1, 6), min_size=2, max_size=2), max_size=3),
+    "branches": st.lists(st.tuples(st.integers(0, 6), FRACTIONS).map(list), max_size=4),
+    "glue_ok": st.booleans(),
+    "components": st.lists(_records(_CYCLIC), min_size=1, max_size=2),
+}
+GERM_DOCUMENTS = st.one_of(JSON_VALUES, *(
+    _records({key: FIELDS[key] for key in keys}, kind)
+    for kind, keys in SCHEMA.items()))
+
+
+def assert_one_json_object(argv):
+    """main(argv) returns 0, 1 or 2, raises nothing, and prints one JSON
+    object."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=GERM_DOCUMENTS, m=st.integers(-1, 30))
+def test_generated_germ_files_end_in_one_json_object(tmp_path_factory, doc, m):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["report"], ["classify"], ["discrepancy"],
+                 ["residue", f"--m-max={m}"], ["glue", f"--m={m}"]):
+        assert_one_json_object([*argv, str(path)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(RATIONALS, max_size=5).map(",".join), c=RATIONALS,
+       m=st.integers(-1, 6))
+def test_generated_arguments_end_in_one_json_object(coeffs, c, m):
+    assert_one_json_object(["failure-m", f"--coeffs={coeffs}"])
+    assert_one_json_object(["stdcoeff", f"--c={c}", f"--m={m}"])
 
 
 def test_missing_file_is_a_parse_failure(capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import intersection_matrix
 from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
-                                boundary_coefficients, intersection_matrix,
-                                is_contractible, log_canonical_class, LcClass)
+                                boundary_coefficients, is_contractible,
+                                log_canonical_class, LcClass)
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
@@ -80,16 +81,12 @@ def test_resolution_graph_smooth_germ():
 
 def test_resolution_graph_plt_chain():
     g = resolution_graph(CyclicQuotientGerm(5, 2, 1, HALF))
-    assert g.selfints == (3, 2)
-    assert g.branch_coeffs_at(0) == [1]
-    assert g.branch_coeffs_at(1) == [HALF]
+    assert g == ResolutionGraph.chain([3, 2], [(0, 1), (1, HALF)])
 
 
 def test_resolution_graph_omits_zero_side():
     g = resolution_graph(CyclicQuotientGerm(2, 1, 1, 0))
-    assert g.selfints == (2,)
-    assert len(g.branches) == 1
-    assert g.branch_coeffs_at(0) == [1]
+    assert g == ResolutionGraph.chain([2], [(0, 1)])
 
 
 def test_resolution_graph_is_shared_per_germ_object():
@@ -232,8 +229,7 @@ def test_classify_reports_violation_for_shared_end():
                  NOT_A_PRONG + "the graph goes on past it", id="goes-on-label-3"),
     pytest.param(R.chain([2, 2, 2], [(0, 1), (0, Fraction(1, 5)), (1, Fraction(1, 5))]),
                  NOT_A_PRONG + "the graph goes on past it", id="goes-on-with-branch"),
-    pytest.param(R.chain([2], [(0, 1), (0, Fraction(1, 3))]).with_fork(0, 2)
-                 .with_branch(1, Fraction(1, 3)),
+    pytest.param(R.chain([2, 2], [(0, 1), (0, Fraction(1, 3)), (1, Fraction(1, 3))]),
                  NOT_A_PRONG + "it carries a branch", id="branch"),
     pytest.param(R.chain([3, 3], [(0, 1), (0, Fraction(1, 7)), (1, Fraction(1, 7))]),
                  NOT_A_PRONG + "it carries a branch", id="branch-label-3"),
@@ -288,10 +284,12 @@ def test_taxonomy_totality_or_named_violation(data):
     if data.draw(st.booleans()):
         g = g.with_fork(data.draw(st.integers(0, k - 1)),
                         data.draw(st.integers(2, 5)))
-    g = g.with_branch(data.draw(st.integers(0, g.n_vertices - 1)), 1)
+    attach = st.integers(0, g.n_vertices - 1)
+    branches = [BoundaryBranch(data.draw(attach), 1)]
     for _ in range(data.draw(st.integers(0, 2))):
         coeff = data.draw(st.sampled_from([HALF, Fraction(2, 3), Fraction(1)]))
-        g = g.with_branch(data.draw(st.integers(0, g.n_vertices - 1)), coeff)
+        branches.append(BoundaryBranch(data.draw(attach), coeff))
+    g = ResolutionGraph(g.selfints, g.edges, tuple(branches))
     if not is_contractible(g):
         return
     if log_canonical_class(g) not in (LcClass.PLT, LcClass.LC_CENTER):

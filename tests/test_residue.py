@@ -89,6 +89,26 @@ def test_find_failure_m_is_minimal():
     assert multibranch_deficit(m, coeffs) > 0
 
 
+def failure_certificate(coeffs) -> int:
+    """The m that find_failure_m's docstring proves fails: with the sum
+    of the coefficients p/D in lowest terms, D itself unless every D c_i
+    is an integer, and then the inverse of p modulo D."""
+    total = sum(coeffs, Fraction(0))
+    d = total.denominator
+    if any((d * c).denominator != 1 for c in coeffs):
+        return d
+    return pow(total.numerator, -1, d)
+
+
+@given(st.lists(st.fractions(min_value=Fraction(1, 30), max_value=Fraction(29, 30),
+                             max_denominator=30),
+                min_size=2, max_size=4))
+def test_the_failure_certificate_fails_and_bounds_the_search(coeffs):
+    m = failure_certificate(coeffs)
+    assert multibranch_deficit(m, coeffs) > 0
+    assert find_failure_m(coeffs) <= m
+
+
 def test_find_failure_m_rejects_bad_input():
     with pytest.raises(BadParameters):
         find_failure_m([HALF])
