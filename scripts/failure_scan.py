@@ -38,7 +38,7 @@ def main() -> int:
     for tup in combinations_with_replacement(proper_fractions(args.max_den), args.r):
         m = find_failure_m(tup)
         bound = sum(tup, Fraction(0)).denominator
-        assert m is not None and m <= bound, f"bound violated for {tup}"
+        assert m <= bound, f"bound violated for {tup}"
         hist[m] += 1
         at_bound += m == bound
         total += 1

@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
@@ -39,7 +40,7 @@ from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, parse_rat
 from .residue import (find_failure_m, glued_mcartier,
-                      glued_restriction_coeff, single_branch_report)
+                      glued_restriction_coeff, residue_table)
 from .stdcoeff import coeff_check, plt_modification
 
 DEFAULT_M_MAX = 24
@@ -274,18 +275,6 @@ def _class_dict(cls: GermClass) -> dict:
             "violation": cls.violation}
 
 
-def _residue_rows(gamma: Fraction, m_max: int) -> list[dict]:
-    # any model realizing this slope works for the degree bookkeeping
-    germ = CyclicQuotientGerm(1, 1, Fraction(1), 1 - gamma)
-    rows = []
-    for m in range(1, m_max + 1):
-        rep = single_branch_report(m, germ)
-        rows.append({"m": rep.m, "source_exponent": rep.source_exponent,
-                     "target_exponent": rep.target_exponent,
-                     "surjective": rep.surjective, "deficit": rep.deficit})
-    return rows
-
-
 def _cmd_classify(gf: GermFile) -> dict:
     if gf.kind == "glued":
         nn = classify_nonnormal(gf.components, gf.glue_ok)
@@ -313,7 +302,7 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
     if m_max > M_MAX_LIMIT:
         raise LimitExceeded(f"--m-max {m_max} exceeds the limit {M_MAX_LIMIT}")
     return {"input": gf.payload, "m_max": m_max,
-            "residue_table": _residue_rows(gamma, m_max)}
+            "residue_table": residue_table(gamma, m_max)}
 
 
 def _cmd_glue(gf: GermFile, m: int) -> dict:
@@ -386,7 +375,7 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
         out["residue_table"] = None
         out["flags"].append("residue-not-applicable")
     else:
-        out["residue_table"] = _residue_rows(gamma, m_max)
+        out["residue_table"] = residue_table(gamma, m_max)
     return out
 
 
@@ -422,10 +411,21 @@ def _verbose_summary(payload: dict) -> None:
     print("  ".join(parts) if parts else "ok", file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals end as a ParseError, so main
+    prints the error object and exits 2 as for any parse failure. The
+    usage line and the reason still go to stderr; --help exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="germcalc",
         description="Exact invariants of log surface germs from germ files.")
     parser.add_argument("--verbose", action="store_true",
@@ -488,20 +488,65 @@ def _dispatch(args: argparse.Namespace) -> dict:
     return _cmd_report(gf, DEFAULT_M_MAX)
 
 
+def _emit(obj, pad: str, append) -> None:
+    """Append the indent-2 JSON text of obj, on a line indented by pad,
+    to a list of parts through its append method."""
+    kind = type(obj)
+    if kind is str:
+        append(_quote(obj))
+    elif kind is int:
+        append(int.__repr__(obj))
+    elif kind is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            _emit(obj[key], inner, append)
+            sep = "," + inner
+        append(pad + "}" if obj else "{}")
+    elif kind is list:
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            append(sep)
+            _emit(value, inner, append)
+            sep = "," + inner
+        append(pad + "]" if obj else "[]")
+    elif obj is None:
+        append("null")
+    elif kind is bool:
+        append("true" if obj else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _dumps(payload: dict) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2), written
+    directly: with an indent, json runs its pure-Python encoder, and
+    _emit gives the same text in one list of parts. Strings are escaped
+    by json's own C escaper.
+
+    A payload is built fresh from dicts with str keys, lists, and str,
+    int, bool and None leaves, so it holds no cycle and no float. The
+    dispatch is on the exact type: any other type, a subclass included,
+    raises TypeError.
+    """
+    parts: list[str] = []
     try:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        _emit(payload, "\n", parts.append)
     except ValueError as exc:
-        # json.dumps raises ValueError otherwise only for a cycle or a
-        # float, and a payload holds neither: an int is past the
-        # interpreter's int-to-text digit limit
+        # only int-to-text raises it: an int with more digits than the
+        # interpreter's conversion limit
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
+    return "".join(parts)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     code = 0
     try:
+        args = _build_parser().parse_args(argv)
         payload = _dispatch(args)
         text = _dumps(payload)
     except ParseError as exc:

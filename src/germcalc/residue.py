@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
-from .rational import ceil_scale, floor_scale
+from .rational import floor_scale
 
 # Largest m that find_failure_m tries, which keeps one search to about a
 # second: each step is one multibranch_deficit call.
@@ -46,6 +46,22 @@ class ResidueReport:
             raise BadParameters("surjectivity flag contradicts deficit")
 
 
+def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
+    """Source exponent ceil(m g), target exponent floor(m (1 - g)) and
+    their deficit in degree m >= 1, for the slope g = p/n with n >= 1.
+
+    Both exponents are integer floor divisions. The deficit, target
+    capacity minus image capacity, is re-derived instead of assumed and
+    must not be negative.
+    """
+    source = -((-m * p) // n)
+    target = (m * (n - p)) // n
+    deficit = target - (m - source)
+    if deficit < 0:
+        raise BadParameters("negative deficit")
+    return source, target, deficit
+
+
 def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
     """Compare both sides of the restriction in degree m.
 
@@ -58,10 +74,24 @@ def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
     if m < 1:
         raise BadParameters("m must be >= 1")
     gamma = germ.gamma
-    source = ceil_scale(m, gamma)
-    target = floor_scale(m, 1 - gamma)
-    deficit = target - (m - source)
+    source, target, deficit = restriction_exponents(m, gamma.numerator, gamma.denominator)
     return ResidueReport(m, source, target, deficit == 0, deficit)
+
+
+def residue_table(gamma: Fraction, m_max: int) -> list[dict]:
+    """single_branch_report's fields for m = 1..m_max, one plain dict per
+    row, at the slope gamma in [0, 1]; any germ of that slope gives the
+    same exponents, so none is built.
+    """
+    if not 0 <= gamma <= 1:
+        raise BadParameters(f"slope {gamma} outside [0, 1]")
+    p, n = gamma.numerator, gamma.denominator
+    rows = []
+    for m in range(1, m_max + 1):
+        source, target, deficit = restriction_exponents(m, p, n)
+        rows.append({"m": m, "source_exponent": source, "target_exponent": target,
+                     "surjective": deficit == 0, "deficit": deficit})
+    return rows
 
 
 def multibranch_deficit(m: int, coeffs) -> int:

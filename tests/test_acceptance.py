@@ -129,7 +129,7 @@ def test_criterion_4_rounding_obstruction():
             for tup in combinations_with_replacement(fracs, r):
                 bound = sum(tup, Fraction(0)).denominator
                 m = find_failure_m(tup)
-                assert m is not None and m <= bound
+                assert m <= bound
                 assert _first_failure_oracle(tup, bound) == m
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residue_oracle import fraction_table
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
 from germcalc.dualgraph import VERTEX_LIMIT, ResolutionGraph
@@ -253,22 +255,55 @@ def assert_one_json_object(argv):
     assert isinstance(json.loads(out.getvalue()), dict)
 
 
+# Option values as argv words: integers and text that is not one, each
+# passed as --opt=value or as a separate word (where a value starting
+# with "-" reads as an option to argparse).
+INT_WORDS = st.integers(-1, 30).map(str) | st.sampled_from(["x", "2.5", "", "-x", "1/2"])
+
+
+def option(name, value, joined):
+    return [f"{name}={value}"] if joined else [name, value]
+
+
 @settings(max_examples=150, deadline=None)
-@given(doc=GERM_DOCUMENTS, m=st.integers(-1, 30))
-def test_generated_germ_files_end_in_one_json_object(tmp_path_factory, doc, m):
+@given(doc=GERM_DOCUMENTS, m=INT_WORDS, joined=st.booleans())
+def test_generated_germ_files_end_in_one_json_object(tmp_path_factory, doc, m, joined):
     path = tmp_path_factory.getbasetemp() / "generated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["report"], ["classify"], ["discrepancy"],
-                 ["residue", f"--m-max={m}"], ["glue", f"--m={m}"]):
+                 ["residue", *option("--m-max", m, joined)],
+                 ["glue", *option("--m", m, joined)]):
         assert_one_json_object([*argv, str(path)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(coeffs=st.lists(RATIONALS, max_size=5).map(",".join), c=RATIONALS,
-       m=st.integers(-1, 6))
-def test_generated_arguments_end_in_one_json_object(coeffs, c, m):
-    assert_one_json_object(["failure-m", f"--coeffs={coeffs}"])
-    assert_one_json_object(["stdcoeff", f"--c={c}", f"--m={m}"])
+       m=INT_WORDS, joined=st.booleans())
+def test_generated_arguments_end_in_one_json_object(coeffs, c, m, joined):
+    assert_one_json_object(["failure-m", *option("--coeffs", coeffs, joined)])
+    assert_one_json_object(["stdcoeff", *option("--c", c, joined),
+                            *option("--m", m, joined)])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["failure-m", "--coeffs", "-1/2,1/3"], "argument --coeffs: expected one argument"),
+    (["stdcoeff", "--c", "1/2", "--m", "x"], "argument --m: invalid int value: 'x'"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+    (["report"], "the following arguments are required: file"),
+])
+def test_an_argument_refusal_is_a_parse_failure(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and message in error["message"]
+    assert message in err  # argparse's usage line and reason stay on stderr
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stdcoeff", "--help"])
+    assert exc.value.code == 0
+    assert "usage: germcalc stdcoeff" in capsys.readouterr().out
 
 
 def test_missing_file_is_a_parse_failure(capsys):
@@ -352,7 +387,23 @@ def test_residue_rejects_nonpositive_m_max(tmp_path, capsys):
 
 def test_residue_table_reaches_the_m_max_limit(tmp_path, capsys):
     assert main(["residue", write(tmp_path, PLT_GERM), "--m-max", str(M_MAX_LIMIT)]) == 0
-    assert len(json.loads(capsys.readouterr().out)["residue_table"]) == M_MAX_LIMIT
+    table = json.loads(capsys.readouterr().out)["residue_table"]
+    assert table == fraction_table(Fraction(1, 10), M_MAX_LIMIT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.integers(1, 200).flatmap(
+           lambda n: st.integers(1, n).map(lambda p: Fraction(p, n))),
+       m_max=st.integers(1, 500))
+def test_residue_rows_match_the_fraction_oracle(tmp_path_factory, gamma, m_max):
+    # the order-1 germ with side 1 - gamma has slope gamma
+    path = tmp_path_factory.getbasetemp() / "slope.json"
+    path.write_text(json.dumps({"kind": "cyclic_quotient", "n": 1, "q": 1,
+                                "side": str(1 - gamma)}), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["residue", str(path), "--m-max", str(m_max)]) == 0
+    assert json.loads(out.getvalue())["residue_table"] == fraction_table(gamma, m_max)
 
 
 @pytest.mark.parametrize("m_max", [M_MAX_LIMIT + 1, 1_000_000_000])
@@ -402,10 +453,7 @@ def test_closed_stdout_exits_one_without_traceback():
 
 def _outcome(argv, capsys):
     """(exit code, stdout, stderr) of one in-process call of main."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse errors exit 2 from parse_args
-        code = exc.code
+    code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -574,6 +622,46 @@ def test_an_integer_past_the_digit_limit_is_limit_exceeded(capsys):
     assert main(["failure-m", "--coeffs", coeffs]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
+
+
+def test_an_integer_past_a_lowered_digit_limit_is_limit_exceeded(capsys):
+    # the writer follows the interpreter's limit as it is set: at the
+    # lowest limit the search bound, an int of limit + 1 digits, is refused
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        coeffs = "1/2,1/3,1/" + "9" * sys.get_int_max_str_digits()
+        assert main(["failure-m", "--coeffs", coeffs]) == 1
+    finally:
+        sys.set_int_max_str_digits(old)
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+
+
+# JSON trees for the writer: text with every kind of character json
+# escapes (quotes, backslashes, controls, non-ASCII, lone surrogates),
+# ints of any size below the digit limit, and nested lists and dicts.
+TEXT = st.text(st.characters(exclude_categories=())
+               | st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+               max_size=8)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_the_report_writer_gives_the_text_of_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1, 2}, {1: "int key"}, {"nested": [Fraction(1, 2)]},
+    germs.GermTag.PLT_CHAIN])
+def test_the_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 def test_a_dual_graph_at_the_vertex_limit_parses():

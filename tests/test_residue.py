@@ -2,16 +2,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residue_oracle import fraction_table
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
 from germcalc.residue import (FAILURE_SEARCH_LIMIT, dihedral_image_twist,
                               find_failure_m, glued_mcartier,
                               glued_restriction_coeff, multibranch_deficit,
-                              single_branch_report)
+                              residue_table, single_branch_report)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -47,6 +48,25 @@ def test_single_branch_always_surjective(m, n, data):
     q = data.draw(st.sampled_from(
         [q for q in range(1, n + 1) if (q < n or n == 1) and gcd(n, q) == 1]))
     assert single_branch_report(m, CyclicQuotientGerm(n, q, 1, side)).surjective
+
+
+SLOPES = st.integers(1, 200).flatmap(
+    lambda n: st.integers(0, n).map(lambda p: Fraction(p, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=SLOPES, m_max=st.integers(1, 500))
+def test_the_integer_table_matches_the_fraction_oracle(gamma, m_max):
+    expected = fraction_table(gamma, m_max)
+    assert residue_table(gamma, m_max) == expected
+    germ = CyclicQuotientGerm(1, 1, 1, 1 - gamma)  # slope gamma
+    assert [vars(single_branch_report(m, germ)) for m in range(1, m_max + 1)] == expected
+
+
+@pytest.mark.parametrize("gamma", [Fraction(-1, 3), Fraction(4, 3)])
+def test_the_table_refuses_a_slope_outside_the_unit_interval(gamma):
+    with pytest.raises(BadParameters):
+        residue_table(gamma, 3)
 
 
 @pytest.mark.parametrize("m, coeffs, expected", [
