@@ -1,12 +1,15 @@
 """Differential run of the germcalc CLI: two source trees, one set of
 seeded random germ files, every file subcommand.
 
-The germ files are of all three kinds, malformed ones included. Each
-source tree runs in its own process, which calls ``cli.main`` once per
-file and subcommand variant and records the exit code and stdout. The
-script prints the runs that differ, grouped by subcommand and by the
-pair of exit codes, and exits 1 when any run differs or when any run of
-the ``--new`` tree ends in a traceback, since the CLI must be total.
+The germ files are of all three kinds, malformed ones included, and a
+few percent of them are large: cyclic quotients with n up to 10^6, and
+dual graphs of up to 400 curves, so the runs reach the big integers of
+the graph elimination. Each source tree runs in its own process, which
+calls ``cli.main`` once per file and subcommand variant and records the
+exit code and stdout. The script prints the runs that differ, grouped
+by subcommand and by the pair of exit codes, and exits 1 when any run
+differs or when any run of the ``--new`` tree ends in a traceback, since
+the CLI must be total.
 
     python scripts/cli_differential.py --old ../parent/src --new src --files 3200
 
@@ -40,6 +43,9 @@ VARIANTS = (
 RATS = ["1", "1", "1/2", "1/2", "0", "1/3", "2/3", "3/4", "1/5", "7/8", "3/2",
         "-1/2", "1/0", "x", 1]
 LABELS = [2, 2, 2, 3, 4, 1, 5]
+# Share of cyclic files with n up to 10^6, and of dual graphs with 20 to
+# 400 curves (labels 2..9, now and then one of 21 to 61 digits).
+LONG_SHARE = 0.04
 
 
 def _rat(rng):
@@ -48,6 +54,8 @@ def _rat(rng):
 
 def _cyclic(rng, kind=True):
     n = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12, 20, 31, rng.randint(1, 60)])
+    if rng.random() < LONG_SHARE:
+        n = rng.randint(61, 10**6)
     q = rng.randint(1, n) if rng.random() < 0.95 else rng.choice([0, n + 1, "2"])
     rec = {"n": n, "q": q}
     if kind:
@@ -62,21 +70,35 @@ def _cyclic(rng, kind=True):
 
 
 def _dual_graph(rng):
-    k = rng.randint(0, 6)
-    chain = [rng.choice(LABELS) for _ in range(k)]
-    if chain and rng.random() < 0.03:
-        chain[rng.randrange(k)] = rng.choice([0, -2, "2", True])
+    long = rng.random() < LONG_SHARE
+    if long:
+        # long enough for subtree determinants of hundreds of digits
+        k = rng.randint(20, 400)
+        chain = [rng.randint(2, 9) for _ in range(k)]
+        if rng.random() < 0.25:
+            chain[rng.randrange(k)] = 10 ** rng.randint(20, 60)
+    else:
+        k = rng.randint(0, 6)
+        chain = [rng.choice(LABELS) for _ in range(k)]
+        if chain and rng.random() < 0.03:
+            chain[rng.randrange(k)] = rng.choice([0, -2, "2", True])
     forks = []
     for _ in range(rng.choice([0, 0, 0, 1, 2])):
         forks.append([rng.randint(0 if rng.random() < 0.05 else 1, max(1, k + len(forks))),
                       2 if rng.random() < 0.8 else rng.choice(LABELS)])
     n = k + len(forks)
-    branches = []
-    for _ in range(rng.randint(0, 4)):
-        attach = rng.randint(1, n) if n else 0
-        if rng.random() < 0.05:
-            attach = rng.choice([-1, n + 1, 0, "1"])
-        branches.append([attach, "1" if rng.random() < 0.4 else _rat(rng)])
+    if long:
+        # a conductor at one end and at most one branch at the other, so
+        # that most long chains are plt or lc centers, not lc-failures
+        branches = [[1, "1"], [k, "1" if rng.random() < 0.3 else _rat(rng)]]
+        del branches[rng.randint(0, 2):]
+    else:
+        branches = []
+        for _ in range(rng.randint(0, 4)):
+            attach = rng.randint(1, n) if n else 0
+            if rng.random() < 0.05:
+                attach = rng.choice([-1, n + 1, 0, "1"])
+            branches.append([attach, "1" if rng.random() < 0.4 else _rat(rng)])
     rec = {"kind": "dual_graph", "chain": chain, "forks": forks, "branches": branches}
     roll = rng.random()
     if roll < 0.02:

@@ -15,7 +15,7 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
-from .rational import ceil_scale, floor_scale, format_rat, parse_rat
+from .rational import floor_scale, format_rat, parse_rat
 from .residue import (ResidueReport, dihedral_image_twist, find_failure_m,
                       glued_mcartier, glued_restriction_coeff,
                       multibranch_deficit, single_branch_report)
@@ -31,7 +31,7 @@ __all__ = [
     "NonNormalGerm", "NotApplicable", "ParseError",
     "ResidueReport", "ResolutionGraph", "SingularSystem", "Trichotomy",
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",
-    "cartier_index", "ceil_scale", "check_slc_glue", "classify_lc_germ",
+    "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",
     "dihedral_image_twist", "find_failure_m", "floor_scale", "format_rat",
     "glued_mcartier", "glued_restriction_coeff", "hj_contract", "hj_expand",

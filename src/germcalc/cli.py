@@ -31,14 +31,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
-                        boundary_coefficients, cartier_index, check_label,
-                        log_canonical_class)
+                        cartier_index, check_label, log_canonical_class,
+                        solved_numerators)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     germ_class, resolution_graph)
-from .rational import DIGITS_EXCEEDED, format_rat, parse_rat
+from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
 from .residue import (find_failure_m, glued_mcartier,
                       glued_restriction_coeff, residue_table)
 from .stdcoeff import coeff_check, plt_modification
@@ -78,8 +78,9 @@ class GermFile:
         """The lc class, the discrepancies and the Cartier index."""
         g = self._resolved
         lc = log_canonical_class(g)
+        numerators, den = solved_numerators(g)
         return {"lc_class": lc.value,
-                "discrepancies": [format_rat(-b) for b in boundary_coefficients(g)],
+                "discrepancies": [format_ratio(-x, den) for x in numerators],
                 "cartier_index": cartier_index(g)}
 
     @cached_property
@@ -109,10 +110,12 @@ class GermFile:
                     "extracted_discrepancy": format_rat(discrepancy),
                     "perturbed": False}
         if cls.tag in LC_CENTER_TAGS:
-            solved = boundary_coefficients(self._resolved)
+            numerators, den = solved_numerators(self._resolved)
             return {"extracted_coeff": "1",
-                    "extracted_curves": [i + 1 for i, b in enumerate(solved) if b == 1],
-                    "kept_curves": [i + 1 for i, b in enumerate(solved) if b != 1],
+                    "extracted_curves": [i + 1 for i, x in enumerate(numerators)
+                                         if x == den],
+                    "kept_curves": [i + 1 for i, x in enumerate(numerators)
+                                    if x != den],
                     "perturbed": True}
         return None
 

@@ -3,7 +3,7 @@
 A graph records the exceptional curves of a resolution (vertices carry
 the positive integer c for a curve of self-intersection -c), the tree of
 intersections between them, and the boundary branches crossing them.
-From that data we compute, in exact rational arithmetic:
+From that data we compute, in exact arithmetic:
 
 * one elimination of the intersection matrix M, leaf to root along the
   tree (no fill-in, so a number of arithmetic operations linear in the
@@ -16,15 +16,23 @@ From that data we compute, in exact rational arithmetic:
   definiteness iff every A_v is positive), and back-substitution, whose
   every division is exact by Cramer's rule, gives the unique
   coefficients b_j making K + sum b_j E_j + (branches) intersect every
-  exceptional curve trivially, as integers over A_root * L; only then
-  is one Fraction built per vertex. The discrepancy of E_j is -b_j,
+  exceptional curve trivially. The result is one integer record: the
+  numerators X_j over the common denominator D = A_root * L, signed so
+  that D > 0, with b_j = X_j / D. The discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
-* the Cartier index, the least m clearing every denominator.
+  read off max X_j against D,
+* the Cartier index, the least m clearing every denominator: D over
+  the gcd of D and every X_j, with the branch denominators.
 
 The elimination, the log canonical class and the Cartier index are each
 computed once per graph object and cached on it; the graph is frozen, so
-no cache ever goes stale. A graph that is not contractible, or not log
-canonical, caches no class or index and raises again on every call.
+no cache ever goes stale. None of them builds a Fraction per vertex:
+``boundary_coefficients`` builds its tuple from the record on its first
+call, and keeps it on the graph. A graph that is not contractible, or
+not log canonical, caches no class or index and raises again on every
+call. Before the elimination runs, the Hadamard bound of the graph (the
+product of c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT
+bits, so the size of every number it makes is bounded before any work.
 
 All exceptional curves are assumed rational and the graph a tree. One
 breadth-first search from vertex 0, cached on the graph, checks the tree
@@ -40,13 +48,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
-from .errors import NotApplicable, SingularSystem, ValidationError
+from .errors import (LimitExceeded, NotApplicable, SingularSystem,
+                     ValidationError)
 
 # Most exceptional curves a graph read from input may have: hj_expand and
 # the CLI's dual-graph reader stop past it with LimitExceeded.
 VERTEX_LIMIT = 10_000
+# Most bits the elimination's Hadamard bound, the product of c_v + deg_v
+# over the curves times the lcm of the branch denominators, may have;
+# _eliminate stops past it with LimitExceeded. The 10^4-curve chain of
+# 2s has a bound of about 20,000 bits.
+HADAMARD_BIT_LIMIT = 65_536
 
 
 @dataclass(frozen=True)
@@ -160,18 +174,25 @@ class ResolutionGraph:
         return _eliminate(self)
 
     @cached_property
+    def _coefficients(self) -> tuple[Fraction, ...]:
+        """boundary_coefficients, built from the record on first read."""
+        numerators, den = solved_numerators(self)
+        return tuple(Fraction(x, den) for x in numerators)
+
+    @cached_property
     def _lc_class(self) -> LcClass:
-        """log_canonical_class, read once from the solved coefficients."""
+        """log_canonical_class, read once off the largest numerator."""
         if not is_contractible(self):
             raise NotApplicable("exceptional configuration is not contractible")
-        if self.n_vertices == 0:
-            virtual = sum((br.coeff for br in self.branches), Fraction(0)) - 1
-            solved: tuple[Fraction, ...] = (virtual,) if self.branches else ()
+        if self.n_vertices:
+            numerators, den = solved_numerators(self)
+            top = max(numerators)
         else:
-            solved = boundary_coefficients(self)
-        if any(b > 1 for b in solved):
+            # the virtual curve; with no branch its -1 decides nothing
+            den, top = 1, sum((br.coeff for br in self.branches), Fraction(0)) - 1
+        if top > den:
             return LcClass.NOT_LC
-        if any(b == 1 for b in solved):
+        if top == den:
             return LcClass.LC_CENTER
         if any(br.coeff == 1 for br in self.branches):
             return LcClass.PLT
@@ -179,12 +200,13 @@ class ResolutionGraph:
 
     @cached_property
     def _cartier_index(self) -> int:
-        """cartier_index, the lcm of the denominators, taken once."""
+        """cartier_index, taken once: the least m with every m X_v / D an
+        integer is D over the gcd of D and all X_v."""
         if self._lc_class is LcClass.NOT_LC:
             raise NotApplicable("germ is not log canonical")
-        dens = [b.denominator for b in boundary_coefficients(self)]
-        dens.extend(br.coeff.denominator for br in self.branches)
-        return lcm(1, *dens)
+        numerators, den = solved_numerators(self)
+        return lcm(den // gcd(den, *numerators),
+                   *(br.coeff.denominator for br in self.branches))
 
 
 class LcClass(str, Enum):
@@ -198,34 +220,49 @@ def _eliminate(g: ResolutionGraph):
     """Fraction-free leaf-to-root elimination of the zero-intersection
     system M b = r.
 
-    Returns ``(dets, coeffs)``. Vertices are taken in reverse order of
-    ``g._tree``, the BFS from vertex 0 that already checked at
-    construction that the graph is a tree, so each one is folded into its
-    parent alone and the tree makes no fill-in. Every vertex v carries
-    three integers: A_v, the determinant of -M on the subtree below v (v
-    included); B_v, the product of A_w over the children w of v, which
-    is the determinant of that subtree with v removed; and S_v, the
-    right-hand side of v's eliminated row scaled by L * B_v, where L
-    (``scale``) is the lcm of the branch denominators. The pivot of v is
-    -A_v / B_v, minus the continued fraction of the subtree. Folding
-    child w into parent p is
+    Returns the record ``(dets, numerators, den)``. Vertices are taken in
+    reverse order of ``g._tree``, the BFS from vertex 0 that already
+    checked at construction that the graph is a tree, so each one is
+    folded into its parent alone and the tree makes no fill-in. Every
+    vertex v carries three integers: A_v, the determinant of -M on the
+    subtree below v (v included); B_v, the product of A_w over the
+    children w of v, which is the determinant of that subtree with v
+    removed; and S_v, the right-hand side of v's eliminated row scaled by
+    L * B_v, where L (``scale``) is the lcm of the branch denominators.
+    The pivot of v is -A_v / B_v, minus the continued fraction of the
+    subtree. Folding child w into parent p is
 
         A_p, S_p, B_p = A_p A_w - B_w B_p, S_p A_w + S_w B_p, B_p A_w,
 
     with no gcd: the numbers stay the size of subtree determinants
     (times L for S). ``dets`` lists A_v in that order and stops at the
-    first zero, and ``coeffs`` is None exactly when one occurs.
+    first zero, and ``numerators`` is None exactly when one occurs.
     Otherwise back-substitution from the root gives X_v = b_v A_root L,
     with X_root = -S_root and X_v = (B_v X_parent - S_v A_root) / A_v, a
     division that is exact by Cramer's rule (A_root L clears every
-    denominator of the solution); ``coeffs`` holds b_v = X_v / (A_root L)
-    by vertex index, one Fraction built per vertex.
+    denominator of the solution). ``numerators`` holds X_v by vertex
+    index and ``den`` is A_root L, both negated when A_root < 0, so that
+    b_v = X_v / den with den > 0; nothing is reduced, and no Fraction is
+    built. The empty graph gives ``((), (), 1)``.
+
+    Before any of this the Hadamard bound is checked. By Hadamard's
+    inequality every subtree determinant is at most the product of
+    c_v + deg_v over the subtree, so that product over all curves, times
+    L, bounds the size of the numbers the elimination would make before
+    it makes them. The product is built exactly, and as soon as it
+    passes HADAMARD_BIT_LIMIT bits LimitExceeded is raised.
     """
     n = g.n_vertices
     if n == 0:
-        return (), ()
-    order, parent = g._tree
+        return (), (), 1
     scale = lcm(1, *(br.coeff.denominator for br in g.branches))
+    bound = scale
+    for c, nbrs in zip(g.selfints, g._adj):
+        bound *= c + len(nbrs)
+        if bound.bit_length() > HADAMARD_BIT_LIMIT:
+            raise LimitExceeded(f"the Hadamard bound of the curves exceeds the "
+                                f"limit of {HADAMARD_BIT_LIMIT} bits")
+    order, parent = g._tree
     A = list(g.selfints)
     B = [1] * n
     S = [scale * (2 - c) for c in g.selfints]
@@ -236,7 +273,7 @@ def _eliminate(g: ResolutionGraph):
         a = A[v]
         dets.append(a)
         if a == 0:
-            return tuple(dets), None
+            return tuple(dets), None, 0
         if v:
             p = parent[v]
             A[p], S[p], B[p] = (A[p] * a - B[v] * B[p],
@@ -246,8 +283,9 @@ def _eliminate(g: ResolutionGraph):
     X[0] = -S[0]
     for v in order[1:]:
         X[v] = (B[v] * X[parent[v]] - S[v] * root) // A[v]
-    den = root * scale
-    return tuple(dets), tuple(Fraction(x, den) for x in X)
+    if root < 0:
+        return tuple(dets), tuple(-x for x in X), -root * scale
+    return tuple(dets), tuple(X), root * scale
 
 
 def is_contractible(g: ResolutionGraph) -> bool:
@@ -257,10 +295,25 @@ def is_contractible(g: ResolutionGraph) -> bool:
     leaf-to-root elimination must be positive. That is the same as every
     pivot -A_v / B_v being negative, and pivots of a symmetric elimination
     without row swaps, in any vertex order, are ratios of consecutive
-    principal minors. The empty graph is vacuously contractible.
+    principal minors. The empty graph is vacuously contractible. Raises
+    LimitExceeded past the size bound (HADAMARD_BIT_LIMIT), as every
+    invariant below does.
     """
-    dets, _ = g._elimination
+    dets = g._elimination[0]
     return all(a > 0 for a in dets)
+
+
+def solved_numerators(g: ResolutionGraph) -> tuple[tuple[int, ...], int]:
+    """The solved b_j as integers over one common denominator: ``(X, D)``
+    with b_j = X_j / D and D > 0, not reduced. Same domain and errors as
+    boundary_coefficients, which is this pair with one Fraction built
+    per vertex."""
+    dets, numerators, den = g._elimination
+    if numerators is None:
+        if len(dets) < g.n_vertices:
+            raise NotApplicable("exceptional configuration is not contractible")
+        raise SingularSystem("intersection matrix is singular")
+    return numerators, den
 
 
 def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
@@ -280,20 +333,18 @@ def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
     A_root is the determinant of -M, so a zero there is SingularSystem.
     A zero A_v anywhere else (a zero pivot below the root) proves the
     graph is not negative definite: NotApplicable, even when the matrix
-    is nonsingular (chain [1, 1, 1], say).
+    is nonsingular (chain [1, 1, 1], say). The tuple is built from
+    solved_numerators on the first call and kept on the graph; the
+    invariants below read the numerators and never build it.
     """
-    dets, coeffs = g._elimination
-    if coeffs is None:
-        if len(dets) < g.n_vertices:
-            raise NotApplicable("exceptional configuration is not contractible")
-        raise SingularSystem("intersection matrix is singular")
-    return coeffs
+    return g._coefficients
 
 
 def log_canonical_class(g: ResolutionGraph) -> LcClass:
     """Read the singularity class off the solved coefficients.
 
-    NOT_LC when some b_j exceeds 1; LC_CENTER when the maximum solved
+    NOT_LC when some b_j exceeds 1 (the largest numerator X_j passes
+    the common denominator D); LC_CENTER when the maximum solved
     coefficient is exactly 1; otherwise PLT when a coefficient-1 branch
     passes through, else KLT. On the empty graph the branches cross at
     the ambient smooth point itself, so the blowup there plays the role

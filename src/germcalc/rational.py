@@ -1,15 +1,17 @@
-"""Exact rational scalars and the floor/ceil scaling calculus.
+"""Exact rational scalars and their canonical text form.
 
-Every numeric quantity in this package is a ``fractions.Fraction``; there
-is no floating point anywhere. This module adds the two integer-valued
-scaling operations that the divisor rounding arguments run on, plus the
-canonical ``a/b`` text form used by the CLI file format.
+Every numeric quantity in this package is a ``fractions.Fraction``, or an
+integer numerator over an integer denominator; there is no floating
+point anywhere. This module adds the integer-valued floor scaling that
+the divisor rounding arguments run on, plus the canonical ``a/b`` text
+form used by the CLI file format.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import LimitExceeded
 
@@ -46,6 +48,18 @@ def format_rat(q: Fraction) -> str:
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
 
 
+def format_ratio(num: int, den: int) -> str:
+    """``format_rat(Fraction(num, den))`` for den > 0, reduced with one
+    gcd and no Fraction. Raises LimitExceeded as format_rat does."""
+    g = gcd(num, den)
+    try:
+        if g == den:
+            return str(num // g)
+        return f"{num // g}/{den // g}"
+    except ValueError as exc:
+        raise LimitExceeded(DIGITS_EXCEEDED) from exc
+
+
 def floor_scale(m: int, q: Fraction) -> int:
     """Return the unique integer k with k <= m*q < k+1.
 
@@ -54,10 +68,3 @@ def floor_scale(m: int, q: Fraction) -> int:
     if m < 1:
         raise ValueError("m must be a positive integer")
     return (m * q.numerator) // q.denominator
-
-
-def ceil_scale(m: int, q: Fraction) -> int:
-    """Return the smallest integer >= m*q."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return -((-m * q.numerator) // q.denominator)

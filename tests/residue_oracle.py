@@ -1,13 +1,21 @@
 """The residue table in Fraction arithmetic, the reference for the
 integer kernel of ``germcalc.residue``.
 
-Each row takes ceil(m g) and floor(m (1 - g)) from the Fraction
-scalings of ``germcalc.rational`` and checks the table's invariants as
-it goes: the slope lies in [0, 1], the deficit is not negative, and the
-restriction is surjective exactly when the deficit vanishes.
+Each row takes ceil(m g) from ``ceil_scale`` here and floor(m (1 - g))
+from ``germcalc.rational.floor_scale``, both Fraction scalings, and
+checks the table's invariants as it goes: the slope lies in [0, 1], the
+deficit is not negative, and the restriction is surjective exactly when
+the deficit vanishes.
 """
 
-from germcalc.rational import ceil_scale, floor_scale
+from germcalc.rational import floor_scale
+
+
+def ceil_scale(m: int, q) -> int:
+    """Return the smallest integer >= m*q."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return -((-m * q.numerator) // q.denominator)
 
 
 def fraction_table(gamma, m_max: int) -> list[dict]:

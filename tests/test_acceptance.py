@@ -18,11 +18,12 @@ from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
                                 cartier_index, is_contractible)
 from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
                             hj_expand, resolution_graph, check_slc_glue)
-from germcalc.rational import ceil_scale, floor_scale
+from germcalc.rational import floor_scale
 from germcalc.residue import (dihedral_image_twist, find_failure_m,
                               glued_mcartier, multibranch_deficit,
                               single_branch_report)
 from germcalc.stdcoeff import bracket_bound_holds, vanishing_hypothesis
+from residue_oracle import ceil_scale
 
 HALF = Fraction(1, 2)
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from residue_oracle import fraction_table
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
-from germcalc.dualgraph import VERTEX_LIMIT, ResolutionGraph
+from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -613,6 +614,32 @@ def test_rationals_past_the_digit_limit_are_limit_exceeded(tmp_path, capsys, com
     assert main([command, write(tmp_path, json.dumps(record))]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
+
+
+@pytest.mark.parametrize("command", ["report", "discrepancy", "classify", "residue"])
+def test_a_graph_past_the_size_bound_stops_before_the_elimination(tmp_path, capsys,
+                                                                  command):
+    # 1000 labels of 10^50: a Hadamard bound of 166,097 bits. Solved, it
+    # took minutes and still ended in LimitExceeded, at emit.
+    record = {"kind": "dual_graph", "chain": [10**50] * 1000, "branches": [[1, "1"]]}
+    path = write(tmp_path, json.dumps(record))
+    start = time.perf_counter()
+    assert main([command, path]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "LimitExceeded", "message": "the Hadamard bound of the "
+                   f"curves exceeds the limit of {HADAMARD_BIT_LIMIT} bits"}
+
+
+def test_the_longest_chain_of_2s_reports_under_the_size_bound(tmp_path, capsys):
+    # 9,999 curves of label 2: a Hadamard bound of about 20,000 bits,
+    # and determinants of at most 5 digits
+    record = {"kind": "dual_graph", "chain": [2] * (VERTEX_LIMIT - 1),
+              "branches": [[1, "1"]]}
+    assert main(["report", write(tmp_path, json.dumps(record))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lc_class"] == "PLT" and report["case"] == "PLT_CHAIN"
+    assert report["discrepancies"][-1] == f"-1/{VERTEX_LIMIT}"
 
 
 def test_an_integer_past_the_digit_limit_is_limit_exceeded(capsys):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (dense_boundary_coefficients, dense_cartier_index,
@@ -10,11 +11,15 @@ from dense_oracle import (dense_boundary_coefficients, dense_cartier_index,
                           intersection_matrix, leading_principal_minors,
                           sylvester_negative_definite)
 from germcalc import dualgraph
-from germcalc.dualgraph import (BoundaryBranch, LcClass, ResolutionGraph,
-                                boundary_coefficients, cartier_index,
-                                is_contractible, log_canonical_class)
-from germcalc.errors import NotApplicable, SingularSystem, ValidationError
-from germcalc.germs import classify_lc_germ
+from germcalc.cli import GermFile
+from germcalc.dualgraph import (HADAMARD_BIT_LIMIT, BoundaryBranch, LcClass,
+                                ResolutionGraph, boundary_coefficients,
+                                cartier_index, is_contractible,
+                                log_canonical_class, solved_numerators)
+from germcalc.errors import (LimitExceeded, NotApplicable, SingularSystem,
+                             ValidationError)
+from germcalc.germs import LC_CENTER_TAGS, classify_lc_germ
+from germcalc.rational import format_rat
 
 HALF = Fraction(1, 2)
 
@@ -307,3 +312,105 @@ def test_one_elimination_per_graph_object(monkeypatch):
     assert cartier_index(g) == 2
     classify_lc_germ(g)
     assert runs == [g]
+
+
+BRANCH_COEFFS = st.just(Fraction(1)) | coeff_strategy
+
+
+@st.composite
+def record_trees(draw):
+    """Trees on 0..60 vertices, labels 1..9, and 0..4 branches, about
+    half of them of coefficient 1. Half are random trees: each
+    vertex joins the one before it, or now and then any earlier one, a
+    fork. The other half are an arm of labels 2..9 with a coefficient-1
+    branch at its first curve and, at its last, a branch of any
+    coefficient (a plt chain, or a cyclic lc center when it is 1) or one
+    of the dihedral lc-center far ends (two 1/2 branches, a -2 prong and
+    a 1/2 branch, two -2 prongs), where the arm's coefficients are all 1
+    and the modification extracts them."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 60))
+        fork_rate = draw(st.sampled_from([0.0, 0.1, 1.0]))
+        selfints = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        edges = frozenset(
+            (draw(st.integers(0, v - 1)) if draw(st.floats(0, 1)) < fork_rate else v - 1, v)
+            for v in range(1, k))
+        attach = st.integers(0, k - 1) if k else st.none()
+        branches = draw(st.lists(st.builds(BoundaryBranch, attach, BRANCH_COEFFS),
+                                 max_size=4))
+        return ResolutionGraph(tuple(selfints), edges, tuple(branches))
+    arm = draw(st.lists(st.integers(2, 9), min_size=1, max_size=58))
+    end = len(arm) - 1
+    far = draw(st.sampled_from(["plt", "cyclic", "d33", "d32", "d31"]))
+    g = ResolutionGraph.chain(arm, [(0, 1)] + {
+        "plt": [(end, draw(coeff_strategy))], "cyclic": [(end, 1)],
+        "d33": [(end, HALF), (end, HALF)], "d32": [(end, HALF)], "d31": []}[far])
+    for _ in range({"d32": 1, "d31": 2}.get(far, 0)):
+        g = g.with_fork(end, 2)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_trees())
+@example(ResolutionGraph.chain([1, 1, 2]))  # A_root = -1: D < 0 before its sign flips
+@example(ResolutionGraph.chain([1, 1, 2], [(0, HALF), (2, 1)]))
+@example(ResolutionGraph.chain([], [(None, 1), (None, Fraction(2, 3))]))
+def test_the_integer_record_matches_the_dense_oracle(g):
+    if g.n_vertices:
+        dense = dense_boundary_coefficients(g)
+        lc, index = dense_log_canonical_class(g), dense_cartier_index(g)
+    else:
+        # the virtual curve of the ambient point, coefficient sum - 1
+        dense, virtual = (), sum((br.coeff for br in g.branches), Fraction(0)) - 1
+        lc = ("NOT_LC" if virtual > 1 else "LC_CENTER" if virtual == 1
+              else "PLT" if any(br.coeff == 1 for br in g.branches) else "KLT")
+        index = None if lc == "NOT_LC" else lcm(1, *(br.coeff.denominator
+                                                     for br in g.branches))
+    try:
+        numerators, den = solved_numerators(g)
+    except (SingularSystem, NotApplicable):
+        assert lc is None
+    else:
+        assert den > 0
+        assert boundary_coefficients(g) == dense
+        assert tuple(Fraction(x, den) for x in numerators) == dense
+    gf = GermFile("dual_graph", graph=g)
+    if index is None:
+        with pytest.raises(NotApplicable):
+            gf.discrepancy
+        return
+    assert gf.discrepancy == {"lc_class": lc, "cartier_index": index,
+                              "discrepancies": [format_rat(-b) for b in dense]}
+    try:
+        tag = gf.classification.tag
+    except NotApplicable:
+        return
+    if tag in LC_CENTER_TAGS:
+        assert gf.modification["extracted_curves"] == [
+            j + 1 for j, b in enumerate(dense) if b == 1]
+        assert gf.modification["kept_curves"] == [
+            j + 1 for j, b in enumerate(dense) if b != 1]
+
+
+LIMIT = HADAMARD_BIT_LIMIT
+
+
+@pytest.mark.parametrize("g, passes", [
+    # the bound is the product of c_v + deg_v, times the lcm of the branch
+    # denominators; a product of exactly LIMIT bits still passes
+    (ResolutionGraph.chain([2**LIMIT - 1]), True),
+    (ResolutionGraph.chain([2**LIMIT]), False),
+    (ResolutionGraph.chain([2**(LIMIT - 2)], [(0, HALF)]), True),
+    (ResolutionGraph.chain([2**(LIMIT - 2)], [(0, Fraction(1, 4))]), False),
+    (ResolutionGraph.chain([2**(LIMIT - 1) - 2, 1]), True),
+    (ResolutionGraph.chain([2**(LIMIT - 1) - 1, 1]), False),
+])
+def test_the_size_bound_is_the_exact_hadamard_product(g, passes):
+    if passes:
+        assert is_contractible(g)
+        assert len(boundary_coefficients(g)) == g.n_vertices
+        return
+    for read in (is_contractible, boundary_coefficients, log_canonical_class,
+                 cartier_index, classify_lc_germ):
+        with pytest.raises(LimitExceeded, match=f"limit of {LIMIT} bits"):
+            read(g)

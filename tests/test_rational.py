@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germcalc.rational import ceil_scale, floor_scale, format_rat, parse_rat
+from germcalc.errors import LimitExceeded
+from germcalc.rational import floor_scale, format_rat, format_ratio, parse_rat
+from residue_oracle import ceil_scale
 
 
 def floor_oracle(m, q):
@@ -77,6 +79,20 @@ def test_arithmetic_matches_cross_multiplication_oracle():
 @given(st.fractions())
 def test_parse_format_roundtrip(q):
     assert parse_rat(format_rat(q)) == q
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_format_ratio_is_format_rat_of_the_fraction(num, den):
+    assert format_ratio(num, den) == format_rat(Fraction(num, den))
+
+
+@pytest.mark.parametrize("num, den", [(10**5000, 3), (-1, 10**5000), (3 * 10**5000, 3)],
+                         ids=["numerator", "denominator", "integer"])
+def test_format_past_the_digit_limit_is_limit_exceeded(num, den):
+    with pytest.raises(LimitExceeded):
+        format_ratio(num, den)
+    with pytest.raises(LimitExceeded):
+        format_rat(Fraction(num, den))
 
 
 @pytest.mark.parametrize("text, value", [
