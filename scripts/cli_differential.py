@@ -1,12 +1,16 @@
 """Differential run of the germcalc CLI: two source trees, one set of
-seeded random germ files, every file subcommand.
+seeded random germ files through every file subcommand, and as many
+seeded random calls of the argument subcommands.
 
 The germ files are of all three kinds, malformed ones included, and a
 few percent of them are large: cyclic quotients with n up to 10^6, and
 dual graphs of up to 400 curves, so the runs reach the big integers of
-the graph elimination. Each source tree runs in its own process, which
-calls ``cli.main`` once per file and subcommand variant and records the
-exit code and stdout. The script prints the runs that differ, grouped
+the graph elimination. The argument calls are ``failure-m --coeffs``
+and ``stdcoeff --c --m``, with valid, malformed and out-of-range
+values; their denominators stay at most 50, so that no failure-m search
+comes near its limit. Each source tree runs in its own process, which
+calls ``cli.main`` once per file and subcommand variant, and once per
+argument call, and records the exit code and stdout. The script prints the runs that differ, grouped
 by subcommand and by the pair of exit codes, and exits 1 when any run
 differs or when any run of the ``--new`` tree ends in a traceback, since
 the CLI must be total.
@@ -40,9 +44,14 @@ VARIANTS = (
     ("glue",),
     ("glue", "--m", "3"),
 )
+ARGUMENT_COMMANDS = ("failure-m", "stdcoeff")
 RATS = ["1", "1", "1/2", "1/2", "0", "1/3", "2/3", "3/4", "1/5", "7/8", "3/2",
         "-1/2", "1/0", "x", 1]
 LABELS = [2, 2, 2, 3, 4, 1, 5]
+# Rational arguments outside (0, 1), and ones that are no rational.
+ARG_OUT_OF_RANGE = ["0", "1", "3/2", "-1/3", "50/49", "2/2"]
+ARG_MALFORMED = ["x", "1/0", "0.5", "", "1/2/3", " 1/3", "1//2", "1e3"]
+STDCOEFF_M = ["2", "2", "3", "4", "5", "12", "50", "1", "0", "-3", "x", "2.5"]
 # Share of cyclic files with n up to 10^6, and of dual graphs with 20 to
 # 400 curves (labels 2..9, now and then one of 21 to 61 digits).
 LONG_SHARE = 0.04
@@ -147,22 +156,54 @@ def germ_bytes(rng) -> bytes:
     return json.dumps(rec).encode()
 
 
+def _arg_rat(rng) -> str:
+    """A rational argument: mostly a/b in (0, 1) with b <= 50, not
+    always reduced."""
+    roll = rng.random()
+    if roll < 0.85:
+        den = rng.randint(2, 50)
+        return f"{rng.randint(1, den - 1)}/{den}"
+    return rng.choice(ARG_OUT_OF_RANGE if roll < 0.93 else ARG_MALFORMED)
+
+
+def argument_words(rng) -> list:
+    """One random call of failure-m or stdcoeff, as argument words."""
+    if rng.random() < 0.5:
+        option = "--coeffs"
+        value = ",".join(_arg_rat(rng) for _ in range(rng.choice([1, 2, 2, 3, 4])))
+        words = ["failure-m"]
+    else:
+        option, value = "--c", _arg_rat(rng)
+        words = ["stdcoeff", "--m", rng.choice(STDCOEFF_M)]
+    # a value that starts with "-" is an option to argparse unless joined
+    return words + ([f"{option}={value}"] if rng.random() < 0.5 else [option, value])
+
+
+def _run(cli, argv) -> list:
+    """[exit code, stdout sha256] of one in-process call of cli.main."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an uncaught error is a result too
+            code = f"traceback {type(exc).__name__}"
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
 def worker(src: str, directory: str) -> None:
-    """Run every variant on every file of ``directory`` with the tree at
-    ``src``; one JSON line [file, variant, exit code, stdout sha256] per
-    run."""
+    """Run every variant on every germ file of ``directory`` and every
+    argument call of its ``arguments.json`` with the tree at ``src``; one
+    JSON line [input, variant, exit code, stdout sha256] per run, where
+    the input is the file path or the numbered argument words."""
     sys.path.insert(0, src)
     from germcalc import cli
-    for path in sorted(str(p) for p in Path(directory).iterdir()):
-        for i, variant in enumerate(VARIANTS):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    code = cli.main([variant[0], path, *variant[1:]])
-                except Exception as exc:  # an uncaught error is a result too
-                    code = f"traceback {type(exc).__name__}"
-            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            print(json.dumps([path, i, code, digest]))
+    for path in sorted(str(p) for p in (Path(directory) / "germs").iterdir()):
+        for variant in VARIANTS:
+            argv = [variant[0], path, *variant[1:]]
+            print(json.dumps([path, " ".join(variant), *_run(cli, argv)]))
+    calls = json.loads((Path(directory) / "arguments.json").read_text())
+    for k, words in enumerate(calls):
+        print(json.dumps([f"call {k}: {' '.join(words)}", words[0], *_run(cli, words)]))
 
 
 def run_tree(src: str, directory: str) -> dict:
@@ -171,8 +212,8 @@ def run_tree(src: str, directory: str) -> dict:
                           env=env, capture_output=True, text=True, check=True)
     runs = {}
     for line in proc.stdout.splitlines():
-        path, i, code, digest = json.loads(line)
-        runs[path, i] = (code, digest)
+        given, variant, code, digest = json.loads(line)
+        runs[given, variant] = (code, digest)
     return runs
 
 
@@ -183,32 +224,39 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--old", required=True, help="first source tree (a src/ directory)")
     ap.add_argument("--new", required=True, help="second source tree")
-    ap.add_argument("--files", type=int, default=200, help="random germ files to run")
+    ap.add_argument("--files", type=int, default=200,
+                    help="random germ files to run, and as many argument calls")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--show", type=int, default=3, help="example files per group")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "germs").mkdir()
         for k in range(args.files):
-            (Path(tmp) / f"germ{k:05d}.json").write_bytes(germ_bytes(rng))
+            (Path(tmp) / "germs" / f"germ{k:05d}.json").write_bytes(germ_bytes(rng))
+        calls = [argument_words(rng) for _ in range(args.files)]
+        (Path(tmp) / "arguments.json").write_text(json.dumps(calls))
         old = run_tree(str(Path(args.old).resolve()), tmp)
         new = run_tree(str(Path(args.new).resolve()), tmp)
         groups = defaultdict(list)
         for key, result in old.items():
             if new[key] != result:
-                groups[" ".join(VARIANTS[key[1]]), result[0], new[key][0]].append(key[0])
-        differing = sum(len(paths) for paths in groups.values())
-        print(f"{args.files} files x {len(VARIANTS)} variants = {len(old)} runs, "
-              f"{differing} differ")
-        for i, variant in enumerate(VARIANTS):
-            codes = Counter(str(code) for (_, j), (code, _) in old.items() if j == i)
-            print(f"  {' '.join(variant)}: old exit codes "
+                groups[key[1], result[0], new[key][0]].append(key[0])
+        differing = sum(len(inputs) for inputs in groups.values())
+        print(f"{args.files} files x {len(VARIANTS)} variants + {len(calls)} "
+              f"argument calls = {len(old)} runs, {differing} differ")
+        names = [" ".join(variant) for variant in VARIANTS] + list(ARGUMENT_COMMANDS)
+        for name in names:
+            codes = Counter(str(code) for (_, v), (code, _) in old.items() if v == name)
+            print(f"  {name}: old exit codes "
                   + ", ".join(f"{code} x{count}" for code, count in sorted(codes.items())))
-        for (variant, code_old, code_new), paths in sorted(groups.items(), key=str):
-            print(f"  {variant}: exit {code_old} -> {code_new}: {len(paths)} runs")
-            for path in paths[:args.show]:
-                print(f"    {Path(path).read_bytes().decode('utf-8', 'replace')}")
+        for (variant, code_old, code_new), inputs in sorted(groups.items(), key=str):
+            print(f"  {variant}: exit {code_old} -> {code_new}: {len(inputs)} runs")
+            for given in inputs[:args.show]:
+                if variant not in ARGUMENT_COMMANDS:
+                    given = Path(given).read_bytes().decode("utf-8", "replace")
+                print(f"    {given}")
         crashed = Counter(code for code, _ in new.values()
                           if str(code).startswith("traceback"))
         for code, count in sorted(crashed.items()):

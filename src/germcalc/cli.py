@@ -15,7 +15,9 @@ and canonical rational printing, so identical inputs give byte-identical
 output. Exit status: 0 success, 1 validation failure, 2 parse failure.
 Each input is parsed into one record, ``GermFile``, which also carries
 its analyses; every subcommand prints fields of that record, and
-``report`` prints their union.
+``report`` prints their union. A glued file's record holds its
+components' records, so each value of a report is built once. A report
+that stdout cannot take ends in exit 1, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
 
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
@@ -54,6 +55,8 @@ KINDS = ("cyclic_quotient", "dual_graph", "glued")
 class GermFile:
     """One input: the kind tag, the domain objects, the canonical JSON
     payload used for echoing, and the analyses every subcommand reads.
+    A glued file's ``parts`` are its components' cyclic-quotient
+    records, and its payload lists theirs.
 
     Each analysis is computed on first read and kept; one that raises
     keeps nothing and raises again on the next read.
@@ -62,9 +65,9 @@ class GermFile:
     kind: str
     germ: CyclicQuotientGerm | None = None
     graph: ResolutionGraph | None = None
-    components: tuple[CyclicQuotientGerm, ...] = ()
+    parts: tuple[GermFile, ...] = ()
     glue_ok: bool = True
-    payload: Any = None
+    payload: dict | None = None
 
     @cached_property
     def _resolved(self) -> ResolutionGraph:
@@ -127,19 +130,19 @@ def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
             f"unknown {context} field(s): {', '.join(sorted(unknown))}")
 
 
-def _rat_field(obj: dict, key: str, default: str | None = None) -> Fraction:
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"missing field {key!r}")
-        raw = default
-    else:
-        raw = obj[key]
-    if not isinstance(raw, str):
-        raise ValidationError(f"field {key!r} must be a rational string, got {raw!r}")
+def _rat(text: str) -> Fraction:
+    """parse_rat, whose refusal is a ValidationError with its text."""
     try:
-        return parse_rat(raw)
+        return parse_rat(text)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def _rat_field(obj: dict, key: str, default: str) -> Fraction:
+    raw = obj.get(key, default)
+    if not isinstance(raw, str):
+        raise ValidationError(f"field {key!r} must be a rational string, got {raw!r}")
+    return _rat(raw)
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -162,10 +165,11 @@ def _germ_from_dict(obj: dict) -> CyclicQuotientGerm:
                               _rat_field(obj, "side", "0"))
 
 
-def _germ_payload(germ: CyclicQuotientGerm) -> dict:
-    return {"kind": "cyclic_quotient", "n": germ.n, "q": germ.q,
-            "conductor": format_rat(germ.conductor_coeff),
-            "side": format_rat(germ.side_coeff)}
+def _germ_file(germ: CyclicQuotientGerm) -> GermFile:
+    return GermFile("cyclic_quotient", germ=germ, payload={
+        "kind": "cyclic_quotient", "n": germ.n, "q": germ.q,
+        "conductor": format_rat(germ.conductor_coeff),
+        "side": format_rat(germ.side_coeff)})
 
 
 def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
@@ -185,7 +189,6 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         raise LimitExceeded(f"{len(chain) + len(forks)} curves exceed the "
                             f"limit {VERTEX_LIMIT}")
     edges = [(i, i + 1) for i in range(len(chain) - 1)]
-    norm_forks = []
     for entry in forks:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
@@ -196,7 +199,6 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
             raise ValidationError(f"fork attach index {attach} out of range 1..{n}")
         selfints.append(check_label(selfint))
         edges.append((attach - 1, n))
-        norm_forks.append([attach, selfint])
     n = len(selfints)
     if not isinstance(branches, list):
         raise ValidationError("'branches' must be a list of [attach, coeff] entries")
@@ -210,10 +212,7 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
             raise ValidationError(f"branch attach {attach!r} must be an integer")
         if not isinstance(raw, str):
             raise ValidationError(f"branch coefficient {raw!r} must be a rational string")
-        try:
-            coeff = parse_rat(raw)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        coeff = _rat(raw)
         if attach == 0:
             if n:
                 raise ValidationError("attach index 0 is only valid on an empty graph")
@@ -223,19 +222,15 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         else:
             raise ValidationError(f"branch attach index {attach} out of range 0..{n}")
         norm_branches.append([attach, format_rat(coeff)])
-    payload = {"kind": "dual_graph", "chain": list(chain),
-               "forks": norm_forks, "branches": norm_branches}
+    # chain and forks are echoed as read: every entry is checked to be an int
+    payload = {"kind": "dual_graph", "chain": chain, "forks": forks,
+               "branches": norm_branches}
     return ResolutionGraph(tuple(selfints), frozenset(edges), tuple(brs)), payload
 
 
-def parse_germ_file(text: str | bytes) -> GermFile:
+def parse_germ_file(text: str) -> GermFile:
     """Parse one germ file. Raises ParseError on malformed JSON and
     ValidationError on schema or constraint violations."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -253,8 +248,7 @@ def parse_germ_file(text: str | bytes) -> GermFile:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if kind == "cyclic_quotient":
-        germ = _germ_from_dict(raw)
-        return GermFile(kind, germ=germ, payload=_germ_payload(germ))
+        return _germ_file(_germ_from_dict(raw))
     if kind == "dual_graph":
         graph, payload = _graph_from_dict(raw)
         return GermFile(kind, graph=graph, payload=payload)
@@ -265,10 +259,10 @@ def parse_germ_file(text: str | bytes) -> GermFile:
     glue_ok = raw.get("glue_ok", True)
     if not isinstance(glue_ok, bool):
         raise ValidationError("'glue_ok' must be a boolean")
-    comps = tuple(_germ_from_dict(c) for c in comps_raw)
+    parts = tuple(_germ_file(_germ_from_dict(c)) for c in comps_raw)
     payload = {"kind": "glued", "glue_ok": glue_ok,
-               "components": [_germ_payload(c) for c in comps]}
-    return GermFile(kind, components=comps, glue_ok=glue_ok, payload=payload)
+               "components": [part.payload for part in parts]}
+    return GermFile(kind, parts=parts, glue_ok=glue_ok, payload=payload)
 
 
 def _class_dict(cls: GermClass) -> dict:
@@ -278,16 +272,23 @@ def _class_dict(cls: GermClass) -> dict:
             "violation": cls.violation}
 
 
+def _nonnormal_dict(gf: GermFile) -> dict:
+    """The trichotomy fields of a glued file, as classify and glue print
+    them."""
+    nn = classify_nonnormal([part.germ for part in gf.parts], gf.glue_ok)
+    return {"trichotomy": nn.trichotomy.value,
+            "class_group": nn.class_group.value if nn.class_group else None,
+            "cartier_index": nn.cartier_index,
+            "components": [part.payload for part in gf.parts]}
+
+
 def _cmd_classify(gf: GermFile) -> dict:
     if gf.kind == "glued":
-        nn = classify_nonnormal(gf.components, gf.glue_ok)
-        out = {"trichotomy": nn.trichotomy.value,
-               "class_group": nn.class_group.value if nn.class_group else None,
-               "cartier_index": nn.cartier_index,
-               "components": [_germ_payload(c) for c in nn.components],
-               "case": nn.trichotomy.value}
+        out = _nonnormal_dict(gf)
+        out["case"] = out["trichotomy"]
     else:
-        out = {**_class_dict(gf.classification), "case": gf.classification.tag.value}
+        out = _class_dict(gf.classification)
+        out["case"] = gf.classification.tag.value
     out["input"] = gf.payload
     return out
 
@@ -313,7 +314,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
         raise NotApplicable("glue analysis needs a glued germ file")
     if m < 1:
         raise ValidationError(f"--m {m} must be >= 1")
-    comps = gf.components
+    comps = [part.germ for part in gf.parts]
     flags: set[str] = set()
     differents = [format_rat(different_coeff(c)) for c in comps]
     restriction = None
@@ -329,36 +330,30 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
             restriction = {"m": m, "coefficients": coeffs, "equal": equal}
         except GermError:
             flags.add("restriction-unavailable")
-    classification = case = None
+    classification = None
     try:
-        classification = _cmd_classify(gf)
+        classification = _nonnormal_dict(gf)
     except GlueMismatch:
         flags.add("glue-mismatch")
-    else:
-        # the classify record, less the echo and the case it names
-        case = classification.pop("case")
-        del classification["input"]
     return {"input": gf.payload, "differents": differents,
             "gammas": [format_rat(c.gamma) for c in comps],
             "glue_consistent": len(comps) == 1 or comps[0].gamma == comps[1].gamma,
             "restriction": restriction, "classification": classification,
-            "case": case, "flags": sorted(flags)}
+            "case": None if classification is None else classification["trichotomy"],
+            "flags": sorted(flags)}
 
 
 def _cmd_report(gf: GermFile, m_max: int) -> dict:
     if gf.kind == "glued":
         out = _cmd_glue(gf, 2)
-        out["components_detail"] = []
-        for comp in gf.components:
-            rec = GermFile("cyclic_quotient", germ=comp, payload=_germ_payload(comp))
-            out["components_detail"].append({
-                "input": rec.payload, **_class_dict(rec.classification),
-                **rec.discrepancy, "different": format_rat(different_coeff(comp)),
-                "modification": rec.modification})
+        out["components_detail"] = [
+            {"input": part.payload, **_class_dict(part.classification),
+             **part.discrepancy, "different": different,
+             "modification": part.modification}
+            for part, different in zip(gf.parts, out["differents"])]
         return out
-    out: dict[str, Any] = {"input": gf.payload, "flags": [], **gf.discrepancy,
-                           "case": None, "classification": None,
-                           "modification": None}
+    out = {"input": gf.payload, "flags": [], **gf.discrepancy,
+           "case": None, "classification": None, "modification": None}
     gamma = None
     try:
         cls = gf.classification
@@ -462,20 +457,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> dict:
     if args.command == "failure-m":
-        try:
-            coeffs = [parse_rat(part) for part in args.coeffs.split(",")]
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        coeffs = [_rat(part) for part in args.coeffs.split(",")]
         total = sum(coeffs, Fraction(0))
         return {"coeffs": [format_rat(c) for c in coeffs],
                 "m": find_failure_m(coeffs),
                 "search_bound": total.denominator}
     if args.command == "stdcoeff":
-        try:
-            c = parse_rat(args.c)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        rec = coeff_check(c, args.m)
+        rec = coeff_check(_rat(args.c), args.m)
         return {"c": format_rat(rec.c), "m": rec.m, "standard": rec.standard,
                 "hypothesis_ok": rec.hypothesis_ok, "bracket_ok": rec.bracket_ok}
 
@@ -563,13 +551,18 @@ def main(argv=None) -> int:
     if code:
         text = _dumps(payload)
     try:
+        if sys.stdout is None:
+            # started with fd 1 closed
+            raise OSError("stdout is closed")
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away. Python's documented recipe: point stdout
-        # at devnull so the flush at exit cannot fail again, and exit 1.
+    except OSError:
+        # stdout takes no report: its reader went away (BrokenPipeError),
+        # its device is full, or it is closed. As for a closed pipe in
+        # Python's documented recipe, point fd 1 at devnull so the flush
+        # at exit cannot fail again, and exit 1.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, 1)
         os.close(devnull)
         return 1
     if code == 0 and args.verbose:

@@ -26,9 +26,9 @@ From that data we compute, in exact arithmetic:
 
 The elimination, the log canonical class and the Cartier index are each
 computed once per graph object and cached on it; the graph is frozen, so
-no cache ever goes stale. None of them builds a Fraction per vertex:
-``boundary_coefficients`` builds its tuple from the record on its first
-call, and keeps it on the graph. A graph that is not contractible, or
+no cache ever goes stale. None of them builds a Fraction per vertex;
+only ``boundary_coefficients`` does, from the record, on each call, and
+the graph keeps no such tuple. A graph that is not contractible, or
 not log canonical, caches no class or index and raises again on every
 call. Before the elimination runs, the Hadamard bound of the graph (the
 product of c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT
@@ -172,12 +172,6 @@ class ResolutionGraph:
     def _elimination(self):
         """The graph's one run of _eliminate, shared by every invariant."""
         return _eliminate(self)
-
-    @cached_property
-    def _coefficients(self) -> tuple[Fraction, ...]:
-        """boundary_coefficients, built from the record on first read."""
-        numerators, den = solved_numerators(self)
-        return tuple(Fraction(x, den) for x in numerators)
 
     @cached_property
     def _lc_class(self) -> LcClass:
@@ -334,10 +328,11 @@ def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
     A zero A_v anywhere else (a zero pivot below the root) proves the
     graph is not negative definite: NotApplicable, even when the matrix
     is nonsingular (chain [1, 1, 1], say). The tuple is built from
-    solved_numerators on the first call and kept on the graph; the
+    solved_numerators on every call, and the graph does not keep it; the
     invariants below read the numerators and never build it.
     """
-    return g._coefficients
+    numerators, den = solved_numerators(g)
+    return tuple(Fraction(x, den) for x in numerators)
 
 
 def log_canonical_class(g: ResolutionGraph) -> LcClass:

@@ -96,9 +96,8 @@ class CyclicQuotientGerm:
         k = len(chain)
         left = 0 if k else None
         right = k - 1 if k else None
-        branches: list[tuple[int | None, Fraction]] = []
-        if self.conductor_coeff != 0:
-            branches.append((left, self.conductor_coeff))
+        # __post_init__ keeps the conductor coefficient in (0, 1]
+        branches = [(left, self.conductor_coeff)]
         if self.side_coeff != 0:
             branches.append((right, self.side_coeff))
         return ResolutionGraph.chain(chain, branches)

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +20,7 @@ from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PLT_GERM = '{"kind":"cyclic_quotient","n":5,"q":2,"conductor":"1","side":"1/2"}'
 GRAPH = '{"kind":"dual_graph","chain":[3,2],"branches":[[1,"1"],[2,"2/3"]]}'
@@ -432,24 +435,49 @@ def test_deeply_nested_json_is_a_parse_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
 
-def test_closed_stdout_exits_one_without_traceback():
-    import os
-    import subprocess
-    import sys
-
+def _report_process(**kwargs):
+    """``germcalc report glued_pair.json`` in a fresh interpreter, with
+    stderr captured and the given subprocess.run arguments."""
     fixture = FIXTURES / "glued_pair.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "germcalc.cli", "report", str(fixture)],
+        stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
+
+
+def test_closed_stdout_exits_one_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "germcalc.cli", "report", str(fixture)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = _report_process(stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_a_process_without_stdout_exits_one_without_traceback():
+    # as `germcalc report f.json >&-`: fd 1 is closed, so sys.stdout is None
+    proc = _report_process(preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_device_exits_one_without_traceback():
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = _report_process(stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_importing_the_cli_leaves_typing_out():
+    code = "import sys, germcalc.cli; print(sorted({'typing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def _outcome(argv, capsys):
@@ -594,6 +622,61 @@ def test_dual_graph_reports_its_first_fault_in_file_order(record, message):
     with pytest.raises(ValidationError) as err:
         parse_germ_file(json.dumps({"kind": "dual_graph", **record}))
     assert str(err.value) == message
+
+
+def _error(kind, message):
+    return {"error": {"type": kind, "message": message}}
+
+
+GLUE_MISMATCH = {"kind": "glued", "glue_ok": True, "components": [
+    {"n": 2, "q": 1, "side": "3/4"}, {"n": 4, "q": 1, "side": "1/4"}]}
+UNGLUED = {"flags": ["extrapolated", "glue-mismatch", "restriction-unavailable"],
+           "case": None, "classification": None}
+
+
+@pytest.mark.parametrize("record, argv, code, fields", [
+    # (germ file or None, argument words, exit code, fields of the output)
+    ({"kind": "cyclic_quotient", "q": 1}, ["classify"], 1,
+     _error("ValidationError", "missing field 'n'")),
+    ({"kind": "cyclic_quotient", "n": 2, "q": 1, "side": 1}, ["report"], 1,
+     _error("ValidationError", "field 'side' must be a rational string, got 1")),
+    ({"kind": "cyclic_quotient", "n": 2, "q": 1, "side": "x"}, ["report"], 1,
+     _error("ValidationError", "not a rational literal: 'x'")),
+    ({"kind": "dual_graph", "chain": [2], "branches": [[1, 1]]}, ["report"], 1,
+     _error("ValidationError", "branch coefficient 1 must be a rational string")),
+    ({"kind": "glued", "components": [5]}, ["classify"], 1,
+     _error("ValidationError", "germ record must be an object, got 5")),
+    ({"kind": "glued", "components": [{"kind": "dual_graph", "n": 2, "q": 1}]},
+     ["glue"], 1,
+     _error("ValidationError", "glued components must be cyclic_quotient records")),
+    ({"kind": "dual_graph", "chain": [2], "forks": [[1]]}, ["discrepancy"], 1,
+     _error("ValidationError", "fork entry [1] must be [attach, selfint]")),
+    ({"kind": "dual_graph", "chain": [2], "branches": [[1]]}, ["discrepancy"], 1,
+     _error("ValidationError", "branch entry [1] must be [attach, coeff]")),
+    ({"kind": "dual_graph", "chain": [2], "branches": [["1", "1"]]}, ["discrepancy"], 1,
+     _error("ValidationError", "branch attach '1' must be an integer")),
+    ({"kind": "dual_graph", "chain": [2], "branches": [[1, "1/x"]]}, ["discrepancy"], 1,
+     _error("ValidationError", "not a rational literal: '1/x'")),
+    (None, ["failure-m", "--coeffs", "1/2,x"], 1,
+     _error("ValidationError", "not a rational literal: 'x'")),
+    (None, ["stdcoeff", "--c", "1/0", "--m", "2"], 1,
+     _error("ValidationError", "not a rational literal: '1/0'")),
+    # the differents 7/8 and 13/16 disagree: no trichotomy, but a glue record
+    (GLUE_MISMATCH, ["glue"], 0, UNGLUED),
+    (GLUE_MISMATCH, ["report"], 0, UNGLUED),
+    # a -2 curve beyond the far end goes on: UNCLASSIFIED, nothing extracted
+    ({"kind": "dual_graph", "chain": [2, 2], "forks": [[2, 2]],
+      "branches": [[1, "1"], [1, "1/3"]]}, ["report"], 0,
+     {"case": "UNCLASSIFIED", "modification": None,
+      "flags": ["residue-not-applicable"]}),
+])
+def test_record_and_argument_faults_keep_their_messages(tmp_path, capsys, record,
+                                                        argv, code, fields):
+    if record is not None:
+        argv = [*argv, write(tmp_path, json.dumps(record))]
+    assert main(argv) == code
+    out = json.loads(capsys.readouterr().out)
+    assert {key: out[key] for key in fields} == fields
 
 
 def test_overlong_integer_literal_is_a_parse_failure(tmp_path, capsys):

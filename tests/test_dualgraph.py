@@ -414,3 +414,96 @@ def test_the_size_bound_is_the_exact_hadamard_product(g, passes):
                  cartier_index, classify_lc_germ):
         with pytest.raises(LimitExceeded, match=f"limit of {LIMIT} bits"):
             read(g)
+
+
+@st.composite
+def contractible_trees(draw):
+    """Trees on 1..300 vertices, each vertex joined to the one before it
+    or, now and then, to any earlier one. Half carry 0..4 branches
+    anywhere, about half of them of coefficient 1, and half a
+    coefficient-1 branch at vertex 0 and at most one more at the last
+    vertex. A label is max(2, degree) plus 0..3, which makes -M
+    diagonally dominant, strictly so at every leaf, so the tree is
+    contractible. Now and then a label is one less; a tree that this
+    leaves not contractible gets its dominant labels back."""
+    k = draw(st.integers(1, 300))
+    fork_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    edges = frozenset(
+        (draw(st.integers(0, v - 1)) if draw(st.floats(0, 1)) < fork_rate else v - 1, v)
+        for v in range(1, k))
+    degree = [0] * k
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    base = [max(2, d) for d in degree]
+    extra = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, -1]), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        branches = tuple(draw(st.lists(st.builds(BoundaryBranch, st.integers(0, k - 1),
+                                                 BRANCH_COEFFS), max_size=4)))
+    else:
+        # mostly plt germs and lc centers, not lc-failures
+        branches = (BoundaryBranch(0, Fraction(1)),) + tuple(
+            draw(st.lists(st.builds(BoundaryBranch, st.just(k - 1), BRANCH_COEFFS),
+                          max_size=1)))
+    g = ResolutionGraph(tuple(c + e for c, e in zip(base, extra)), edges, branches)
+    if is_contractible(g):
+        return g
+    return ResolutionGraph(tuple(c + max(e, 0) for c, e in zip(base, extra)),
+                           edges, branches)
+
+
+def blow_up(g, kind, pick):
+    """One blow-up of the surface at a point of the graph's curves: at a
+    node E_i ∩ E_j, at a general point of E_i, or where a branch crosses
+    E_i, which then crosses the new curve instead. Every curve through
+    the point goes one label up, and the new curve, vertex n, has label
+    1. Returns the new graph, the curves through the point, and the
+    coefficients of the branches through it."""
+    n = g.n_vertices
+    labels, edges, branches = list(g.selfints) + [1], set(g.edges), list(g.branches)
+    coeffs = ()
+    if kind == "node":
+        curves = sorted(g.edges)[pick % len(g.edges)]
+        edges.remove(curves)
+    elif kind == "point":
+        curves = (pick % n,)
+    else:
+        k = pick % len(branches)
+        curves, coeffs = (branches[k].attach,), (branches[k].coeff,)
+        branches[k] = BoundaryBranch(n, branches[k].coeff)
+    for i in curves:
+        labels[i] += 1
+        edges.add((i, n))
+    return ResolutionGraph(tuple(labels), frozenset(edges), tuple(branches)), curves, coeffs
+
+
+def _lc_and_index(g):
+    """(lc class, Cartier index), the index None where it raises."""
+    lc = log_canonical_class(g)
+    return lc, None if lc is LcClass.NOT_LC else cartier_index(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contractible_trees(), st.lists(st.tuples(
+    st.sampled_from(["node", "point", "branch"]), st.integers(0, 10**6)),
+    min_size=1, max_size=8))
+def test_blow_ups_keep_every_coefficient_and_add_the_sum_less_one(g, moves):
+    # Kollár-Mori 1998, Lemma 2.29: blowing up a point where divisors of
+    # coefficients b_i meet pulls K + sum b_i D_i back to the same sum
+    # on the strict transforms plus (sum b_i - 1) E. So the solved b of
+    # every old curve stays, the new curve's b is that sum less one, and
+    # neither the lc class nor the Cartier index changes.
+    numerators, den = solved_numerators(g)
+    invariants = _lc_and_index(g)
+    for kind, pick in moves:
+        if (kind == "node" and not g.edges) or (kind == "branch" and not g.branches):
+            kind = "point"
+        h, curves, coeffs = blow_up(g, kind, pick)
+        assert is_contractible(h)
+        new_numerators, new_den = solved_numerators(h)
+        assert len(new_numerators) == len(numerators) + 1
+        assert all(y * den == x * new_den for x, y in zip(numerators, new_numerators))
+        expected = sum((Fraction(numerators[i], den) for i in curves), sum(coeffs)) - 1
+        assert Fraction(new_numerators[-1], new_den) == expected
+        assert _lc_and_index(h) == invariants
+        g, numerators, den = h, new_numerators, new_den
