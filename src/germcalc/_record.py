@@ -1,0 +1,37 @@
+"""The one base of the package's frozen value classes.
+
+A record class names its fields in ``_fields`` and writes its own
+``__init__``, which sets each field once with ``object.__setattr__`` and
+then calls ``__post_init__`` when the class checks its values. The base
+gives the rest of what a frozen dataclass would: equality and hashing
+by the field tuple, a ``Name(field=value, ...)`` repr, and assignment
+and deletion that raise AttributeError. Instances keep their
+``__dict__``, so a ``functools.cached_property`` stores its value there
+once. This module imports nothing, so building records loads none of
+``dataclasses``, ``inspect`` or ``ast``.
+"""
+
+
+class FrozenRecord:
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -17,7 +17,9 @@ Each input is parsed into one record, ``GermFile``, which also carries
 its analyses; every subcommand prints fields of that record, and
 ``report`` prints their union. A glued file's record holds its
 components' records, so each value of a report is built once. A report
-that stdout cannot take ends in exit 1, with nothing on stderr.
+that stdout cannot take ends in exit 1, with nothing on stderr; a
+--verbose summary that stderr cannot take, or a process started without
+stderr, drops the summary and keeps the exit status.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
+from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
                         solved_numerators)
@@ -51,8 +53,7 @@ M_MAX_LIMIT = 10_000
 KINDS = ("cyclic_quotient", "dual_graph", "glued")
 
 
-@dataclass(frozen=True)
-class GermFile:
+class GermFile(FrozenRecord):
     """One input: the kind tag, the domain objects, the canonical JSON
     payload used for echoing, and the analyses every subcommand reads.
     A glued file's ``parts`` are its components' cyclic-quotient
@@ -62,12 +63,17 @@ class GermFile:
     keeps nothing and raises again on the next read.
     """
 
-    kind: str
-    germ: CyclicQuotientGerm | None = None
-    graph: ResolutionGraph | None = None
-    parts: tuple[GermFile, ...] = ()
-    glue_ok: bool = True
-    payload: dict | None = None
+    _fields = ("kind", "germ", "graph", "parts", "glue_ok", "payload")
+
+    def __init__(self, kind: str, germ: CyclicQuotientGerm | None = None,
+                 graph: ResolutionGraph | None = None, parts: tuple[GermFile, ...] = (),
+                 glue_ok: bool = True, payload: dict | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "germ", germ)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "glue_ok", glue_ok)
+        object.__setattr__(self, "payload", payload)
 
     @cached_property
     def _resolved(self) -> ResolutionGraph:
@@ -395,7 +401,7 @@ def _styled(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _verbose_summary(payload: dict) -> None:
+def _verbose_summary(payload: dict) -> str:
     parts = []
     for key in ("case", "lc_class", "cartier_index", "gamma", "different", "m"):
         if payload.get(key) is not None:
@@ -406,7 +412,7 @@ def _verbose_summary(payload: dict) -> None:
         parts.append(_styled(f"glue={word}", code))
     if payload.get("flags"):
         parts.append("flags=" + ",".join(payload["flags"]))
-    print("  ".join(parts) if parts else "ok", file=sys.stderr)
+    return "  ".join(parts) if parts else "ok"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -534,6 +540,13 @@ def _dumps(payload: dict) -> str:
     return "".join(parts)
 
 
+def _to_devnull(fd: int) -> None:
+    """Point fd at devnull, so that the flush at exit cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     code = 0
     try:
@@ -561,12 +574,15 @@ def main(argv=None) -> int:
         # its device is full, or it is closed. As for a closed pipe in
         # Python's documented recipe, point fd 1 at devnull so the flush
         # at exit cannot fail again, and exit 1.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
+        _to_devnull(1)
         return 1
-    if code == 0 and args.verbose:
-        _verbose_summary(payload)
+    if code == 0 and args.verbose and sys.stderr is not None:
+        try:
+            print(_verbose_summary(payload), file=sys.stderr, flush=True)
+        except OSError:
+            # the report is out; a summary stderr cannot take leaves the
+            # exit status 0
+            _to_devnull(2)
     return code
 
 

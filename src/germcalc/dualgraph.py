@@ -13,10 +13,10 @@ From that data we compute, in exact arithmetic:
   subtree below v, B_v, the product of its children's A, and S_v, its
   right-hand side scaled by B_v and by the lcm L of the branch
   denominators. The determinants decide contractibility (negative
-  definiteness iff every A_v is positive), and back-substitution, whose
-  every division is exact by Cramer's rule, gives the unique
-  coefficients b_j making K + sum b_j E_j + (branches) intersect every
-  exceptional curve trivially. The result is one integer record: the
+  definiteness iff every A_v is positive), and back-substitution, by
+  the vertex equations along paths and by Cramer's rule below a fork,
+  gives the unique coefficients b_j making K + sum b_j E_j + (branches)
+  intersect every exceptional curve trivially. The result is one integer record: the
   numerators X_j over the common denominator D = A_root * L, signed so
   that D > 0, with b_j = X_j / D. The discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
@@ -44,12 +44,12 @@ rather than checked input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from ._record import FrozenRecord
 from .errors import (LimitExceeded, NotApplicable, SingularSystem,
                      ValidationError)
 
@@ -63,8 +63,7 @@ VERTEX_LIMIT = 10_000
 HADAMARD_BIT_LIMIT = 65_536
 
 
-@dataclass(frozen=True)
-class BoundaryBranch:
+class BoundaryBranch(FrozenRecord):
     """A boundary branch meeting one exceptional curve transversally.
 
     ``attach`` is a 0-based vertex index, or None for a branch through
@@ -73,11 +72,14 @@ class BoundaryBranch:
     (0, 1) encode fractional boundary branches.
     """
 
-    attach: int | None
-    coeff: Fraction
+    _fields = ("attach", "coeff")
+
+    def __init__(self, attach: int | None, coeff: Fraction):
+        object.__setattr__(self, "attach", attach)
+        object.__setattr__(self, "coeff", Fraction(coeff))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
         if not 0 < self.coeff <= 1:
             raise ValidationError(f"branch coefficient {self.coeff} outside (0, 1]")
 
@@ -89,19 +91,20 @@ def check_label(c: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(FrozenRecord):
     """Tree of exceptional curves plus attached boundary branches."""
 
-    selfints: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    branches: tuple[BoundaryBranch, ...] = ()
+    _fields = ("selfints", "edges", "branches")
+
+    def __init__(self, selfints: tuple[int, ...], edges: frozenset[tuple[int, int]],
+                 branches: tuple[BoundaryBranch, ...] = ()):
+        object.__setattr__(self, "selfints", tuple(int(c) for c in selfints))
+        object.__setattr__(self, "edges",
+                           frozenset((min(i, j), max(i, j)) for i, j in edges))
+        object.__setattr__(self, "branches", tuple(branches))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "selfints", tuple(int(c) for c in self.selfints))
-        object.__setattr__(self, "edges",
-                           frozenset((min(i, j), max(i, j)) for i, j in self.edges))
-        object.__setattr__(self, "branches", tuple(self.branches))
         n = len(self.selfints)
         for c in self.selfints:
             check_label(c)
@@ -231,13 +234,24 @@ def _eliminate(g: ResolutionGraph):
     with no gcd: the numbers stay the size of subtree determinants
     (times L for S). ``dets`` lists A_v in that order and stops at the
     first zero, and ``numerators`` is None exactly when one occurs.
-    Otherwise back-substitution from the root gives X_v = b_v A_root L,
-    with X_root = -S_root and X_v = (B_v X_parent - S_v A_root) / A_v, a
-    division that is exact by Cramer's rule (A_root L clears every
-    denominator of the solution). ``numerators`` holds X_v by vertex
-    index and ``den`` is A_root L, both negated when A_root < 0, so that
-    b_v = X_v / den with den > 0; nothing is reduced, and no Fraction is
-    built. The empty graph gives ``((), (), 1)``.
+    Otherwise back-substitution from the root gives X_v = b_v A_root L
+    (A_root L clears every denominator of the solution), with
+    X_root = -S_root. Scaled by A_root L, the zero-intersection equation
+    at p is the integer identity
+
+        sum of X_w over the neighbours w of p = c_p X_p + A_root S0_p,
+
+    where S0_p = L (2 - c_p) - L t_p is p's unfolded right-hand side and
+    t_p the sum of the branch coefficients at p. So a child v that is
+    the only child of p is X_v = c_p X_p + A_root S0_p - X_parent(p)
+    (no last term when p is the root), the three-term recurrence of the
+    Hirzebruch-Jung continuants, with one small factor in each product
+    and no division; along a path no number is divided. A child of a
+    vertex with two or more children takes Cramer's rule instead,
+    X_v = (B_v X_p - S_v A_root) / A_v, a division that is exact.
+    ``numerators`` holds X_v by vertex index and ``den`` is A_root L,
+    both negated when A_root < 0, so that b_v = X_v / den with den > 0;
+    nothing is reduced, and no Fraction is built. The empty graph gives ``((), (), 1)``.
 
     Before any of this the Hadamard bound is checked. By Hadamard's
     inequality every subtree determinant is at most the product of
@@ -249,19 +263,21 @@ def _eliminate(g: ResolutionGraph):
     n = g.n_vertices
     if n == 0:
         return (), (), 1
+    adj, labels = g._adj, g.selfints
     scale = lcm(1, *(br.coeff.denominator for br in g.branches))
     bound = scale
-    for c, nbrs in zip(g.selfints, g._adj):
+    for c, nbrs in zip(labels, adj):
         bound *= c + len(nbrs)
         if bound.bit_length() > HADAMARD_BIT_LIMIT:
             raise LimitExceeded(f"the Hadamard bound of the curves exceeds the "
                                 f"limit of {HADAMARD_BIT_LIMIT} bits")
     order, parent = g._tree
-    A = list(g.selfints)
+    A = list(labels)
     B = [1] * n
-    S = [scale * (2 - c) for c in g.selfints]
+    S = [scale * (2 - c) for c in labels]
     for br in g.branches:
         S[br.attach] -= scale // br.coeff.denominator * br.coeff.numerator
+    S0 = S[:]
     dets = []
     for v in reversed(order):
         a = A[v]
@@ -276,7 +292,12 @@ def _eliminate(g: ResolutionGraph):
     X = [0] * n
     X[0] = -S[0]
     for v in order[1:]:
-        X[v] = (B[v] * X[parent[v]] - S[v] * root) // A[v]
+        p = parent[v]
+        if len(adj[p]) == 2 - (p == 0):
+            # v is p's only child: p's vertex equation gives X_v
+            X[v] = labels[p] * X[p] + root * S0[p] - (X[parent[p]] if p else 0)
+        else:
+            X[v] = (B[v] * X[p] - S[v] * root) // A[v]
     if root < 0:
         return tuple(dets), tuple(-x for x in X), -root * scale
     return tuple(dets), tuple(X), root * scale

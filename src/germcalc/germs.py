@@ -41,12 +41,12 @@ in one of three texts that name no vertex:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
@@ -54,8 +54,7 @@ from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CyclicQuotientGerm:
+class CyclicQuotientGerm(FrozenRecord):
     """Parameters of the quotient model.
 
     ``conductor_coeff`` is the multiplicity of the (y=0) branch, 1 for a
@@ -65,14 +64,17 @@ class CyclicQuotientGerm:
     absent branch.
     """
 
-    n: int
-    q: int
-    conductor_coeff: Fraction = Fraction(1)
-    side_coeff: Fraction = Fraction(0)
+    _fields = ("n", "q", "conductor_coeff", "side_coeff")
+
+    def __init__(self, n: int, q: int, conductor_coeff: Fraction = Fraction(1),
+                 side_coeff: Fraction = Fraction(0)):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "conductor_coeff", Fraction(conductor_coeff))
+        object.__setattr__(self, "side_coeff", Fraction(side_coeff))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "conductor_coeff", Fraction(self.conductor_coeff))
-        object.__setattr__(self, "side_coeff", Fraction(self.side_coeff))
         if self.n < 1:
             raise BadParameters(f"order n = {self.n} must be >= 1")
         if not 1 <= self.q <= self.n:
@@ -121,8 +123,7 @@ LC_CENTER_TAGS = frozenset({GermTag.CYCLIC_NONPLT, GermTag.DIHEDRAL_31,
                             GermTag.DIHEDRAL_32, GermTag.DIHEDRAL_33})
 
 
-@dataclass(frozen=True)
-class GermClass:
+class GermClass(FrozenRecord):
     """Taxonomy tag with the derived invariants.
 
     ``gamma`` is present exactly for plt chains. ``violation`` names the
@@ -130,10 +131,15 @@ class GermClass:
     UNCLASSIFIED.
     """
 
-    tag: GermTag
-    cartier_index: int
-    gamma: Fraction | None = None
-    violation: str | None = None
+    _fields = ("tag", "cartier_index", "gamma", "violation")
+
+    def __init__(self, tag: GermTag, cartier_index: int, gamma: Fraction | None = None,
+                 violation: str | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "cartier_index", cartier_index)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "violation", violation)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.tag is GermTag.PLT_CHAIN:
@@ -155,20 +161,23 @@ class ClassGroup(str, Enum):
     TORSION = "TORSION"
 
 
-@dataclass(frozen=True)
-class NonNormalGerm:
+class NonNormalGerm(FrozenRecord):
     """One or two plt components glued along their conductors, or an
     lc-center germ. ``class_group`` reports rank 1 against torsion for
     the plt cases; ``cartier_index`` is reported for the lc-center case
     (it always divides 2)."""
 
-    components: tuple[CyclicQuotientGerm, ...]
-    trichotomy: Trichotomy
-    class_group: ClassGroup | None = None
-    cartier_index: int | None = None
+    _fields = ("components", "trichotomy", "class_group", "cartier_index")
+
+    def __init__(self, components: tuple[CyclicQuotientGerm, ...], trichotomy: Trichotomy,
+                 class_group: ClassGroup | None = None, cartier_index: int | None = None):
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "trichotomy", trichotomy)
+        object.__setattr__(self, "class_group", class_group)
+        object.__setattr__(self, "cartier_index", cartier_index)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
         if self.trichotomy is Trichotomy.TWO_COMPONENT_PLT:
             if len(self.components) != 2 or self.class_group is not ClassGroup.RANK_ONE:
                 raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")

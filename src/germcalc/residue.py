@@ -13,9 +13,9 @@ single-branch picture degrades.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
 from .rational import floor_scale
@@ -25,19 +25,23 @@ from .rational import floor_scale
 FAILURE_SEARCH_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(FrozenRecord):
     """Exponent comparison for one power m.
 
     ``deficit`` is the target capacity minus the image capacity; the
     restriction is surjective exactly when it vanishes.
     """
 
-    m: int
-    source_exponent: int
-    target_exponent: int
-    surjective: bool
-    deficit: int
+    _fields = ("m", "source_exponent", "target_exponent", "surjective", "deficit")
+
+    def __init__(self, m: int, source_exponent: int, target_exponent: int,
+                 surjective: bool, deficit: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "source_exponent", source_exponent)
+        object.__setattr__(self, "target_exponent", target_exponent)
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "deficit", deficit)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.deficit < 0:

@@ -13,22 +13,25 @@ fail, and the test suite pins a failing pair found by search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .errors import BadParameters
 from .rational import floor_scale
 
 
-@dataclass(frozen=True)
-class CoeffCheck:
+class CoeffCheck(FrozenRecord):
     """One coefficient against one power: membership and both bounds."""
 
-    c: Fraction
-    m: int
-    standard: bool
-    hypothesis_ok: bool
-    bracket_ok: bool
+    _fields = ("c", "m", "standard", "hypothesis_ok", "bracket_ok")
+
+    def __init__(self, c: Fraction, m: int, standard: bool, hypothesis_ok: bool,
+                 bracket_ok: bool):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "standard", standard)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
+        object.__setattr__(self, "bracket_ok", bracket_ok)
 
 
 def is_standard(c: Fraction) -> bool:

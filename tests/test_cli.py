@@ -435,14 +435,16 @@ def test_deeply_nested_json_is_a_parse_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
 
-def _report_process(**kwargs):
-    """``germcalc report glued_pair.json`` in a fresh interpreter, with
-    stderr captured and the given subprocess.run arguments."""
-    fixture = FIXTURES / "glued_pair.json"
+def _report_process(*flags, name="glued_pair", **kwargs):
+    """``germcalc [flags] report <name>.json`` in a fresh interpreter,
+    with the given subprocess.run arguments; stderr is captured unless
+    they say otherwise."""
+    fixture = FIXTURES / f"{name}.json"
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, "-m", "germcalc.cli", "report", str(fixture)],
-        stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
+        [sys.executable, "-m", "germcalc.cli", *flags, "report", str(fixture)],
+        env=env, timeout=60, **kwargs)
 
 
 def test_closed_stdout_exits_one_without_traceback():
@@ -472,8 +474,30 @@ def test_a_full_stdout_device_exits_one_without_traceback():
     assert proc.stderr == b""
 
 
+def _verbose_plt_chain(**kwargs):
+    """``germcalc --verbose report plt_chain.json`` with stdout captured,
+    checked to be the golden report."""
+    proc = _report_process("--verbose", name="plt_chain", stdout=subprocess.PIPE, **kwargs)
+    assert proc.stdout == (FIXTURES.parent / "golden" / "plt_chain.report.json").read_bytes()
+    return proc
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_summary_a_full_stderr_cannot_take_leaves_exit_zero():
+    with open("/dev/full", "wb") as full:
+        assert _verbose_plt_chain(stderr=full).returncode == 0
+
+
+def test_a_summary_a_closed_stderr_cannot_take_leaves_exit_zero():
+    # as `germcalc --verbose report f.json 2>&-`
+    assert _verbose_plt_chain(preexec_fn=lambda: os.close(2)).returncode == 0
+
+
 def test_importing_the_cli_leaves_typing_out():
-    code = "import sys, germcalc.cli; print(sorted({'typing'} & set(sys.modules)))"
+    # nor dataclasses, whose import loads inspect and through it ast, dis
+    # and tokenize: the frozen records are built without it
+    unused = "{'typing', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    code = f"import sys, germcalc.cli; print(sorted({unused} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
                           timeout=60, check=True)

@@ -350,8 +350,39 @@ def record_trees(draw):
     return g
 
 
-@settings(max_examples=100, deadline=None)
-@given(record_trees())
+@st.composite
+def recurrence_trees(draw):
+    """Trees that work the back-substitution's two rules apart, with
+    shuffled vertex indices, so that the search from vertex 0 may start
+    anywhere. Half are bushy: complete trees of fan-out 2 or 3 on 1..30
+    vertices, labels 1..9, where most vertices meet three or four curves
+    and their children take Cramer's rule. The other half are paths of
+    1..40 curves, labels 2..9, one of them raised to a label of up to 40
+    digits, where every only child takes the vertex-equation
+    recurrence. Each carries 0..3 branches, about half of coefficient 1."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 30))
+        fan = draw(st.sampled_from([2, 3]))
+        labels = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        edges = [((v - 1) // fan, v) for v in range(1, k)]
+    else:
+        k = draw(st.integers(1, 40))
+        labels = draw(st.lists(st.integers(2, 9), min_size=k, max_size=k))
+        labels[draw(st.integers(0, k - 1))] = draw(st.integers(10, 10**40))
+        edges = [(v - 1, v) for v in range(1, k)]
+    index = draw(st.permutations(range(k)))
+    selfints = [0] * k
+    for v, c in enumerate(labels):
+        selfints[index[v]] = c
+    branches = draw(st.lists(st.builds(BoundaryBranch, st.integers(0, k - 1),
+                                       BRANCH_COEFFS), max_size=3))
+    return ResolutionGraph(tuple(selfints),
+                           frozenset((index[i], index[j]) for i, j in edges),
+                           tuple(branches))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(record_trees(), recurrence_trees()))
 @example(ResolutionGraph.chain([1, 1, 2]))  # A_root = -1: D < 0 before its sign flips
 @example(ResolutionGraph.chain([1, 1, 2], [(0, HALF), (2, 1)]))
 @example(ResolutionGraph.chain([], [(None, 1), (None, Fraction(2, 3))]))

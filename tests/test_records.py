@@ -1,0 +1,154 @@
+"""The contract of the frozen value classes: equal and hashed by their
+fields, unequal across classes, immutable, a repr naming every field,
+positional, keyword and default construction, and cached properties
+computed once per object."""
+
+from fractions import Fraction
+
+import pytest
+
+from germcalc import cli, dualgraph, germs
+from germcalc.cli import GermFile
+from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
+from germcalc.errors import BadParameters, ValidationError
+from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
+                            NonNormalGerm, Trichotomy)
+from germcalc.residue import ResidueReport
+from germcalc.stdcoeff import CoeffCheck
+
+HALF = Fraction(1, 2)
+GERM = CyclicQuotientGerm(5, 2, Fraction(1), HALF)
+GRAPH = ResolutionGraph((2, 2), frozenset({(0, 1)}), (BoundaryBranch(0, Fraction(1)),))
+
+# class, its field names in order, the positional arguments of one
+# record, those of a record that differs from it in one field, and how
+# many arguments may be left out for their defaults (the tail of the
+# first record's)
+RECORDS = [
+    (BoundaryBranch, "attach coeff", (0, HALF), (1, HALF), 0),
+    (ResolutionGraph, "selfints edges branches", ((2, 2), frozenset({(0, 1)}), ()),
+     ((2, 3), frozenset({(0, 1)}), ()), 1),
+    (CyclicQuotientGerm, "n q conductor_coeff side_coeff",
+     (5, 2, Fraction(1), Fraction(0)), (5, 3, Fraction(1), Fraction(0)), 2),
+    (GermClass, "tag cartier_index gamma violation",
+     (GermTag.DIHEDRAL_31, 2, None, None), (GermTag.DIHEDRAL_31, 1, None, None), 2),
+    (NonNormalGerm, "components trichotomy class_group cartier_index",
+     ((GERM,), Trichotomy.LC_CENTER_CASE, None, None),
+     ((GERM, GERM), Trichotomy.LC_CENTER_CASE, None, None), 2),
+    (ResidueReport, "m source_exponent target_exponent surjective deficit",
+     (3, 1, 2, True, 0), (4, 1, 2, True, 0), 0),
+    (CoeffCheck, "c m standard hypothesis_ok bracket_ok",
+     (HALF, 2, True, True, True), (HALF, 3, True, True, True), 0),
+    (GermFile, "kind germ graph parts glue_ok payload",
+     ("glued", None, None, (), True, None), ("glued", None, None, (), False, None), 5),
+]
+IDS = [case[0].__name__ for case in RECORDS]
+
+
+@pytest.fixture(params=RECORDS, ids=IDS)
+def case(request):
+    cls, fields, args, other, defaults = request.param
+    return cls, tuple(fields.split()), args, other, defaults
+
+
+def test_records_with_equal_fields_are_equal_and_hash_equal(case):
+    cls, _, args, other, _ = case
+    rec, twin = cls(*args), cls(*args)
+    assert rec is not twin
+    assert rec == twin and not rec != twin
+    assert hash(rec) == hash(twin)
+    assert rec != cls(*other) and not rec == cls(*other)
+    assert len({rec, twin, cls(*other)}) == 2
+
+
+def test_records_of_different_classes_are_unequal(case):
+    cls, _, args, _, _ = case
+    rec = cls(*args)
+    assert rec != args and rec != list(args)
+    for other_cls, _, other_args, _, _ in RECORDS:
+        if other_cls is not cls:
+            assert rec != other_cls(*other_args)
+            assert rec.__eq__(other_cls(*other_args)) is NotImplemented
+
+
+def test_a_subclass_record_is_not_equal_to_its_base():
+    class Branch(BoundaryBranch):
+        pass
+
+    assert Branch(0, HALF) != BoundaryBranch(0, HALF)
+    assert Branch(0, HALF) == Branch(0, HALF)
+
+
+def test_records_refuse_assignment_and_deletion(case):
+    cls, fields, args, _, _ = case
+    rec = cls(*args)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert rec == cls(*args)
+    assert "extra" not in vars(rec)
+
+
+def test_the_repr_names_every_field(case):
+    cls, fields, args, _, _ = case
+    rec = cls(*args)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, args))
+    assert repr(rec) == f"{cls.__qualname__}({shown})"
+
+
+def test_the_repr_of_a_branch():
+    assert repr(BoundaryBranch(0, HALF)) == "BoundaryBranch(attach=0, coeff=Fraction(1, 2))"
+
+
+def test_positional_keyword_and_default_construction_agree(case):
+    cls, fields, args, _, defaults = case
+    rec = cls(*args)
+    assert tuple(getattr(rec, name) for name in fields) == args
+    assert cls(**dict(zip(fields, args))) == rec
+    assert cls(*args[:len(args) - defaults]) == rec
+
+
+def test_construction_normalises_and_checks_its_fields():
+    graph = ResolutionGraph([2, 2], [(1, 0)], [BoundaryBranch(0, 1)])
+    assert graph == GRAPH
+    assert graph.edges == frozenset({(0, 1)}) and type(graph.branches) is tuple
+    germ = CyclicQuotientGerm(n=5, q=2, side_coeff=HALF)
+    assert germ == GERM and type(germ.conductor_coeff) is Fraction
+    assert NonNormalGerm([GERM], Trichotomy.ONE_COMPONENT_PLT,
+                         ClassGroup.TORSION).components == (GERM,)
+    with pytest.raises(BadParameters):
+        CyclicQuotientGerm(5, 5)
+    with pytest.raises(ValidationError):
+        BoundaryBranch(0, 2)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("make, prop, module, function", [
+    (lambda: ResolutionGraph.chain([2, 2], [(0, 1)]), "_elimination",
+     dualgraph, "_eliminate"),
+    (lambda: CyclicQuotientGerm(5, 2, 1, HALF), "_graph", germs, "hj_expand"),
+    (lambda: GermFile("dual_graph", graph=ResolutionGraph.chain([2, 2], [(0, 1)])),
+     "classification", cli, "classify_lc_germ"),
+], ids=["ResolutionGraph", "CyclicQuotientGerm", "GermFile"])
+def test_a_cached_property_is_computed_once(monkeypatch, make, prop, module, function):
+    calls = _counting(monkeypatch, module, function)
+    rec = make()
+    first = getattr(rec, prop)
+    assert getattr(rec, prop) is first
+    assert vars(rec)[prop] is first
+    assert len(calls) == 1
+    # the cached value is no field: it leaves equality and the repr alone
+    assert rec == make() and prop not in repr(rec)
