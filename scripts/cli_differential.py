@@ -13,7 +13,8 @@ calls ``cli.main`` once per file and subcommand variant, and once per
 argument call, and records the exit code and stdout. The script prints the runs that differ, grouped
 by subcommand and by the pair of exit codes, and exits 1 when any run
 differs or when any run of the ``--new`` tree ends in a traceback, since
-the CLI must be total.
+the CLI must be total. A reader that closes stdout early (``| head``)
+cuts the summary short but not the exit status.
 
     python scripts/cli_differential.py --old ../parent/src --new src --files 3200
 
@@ -244,23 +245,31 @@ def main() -> int:
             if new[key] != result:
                 groups[key[1], result[0], new[key][0]].append(key[0])
         differing = sum(len(inputs) for inputs in groups.values())
-        print(f"{args.files} files x {len(VARIANTS)} variants + {len(calls)} "
-              f"argument calls = {len(old)} runs, {differing} differ")
+        lines = [f"{args.files} files x {len(VARIANTS)} variants + {len(calls)} "
+                 f"argument calls = {len(old)} runs, {differing} differ"]
         names = [" ".join(variant) for variant in VARIANTS] + list(ARGUMENT_COMMANDS)
         for name in names:
             codes = Counter(str(code) for (_, v), (code, _) in old.items() if v == name)
-            print(f"  {name}: old exit codes "
-                  + ", ".join(f"{code} x{count}" for code, count in sorted(codes.items())))
+            lines.append(f"  {name}: old exit codes " + ", ".join(
+                f"{code} x{count}" for code, count in sorted(codes.items())))
         for (variant, code_old, code_new), inputs in sorted(groups.items(), key=str):
-            print(f"  {variant}: exit {code_old} -> {code_new}: {len(inputs)} runs")
+            lines.append(f"  {variant}: exit {code_old} -> {code_new}: {len(inputs)} runs")
             for given in inputs[:args.show]:
                 if variant not in ARGUMENT_COMMANDS:
                     given = Path(given).read_bytes().decode("utf-8", "replace")
-                print(f"    {given}")
-        crashed = Counter(code for code, _ in new.values()
-                          if str(code).startswith("traceback"))
-        for code, count in sorted(crashed.items()):
-            print(f"  new tree: {code} in {count} runs")
+                lines.append(f"    {given}")
+    crashed = Counter(code for code, _ in new.values()
+                      if str(code).startswith("traceback"))
+    for code, count in sorted(crashed.items()):
+        lines.append(f"  new tree: {code} in {count} runs")
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader went away (say `| head -1`): print nothing more, and
+        # point fd 1 at devnull so that the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
     return 1 if differing or crashed else 0
 
 

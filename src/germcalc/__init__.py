@@ -9,8 +9,7 @@ from .dualgraph import (BoundaryBranch, LcClass, ResolutionGraph,
                         boundary_coefficients, cartier_index,
                         is_contractible, log_canonical_class)
 from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
-                     NotApplicable, ParseError, SingularSystem,
-                     ValidationError)
+                     NotApplicable, ParseError, ValidationError)
 from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
@@ -29,7 +28,7 @@ __all__ = [
     "CyclicQuotientGerm", "GermClass", "GermError", "GermTag",
     "GlueMismatch", "LcClass", "LimitExceeded",
     "NonNormalGerm", "NotApplicable", "ParseError",
-    "ResidueReport", "ResolutionGraph", "SingularSystem", "Trichotomy",
+    "ResidueReport", "ResolutionGraph", "Trichotomy",
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",
     "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",

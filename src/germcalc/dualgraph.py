@@ -12,13 +12,14 @@ From that data we compute, in exact arithmetic:
   calculus): each vertex v carries A_v, the determinant of -M on the
   subtree below v, B_v, the product of its children's A, and S_v, its
   right-hand side scaled by B_v and by the lcm L of the branch
-  denominators. The determinants decide contractibility (negative
-  definiteness iff every A_v is positive), and back-substitution, by
-  the vertex equations along paths and by Cramer's rule below a fork,
-  gives the unique coefficients b_j making K + sum b_j E_j + (branches)
-  intersect every exceptional curve trivially. The result is one integer record: the
-  numerators X_j over the common denominator D = A_root * L, signed so
-  that D > 0, with b_j = X_j / D. The discrepancy of E_j is -b_j,
+  denominators. The graph is contractible (M negative definite) iff
+  every A_v is positive, and the elimination stops at the first A_v
+  that is not. Otherwise back-substitution, by the vertex equations
+  along paths and by Cramer's rule below a fork, gives the unique
+  coefficients b_j making K + sum b_j E_j + (branches) intersect every
+  exceptional curve trivially. The result is one integer record: the
+  numerators X_j over the common denominator D = A_root * L > 0, with
+  b_j = X_j / D. The discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
   read off max X_j against D,
 * the Cartier index, the least m clearing every denominator: D over
@@ -28,11 +29,14 @@ The elimination, the log canonical class and the Cartier index are each
 computed once per graph object and cached on it; the graph is frozen, so
 no cache ever goes stale. None of them builds a Fraction per vertex;
 only ``boundary_coefficients`` does, from the record, on each call, and
-the graph keeps no such tuple. A graph that is not contractible, or
-not log canonical, caches no class or index and raises again on every
-call. Before the elimination runs, the Hadamard bound of the graph (the
-product of c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT
-bits, so the size of every number it makes is bounded before any work.
+the graph keeps no such tuple. Every invariant is defined on
+contractible graphs only, as the exceptional curves of a resolution
+always are (Mumford 1961, Grauert 1962); on any other graph it raises
+NotApplicable. A graph that is not contractible, or not log canonical,
+caches no class or index and raises again on every call. Before the
+elimination runs, the Hadamard bound of the graph (the product of
+c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT bits, so the
+size of every number it makes is bounded before any work.
 
 All exceptional curves are assumed rational and the graph a tree. One
 breadth-first search from vertex 0, cached on the graph, checks the tree
@@ -50,8 +54,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from ._record import FrozenRecord
-from .errors import (LimitExceeded, NotApplicable, SingularSystem,
-                     ValidationError)
+from .errors import LimitExceeded, NotApplicable, ValidationError
 
 # Most exceptional curves a graph read from input may have: hj_expand and
 # the CLI's dual-graph reader stop past it with LimitExceeded.
@@ -179,8 +182,6 @@ class ResolutionGraph(FrozenRecord):
     @cached_property
     def _lc_class(self) -> LcClass:
         """log_canonical_class, read once off the largest numerator."""
-        if not is_contractible(self):
-            raise NotApplicable("exceptional configuration is not contractible")
         if self.n_vertices:
             numerators, den = solved_numerators(self)
             top = max(numerators)
@@ -217,23 +218,27 @@ def _eliminate(g: ResolutionGraph):
     """Fraction-free leaf-to-root elimination of the zero-intersection
     system M b = r.
 
-    Returns the record ``(dets, numerators, den)``. Vertices are taken in
-    reverse order of ``g._tree``, the BFS from vertex 0 that already
-    checked at construction that the graph is a tree, so each one is
-    folded into its parent alone and the tree makes no fill-in. Every
-    vertex v carries three integers: A_v, the determinant of -M on the
-    subtree below v (v included); B_v, the product of A_w over the
-    children w of v, which is the determinant of that subtree with v
-    removed; and S_v, the right-hand side of v's eliminated row scaled by
-    L * B_v, where L (``scale``) is the lcm of the branch denominators.
-    The pivot of v is -A_v / B_v, minus the continued fraction of the
-    subtree. Folding child w into parent p is
+    Returns the record ``(numerators, den)`` for a contractible graph,
+    and None for any other. Vertices are taken in reverse order of
+    ``g._tree``, the BFS from vertex 0 that already checked at
+    construction that the graph is a tree, so each one is folded into
+    its parent alone and the tree makes no fill-in. Every vertex v
+    carries three integers: A_v, the determinant of -M on the subtree
+    below v (v included); B_v, the product of A_w over the children w of
+    v, which is the determinant of that subtree with v removed; and S_v,
+    the right-hand side of v's eliminated row scaled by L * B_v, where L
+    (``scale``) is the lcm of the branch denominators. The pivot of v is
+    -A_v / B_v, minus the continued fraction of the subtree. Folding
+    child w into parent p is
 
         A_p, S_p, B_p = A_p A_w - B_w B_p, S_p A_w + S_w B_p, B_p A_w,
 
     with no gcd: the numbers stay the size of subtree determinants
-    (times L for S). ``dets`` lists A_v in that order and stops at the
-    first zero, and ``numerators`` is None exactly when one occurs.
+    (times L for S). The pivots of a symmetric elimination without row
+    swaps, in any vertex order, are ratios of consecutive principal
+    minors, so M is negative definite iff every A_v is positive; the
+    first A_v <= 0 ends the elimination with None.
+
     Otherwise back-substitution from the root gives X_v = b_v A_root L
     (A_root L clears every denominator of the solution), with
     X_root = -S_root. Scaled by A_root L, the zero-intersection equation
@@ -249,9 +254,9 @@ def _eliminate(g: ResolutionGraph):
     and no division; along a path no number is divided. A child of a
     vertex with two or more children takes Cramer's rule instead,
     X_v = (B_v X_p - S_v A_root) / A_v, a division that is exact.
-    ``numerators`` holds X_v by vertex index and ``den`` is A_root L,
-    both negated when A_root < 0, so that b_v = X_v / den with den > 0;
-    nothing is reduced, and no Fraction is built. The empty graph gives ``((), (), 1)``.
+    ``numerators`` holds X_v by vertex index and ``den`` is
+    A_root L > 0, so that b_v = X_v / den; nothing is reduced, and no
+    Fraction is built. The empty graph gives ``((), 1)``.
 
     Before any of this the Hadamard bound is checked. By Hadamard's
     inequality every subtree determinant is at most the product of
@@ -262,7 +267,7 @@ def _eliminate(g: ResolutionGraph):
     """
     n = g.n_vertices
     if n == 0:
-        return (), (), 1
+        return (), 1
     adj, labels = g._adj, g.selfints
     scale = lcm(1, *(br.coeff.denominator for br in g.branches))
     bound = scale
@@ -278,12 +283,10 @@ def _eliminate(g: ResolutionGraph):
     for br in g.branches:
         S[br.attach] -= scale // br.coeff.denominator * br.coeff.numerator
     S0 = S[:]
-    dets = []
     for v in reversed(order):
         a = A[v]
-        dets.append(a)
-        if a == 0:
-            return tuple(dets), None, 0
+        if a <= 0:
+            return None
         if v:
             p = parent[v]
             A[p], S[p], B[p] = (A[p] * a - B[v] * B[p],
@@ -298,37 +301,28 @@ def _eliminate(g: ResolutionGraph):
             X[v] = labels[p] * X[p] + root * S0[p] - (X[parent[p]] if p else 0)
         else:
             X[v] = (B[v] * X[p] - S[v] * root) // A[v]
-    if root < 0:
-        return tuple(dets), tuple(-x for x in X), -root * scale
-    return tuple(dets), tuple(X), root * scale
+    return tuple(X), root * scale
 
 
 def is_contractible(g: ResolutionGraph) -> bool:
-    """True iff the intersection matrix is negative definite.
-
-    Checked exactly: every subtree determinant A_v of -M from the
-    leaf-to-root elimination must be positive. That is the same as every
-    pivot -A_v / B_v being negative, and pivots of a symmetric elimination
-    without row swaps, in any vertex order, are ratios of consecutive
-    principal minors. The empty graph is vacuously contractible. Raises
+    """True iff the intersection matrix is negative definite, checked
+    exactly by the elimination: every subtree determinant of -M is
+    positive. The empty graph is vacuously contractible. Raises
     LimitExceeded past the size bound (HADAMARD_BIT_LIMIT), as every
     invariant below does.
     """
-    dets = g._elimination[0]
-    return all(a > 0 for a in dets)
+    return g._elimination is not None
 
 
 def solved_numerators(g: ResolutionGraph) -> tuple[tuple[int, ...], int]:
     """The solved b_j as integers over one common denominator: ``(X, D)``
-    with b_j = X_j / D and D > 0, not reduced. Same domain and errors as
-    boundary_coefficients, which is this pair with one Fraction built
-    per vertex."""
-    dets, numerators, den = g._elimination
-    if numerators is None:
-        if len(dets) < g.n_vertices:
-            raise NotApplicable("exceptional configuration is not contractible")
-        raise SingularSystem("intersection matrix is singular")
-    return numerators, den
+    with b_j = X_j / D and D > 0, not reduced. Raises NotApplicable when
+    the graph is not contractible, as boundary_coefficients, which is
+    this pair with one Fraction built per vertex, does."""
+    record = g._elimination
+    if record is None:
+        raise NotApplicable("exceptional configuration is not contractible")
+    return record
 
 
 def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
@@ -341,16 +335,9 @@ def boundary_coefficients(g: ResolutionGraph) -> tuple[Fraction, ...]:
         (c - 2) + sum_{i adjacent to j} b_i - c * b_j + t = 0,
 
     using adjunction K.E_j = c - 2 for a rational curve of
-    self-intersection -c. The discrepancy of E_j is -b_j.
-
-    Domain: every graph whose leaf-to-root elimination meets no zero
-    subtree determinant A_v, which includes every contractible graph.
-    A_root is the determinant of -M, so a zero there is SingularSystem.
-    A zero A_v anywhere else (a zero pivot below the root) proves the
-    graph is not negative definite: NotApplicable, even when the matrix
-    is nonsingular (chain [1, 1, 1], say). The tuple is built from
-    solved_numerators on every call, and the graph does not keep it; the
-    invariants below read the numerators and never build it.
+    self-intersection -c. The discrepancy of E_j is -b_j. The tuple is
+    built from solved_numerators on every call, and the graph does not
+    keep it; the invariants below read the numerators and never build it.
     """
     numerators, den = solved_numerators(g)
     return tuple(Fraction(x, den) for x in numerators)

@@ -27,10 +27,6 @@ class LimitExceeded(GermError):
     """An input asks for more work than a declared limit allows."""
 
 
-class SingularSystem(GermError):
-    """The zero-intersection linear system has no unique solution."""
-
-
 class ParseError(GermError):
     """Malformed input text. Carries position and expected-token info."""
 

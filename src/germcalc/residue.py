@@ -14,15 +14,18 @@ single-branch picture degrades.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._record import FrozenRecord
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
 from .rational import floor_scale
 
-# Largest m that find_failure_m tries, which keeps one search to about a
-# second: each step is one multibranch_deficit call.
+# Largest m that find_failure_m tries, and most coefficients it takes:
+# each step of the search is one sum over the coefficients, so together
+# they keep one search to about a second.
 FAILURE_SEARCH_LIMIT = 100_000
+FAILURE_COEFF_LIMIT = 64
 
 
 class ResidueReport(FrozenRecord):
@@ -124,7 +127,13 @@ def find_failure_m(coeffs) -> int:
     them, so their sum is at least D + 1, which makes sum {m c_i} > 1.
     So the search ends by m = D with an answer. It never tries more than
     FAILURE_SEARCH_LIMIT values: when D lies beyond the limit and no
-    failure turns up below it, LimitExceeded is raised.
+    failure turns up below it, LimitExceeded is raised, as it is for
+    more than FAILURE_COEFF_LIMIT coefficients.
+
+    Each step is integer arithmetic: with c_i = a_i / L over the common
+    denominator L, the residues m a_i mod L sum to m sum a_i mod L plus
+    L times the deficit, so the deficit at m is positive exactly when
+    the residues sum to L or more.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
@@ -132,9 +141,14 @@ def find_failure_m(coeffs) -> int:
     for c in coeffs:
         if not 0 < c < 1:
             raise BadParameters(f"coefficient {c} outside (0, 1)")
-    bound = sum(coeffs, Fraction(0)).denominator
+    if len(coeffs) > FAILURE_COEFF_LIMIT:
+        raise LimitExceeded(f"{len(coeffs)} coefficients exceed the limit "
+                            f"{FAILURE_COEFF_LIMIT}")
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    bound = den // gcd(den, sum(nums))
     for m in range(1, min(bound, FAILURE_SEARCH_LIMIT) + 1):
-        if multibranch_deficit(m, coeffs) > 0:
+        if sum(m * a % den for a in nums) >= den:
             return m
     raise LimitExceeded(
         f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "

@@ -18,6 +18,7 @@ from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
 from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
+from germcalc.residue import FAILURE_COEFF_LIMIT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -422,6 +423,14 @@ def test_failure_m_past_the_search_limit_is_an_error(capsys):
     assert main(["failure-m", "--coeffs", "1/1000000007,1/1000000009"]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
+
+
+def test_failure_m_past_the_coefficient_limit_is_an_error(capsys):
+    coeffs = ",".join(["1/1000000007"] * (FAILURE_COEFF_LIMIT + 1))
+    assert main(["failure-m", "--coeffs", coeffs]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+    assert str(FAILURE_COEFF_LIMIT) in err["message"]
 
 
 def test_glue_rejects_nonpositive_m(tmp_path, capsys):

@@ -9,10 +9,11 @@ from residue_oracle import fraction_table
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
-from germcalc.residue import (FAILURE_SEARCH_LIMIT, dihedral_image_twist,
-                              find_failure_m, glued_mcartier,
-                              glued_restriction_coeff, multibranch_deficit,
-                              residue_table, single_branch_report)
+from germcalc.residue import (FAILURE_COEFF_LIMIT, FAILURE_SEARCH_LIMIT,
+                              dihedral_image_twist, find_failure_m,
+                              glued_mcartier, glued_restriction_coeff,
+                              multibranch_deficit, residue_table,
+                              single_branch_report)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -159,6 +160,29 @@ def test_find_failure_m_raises_past_the_limit():
     coeffs = [Fraction(1, 1_000_000_007), Fraction(1, 1_000_000_009)]
     with pytest.raises(LimitExceeded, match="search limit"):
         find_failure_m(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60),
+                             max_denominator=60),
+                min_size=2, max_size=5))
+def test_the_integer_scan_finds_the_first_positive_deficit(coeffs):
+    # the search over a common denominator against the Fraction floors
+    m = 1
+    while multibranch_deficit(m, coeffs) == 0:
+        m += 1
+    assert find_failure_m(coeffs) == m
+
+
+def test_find_failure_m_refuses_more_coefficients_than_the_limit():
+    coeffs = [Fraction(1, 1_000_000_007)] * FAILURE_COEFF_LIMIT
+    with pytest.raises(LimitExceeded, match="search limit"):
+        find_failure_m(coeffs)  # a full scan of the search limit
+    with pytest.raises(LimitExceeded, match=f"limit {FAILURE_COEFF_LIMIT}$"):
+        find_failure_m(coeffs + [HALF])
+    # a coefficient out of range is still reported as such
+    with pytest.raises(BadParameters):
+        find_failure_m([HALF] * FAILURE_COEFF_LIMIT + [Fraction(3, 2)])
 
 
 @pytest.mark.parametrize("m, expected", [(1, 0), (2, 2), (3, 2)])
