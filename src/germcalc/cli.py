@@ -188,7 +188,10 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         raise ValidationError("'chain' must be a list of integers")
     # Every entry is checked as it is read, so the first fault in file
     # order is the one reported; the graph is built once, at the end.
-    selfints = [check_label(c) for c in chain]
+    if chain and min(chain) < 1:
+        for c in chain:
+            check_label(c)
+    selfints = chain[:]
     if not isinstance(forks, list):
         raise ValidationError("'forks' must be a list of [attach, selfint] entries")
     if len(chain) + len(forks) > VERTEX_LIMIT:
@@ -231,7 +234,7 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
     # chain and forks are echoed as read: every entry is checked to be an int
     payload = {"kind": "dual_graph", "chain": chain, "forks": forks,
                "branches": norm_branches}
-    return ResolutionGraph(tuple(selfints), frozenset(edges), tuple(brs)), payload
+    return ResolutionGraph(selfints, edges, brs), payload
 
 
 def parse_germ_file(text: str) -> GermFile:

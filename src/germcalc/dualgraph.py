@@ -95,31 +95,54 @@ def check_label(c: int) -> int:
 
 
 class ResolutionGraph(FrozenRecord):
-    """Tree of exceptional curves plus attached boundary branches."""
+    """Tree of exceptional curves plus attached boundary branches.
+
+    Construction is one linear pass. ``edges`` may be any iterable of
+    index pairs (a list, a set, either orientation): each pair is put in
+    (low, high) order into the frozenset field, in the order the
+    iterable gives them, duplicates merged. ``__post_init__`` then checks,
+    in this order, and raises ValidationError at the first fault:
+
+    * the labels, by one ``min``; only on a fault does ``check_label``
+      run over them, to name the first label below 1;
+    * each edge, in the iteration order of the ``edges`` frozenset: a
+      self-loop, or an index outside 0..n-1. The same walk fills the
+      neighbour tuples ``_adj``;
+    * the tree: n - 1 edges, and the search of ``_tree`` reaches all n
+      vertices;
+    * each branch attach index, in order.
+    """
 
     _fields = ("selfints", "edges", "branches")
 
     def __init__(self, selfints: tuple[int, ...], edges: frozenset[tuple[int, int]],
                  branches: tuple[BoundaryBranch, ...] = ()):
-        object.__setattr__(self, "selfints", tuple(int(c) for c in selfints))
+        object.__setattr__(self, "selfints", tuple(map(int, selfints)))
+        # j < i is the comparison min(i, j) makes, so a pair that cannot
+        # be ordered raises min's TypeError
         object.__setattr__(self, "edges",
-                           frozenset((min(i, j), max(i, j)) for i, j in edges))
+                           frozenset([(j, i) if j < i else (i, j) for i, j in edges]))
         object.__setattr__(self, "branches", tuple(branches))
         self.__post_init__()
 
     def __post_init__(self):
-        n = len(self.selfints)
-        for c in self.selfints:
-            check_label(c)
-        for i, j in self.edges:
-            if i == j:
-                raise ValidationError("self-loop edge")
-            if not (0 <= i < n and 0 <= j < n):
+        labels, edges = self.selfints, self.edges
+        n = len(labels)
+        if labels and min(labels) < 1:
+            for c in labels:
+                check_label(c)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, j in edges:
+            # a pair is (low, high), so 0 <= i < j < n is every check
+            if not 0 <= i < j < n:
+                if i == j:
+                    raise ValidationError("self-loop edge")
                 raise ValidationError(f"edge ({i}, {j}) references a missing vertex")
-        if n == 0:
-            if self.edges:
-                raise ValidationError("edges on an empty vertex set")
-        elif len(self.edges) != n - 1 or len(self._tree[0]) != n:
+            adj[i].append(j)
+            adj[j].append(i)
+        # tuples: read-only, and smaller than the lists
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        if n and (len(edges) != n - 1 or len(self._tree[0]) != n):
             raise ValidationError("edge set is not a tree on the vertex set")
         for br in self.branches:
             if n == 0:
@@ -132,13 +155,17 @@ class ResolutionGraph(FrozenRecord):
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":
         """Build a path graph; branches as (attach, coeff) pairs."""
         k = len(selfints)
-        edges = frozenset((i, i + 1) for i in range(k - 1))
-        brs = tuple(BoundaryBranch(a, Fraction(c)) for a, c in branches)
-        return cls(tuple(selfints), edges, brs)
+        return cls(selfints, zip(range(k - 1), range(1, k)),
+                   [BoundaryBranch(a, c) for a, c in branches])
 
     def with_fork(self, attach: int, selfint: int) -> "ResolutionGraph":
-        """Return the graph with one extra leaf curve joined to ``attach``."""
+        """Return the graph with one extra leaf curve joined to ``attach``,
+        a 0-based vertex index."""
         k = len(self.selfints)
+        if not k:
+            raise ValidationError(f"fork attach index {attach} on an empty graph")
+        if not 0 <= attach < k:
+            raise ValidationError(f"fork attach index {attach} out of range 0..{k - 1}")
         return ResolutionGraph(self.selfints + (selfint,),
                                self.edges | {(attach, k)},
                                self.branches)
@@ -148,30 +175,22 @@ class ResolutionGraph(FrozenRecord):
         return len(self.selfints)
 
     @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Read-only neighbour lists, in sorted edge order, built once."""
-        adj: list[list[int]] = [[] for _ in range(len(self.selfints))]
-        for i, j in sorted(self.edges):
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(map(tuple, adj))
-
-    @cached_property
     def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """BFS order from vertex 0 and each vertex's parent (-1 for vertex
         0 and for every vertex not reached), built once for a graph with
-        at least one vertex. Visited vertices are marked, so the search
-        ends on any edge set; the edges form a tree exactly when there
-        are n - 1 of them and the order reaches all n vertices."""
+        at least one vertex. The parent array marks the visited vertices
+        (vertex 0 by itself while the search runs), so the search ends
+        on any edge set; the edges form a tree exactly when there are
+        n - 1 of them and the order reaches all n vertices."""
         adj = self._adj
-        order, parent = [0], [-1] * len(self.selfints)
-        seen = {0}
+        order, parent = [0], [-1] * len(adj)
+        parent[0] = 0
         for v in order:
             for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if parent[w] < 0:
                     parent[w] = v
                     order.append(w)
+        parent[0] = -1
         return tuple(order), tuple(parent)
 
     @cached_property

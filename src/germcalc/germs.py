@@ -270,14 +270,17 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     arm, ahead = [], []
     if g.n_vertices:
         attached = {br.attach for br in rest}
-        arm, prev = [g.branches[i].attach], -1
-        while True:
-            v = arm[-1]
-            ahead = [w for w in adj[v] if w != prev]
-            if v in attached or len(ahead) != 1:
-                break
-            arm.append(ahead[0])
-            prev = v
+        v, prev = g.branches[i].attach, -1
+        arm = [v]
+        # step on while v has exactly one neighbour besides prev, which
+        # in a tree is v's only neighbour at the start and one of two after
+        while v not in attached and len(adj[v]) == (1 if prev < 0 else 2):
+            w = adj[v][0]
+            if w == prev:
+                w = adj[v][1]
+            arm.append(w)
+            prev, v = v, w
+        ahead = [w for w in adj[v] if w != prev]
         if any(len(adj[w]) != 1 or g.selfints[w] != 2 or w in attached
                for w in ahead):
             why = ("the graph goes on past it" if any(len(adj[w]) != 1 for w in ahead)

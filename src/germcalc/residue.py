@@ -115,6 +115,17 @@ def multibranch_deficit(m: int, coeffs) -> int:
     return floor_scale(m, total) - sum(floor_scale(m, c) for c in coeffs)
 
 
+def _certificate(nums: list[int], den: int) -> int:
+    """An m with a positive rounding deficit for the coefficients
+    c_i = nums[i] / den, den the lcm of their denominators: with
+    sum c_i = p/D in lowest terms, D when some D c_i is not an integer
+    (exactly when D < den), else p^-1 mod D. find_failure_m proves it."""
+    total = sum(nums)
+    g = gcd(den, total)
+    D, p = den // g, total // g
+    return D if D < den else pow(p, -1, D)
+
+
 def find_failure_m(coeffs) -> int:
     """Least m with a positive rounding deficit.
 
@@ -125,10 +136,11 @@ def find_failure_m(coeffs) -> int:
     fails: m is prime to D, so each residue m (D c_i) mod D is nonzero;
     the residues sum to m p = 1 mod D, and there are at least two of
     them, so their sum is at least D + 1, which makes sum {m c_i} > 1.
-    So the search ends by m = D with an answer. It never tries more than
-    FAILURE_SEARCH_LIMIT values: when D lies beyond the limit and no
-    failure turns up below it, LimitExceeded is raised, as it is for
-    more than FAILURE_COEFF_LIMIT coefficients.
+    That m is the certificate, so the search ends by it, and by m = D,
+    with an answer. It never tries more than FAILURE_SEARCH_LIMIT values:
+    when no failure turns up below the limit, the certificate lies
+    beyond it, and LimitExceeded is raised naming the certificate, as it
+    is for more than FAILURE_COEFF_LIMIT coefficients.
 
     Each step is integer arithmetic: with c_i = a_i / L over the common
     denominator L, the residues m a_i mod L sum to m sum a_i mod L plus
@@ -152,7 +164,7 @@ def find_failure_m(coeffs) -> int:
             return m
     raise LimitExceeded(
         f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
-        f"the bound is {bound}")
+        f"m = {_certificate(nums, den)} fails")
 
 
 def dihedral_image_twist(m: int) -> int:

@@ -758,6 +758,20 @@ def test_the_longest_chain_of_2s_reports_under_the_size_bound(tmp_path, capsys):
     assert report["discrepancies"][-1] == f"-1/{VERTEX_LIMIT}"
 
 
+def test_the_largest_dihedral_31_fork_reports_its_class(tmp_path, capsys):
+    # an arm of 9,998 curves of label 2 with two -2 prongs at its far end:
+    # 10^4 curves, every one of solved coefficient 1 but the prongs' 1/2
+    arm = VERTEX_LIMIT - 2
+    record = {"kind": "dual_graph", "chain": [2] * arm,
+              "forks": [[arm, 2], [arm, 2]], "branches": [[1, "1"]]}
+    assert main(["report", write(tmp_path, json.dumps(record))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lc_class"] == "LC_CENTER" and report["case"] == "DIHEDRAL_31"
+    assert report["classification"]["cartier_index"] == 2
+    assert report["discrepancies"][-2:] == ["-1/2", "-1/2"]
+    assert report["modification"]["kept_curves"] == [arm + 1, arm + 2]
+
+
 def test_an_integer_past_the_digit_limit_is_limit_exceeded(capsys):
     # each coefficient parses, but the search bound, the denominator of
     # their sum, is an int of 4301 digits

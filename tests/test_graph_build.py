@@ -1,0 +1,178 @@
+"""The one-pass construction of ``ResolutionGraph`` and the arm walk of
+``germs._decompose`` against their reference copies in
+``graph_oracle``: the same fields, repr and hash, or the same exception
+type and message, on every edge collection drawn; and the same
+(tag, gamma, violation) on the random trees of ``test_dualgraph``.
+
+Edge indices are drawn as integers, the type the constructor takes. A
+non-integer index (0.5, say) is refused by a TypeError from indexing
+the neighbour lists, now met in the edge walk, before the tree check,
+where the reference met it after; so with a second fault in the same
+input the two may name different faults."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graph_oracle import reference_decompose, reference_graph
+from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
+from germcalc.errors import GermError, ValidationError
+from germcalc.germs import _decompose, classify_lc_germ
+from test_dualgraph import random_trees, record_trees, recurrence_trees
+
+HALF = Fraction(1, 2)
+
+# labels that are below 1, or that int() reads ("3", True, 7/2) or
+# refuses ("x")
+ODD_LABELS = st.one_of(st.integers(-2, 0), st.sampled_from(["3", True, Fraction(7, 2), "x"]))
+CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
+              "iterator": iter}
+
+
+@st.composite
+def graph_inputs(draw):
+    """(labels, edge pairs, container name, branches) with every kind of
+    fault, often several in one input: labels below 1; edges in either
+    orientation, duplicated, self-loops, negative or past the last
+    vertex; a tree with an edge dropped (disconnected), or with one
+    added (a cycle); the empty graph with or without edges; and branch
+    attach indices that are None, negative or past the last vertex."""
+    labels = draw(st.lists(st.integers(1, 6), max_size=8))
+    n = len(labels)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if labels:
+            labels[draw(st.integers(0, n - 1))] = draw(ODD_LABELS)
+    pairs = []
+    if n and draw(st.integers(0, 3)):
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    index = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    pairs += draw(st.lists(st.tuples(index, index), max_size=draw(st.sampled_from([0, 0, 1, 3]))))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    pairs = [(j, i) if draw(st.booleans()) else (i, j) for i, j in pairs]
+    pairs = draw(st.permutations(pairs))
+    container = draw(st.sampled_from(sorted(CONTAINERS)))
+    attach = st.integers(0, max(n - 1, 0)) if n else st.none()
+    if draw(st.integers(0, 3)) == 0:
+        attach = st.one_of(attach, st.none(), st.integers(-2, n + 1))
+    branches = draw(st.lists(st.builds(BoundaryBranch, attach,
+                                       st.sampled_from([Fraction(1), HALF])),
+                             max_size=3))
+    return labels, pairs, container, branches
+
+
+def _outcome(build, labels, pairs, container, branches):
+    """The fields ``build`` returns, or the exception type and message it
+    raises; each call gets a fresh edge collection."""
+    try:
+        return build(labels, CONTAINERS[container](pairs), branches), None
+    except Exception as exc:  # every exception is compared, whatever its type
+        return None, (type(exc), str(exc))
+
+
+def _fields(labels, edges, branches):
+    g = ResolutionGraph(labels, edges, branches)
+    return g.selfints, g.edges, g.branches
+
+
+@settings(max_examples=1500, deadline=None)
+@given(graph_inputs())
+def test_construction_matches_the_reference_constructor(case):
+    expected, expected_error = _outcome(reference_graph, *case)
+    fields, error = _outcome(_fields, *case)
+    assert error == expected_error
+    if expected is None:
+        return
+    assert fields == expected
+    assert [type(x) for x in fields] == [tuple, frozenset, tuple]
+    labels, pairs, container, branches = case
+    g = ResolutionGraph(labels, CONTAINERS[container](pairs), branches)
+    selfints, edges, brs = expected
+    assert repr(g) == (f"ResolutionGraph(selfints={selfints!r}, edges={edges!r}, "
+                       f"branches={brs!r})")
+    assert hash(g) == hash(expected)
+    assert g == ResolutionGraph(selfints, edges, brs)
+    if selfints:
+        # the search from vertex 0 is a spanning tree of exactly these edges
+        order, parent = g._tree
+        assert sorted(order) == list(range(len(selfints))) and order[0] == 0
+        assert parent[0] == -1
+        position = {v: k for k, v in enumerate(order)}
+        assert all(position[parent[v]] < position[v] for v in order[1:])
+        assert {tuple(sorted((parent[v], v))) for v in order[1:]} == edges
+        assert [sorted(nbrs) for nbrs in g._adj] == [
+            sorted(w for e in edges if v in e for w in e if w != v)
+            for v in range(len(selfints))]
+
+
+@pytest.mark.parametrize("labels, edges, message", [
+    # every fault at once: the first label below 1 is named
+    ([2, 0, -1], [(0, 0), (5, 1)], "self-intersection label 0 must be >= 1"),
+    ([2, 2], [(1, 1), (0, 1)], "self-loop edge"),
+    ([2, 2], [(2, 0)], "edge (0, 2) references a missing vertex"),
+    ([2, 2, 2], [(1, 0), (0, 1)], "edge set is not a tree on the vertex set"),
+    ([], [(0, 0)], "self-loop edge"),
+    ([], [(1, 0)], "edge (0, 1) references a missing vertex"),
+])
+def test_a_faulty_graph_names_its_first_fault(labels, edges, message):
+    for container in CONTAINERS.values():
+        with pytest.raises(ValidationError) as info:
+            ResolutionGraph(labels, container(edges))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("graph, attach, message", [
+    (ResolutionGraph.chain([]), 0, "fork attach index 0 on an empty graph"),
+    (ResolutionGraph.chain([2, 2]), 5, "fork attach index 5 out of range 0..1"),
+    (ResolutionGraph.chain([2, 2]), 2, "fork attach index 2 out of range 0..1"),
+    (ResolutionGraph.chain([2, 2]), -1, "fork attach index -1 out of range 0..1"),
+])
+def test_with_fork_names_the_attach_index_it_was_given(graph, attach, message):
+    # the attach index is checked before the new curve's label
+    for selfint in (2, 0):
+        with pytest.raises(ValidationError) as info:
+            graph.with_fork(attach, selfint)
+        assert str(info.value) == message
+
+
+def test_with_fork_joins_a_leaf_to_the_attach_curve():
+    g = ResolutionGraph.chain([2, 3]).with_fork(1, 2)
+    assert g == ResolutionGraph((2, 3, 2), {(0, 1), (1, 2)})
+    with pytest.raises(ValidationError, match="label 0"):
+        g.with_fork(0, 0)
+
+
+@st.composite
+def renumbered(draw, graphs):
+    """A drawn graph with its curves renumbered at random, so that the
+    arm may run through vertex 0 and its curves' neighbour lists come in
+    any order."""
+    g = draw(graphs)
+    new = draw(st.permutations(range(g.n_vertices)))
+    selfints = [0] * g.n_vertices
+    for v, c in enumerate(g.selfints):
+        selfints[new[v]] = c
+    return ResolutionGraph(selfints, [(new[i], new[j]) for i, j in g.edges],
+                           [BoundaryBranch(None if br.attach is None else new[br.attach],
+                                           br.coeff) for br in g.branches])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(random_trees(), record_trees(), recurrence_trees(),
+                 renumbered(record_trees())))
+def test_the_arm_walk_matches_the_reference_decomposition(g):
+    if not any(br.coeff == 1 for br in g.branches):
+        return
+    expected = reference_decompose(g)
+    assert _decompose(g) == expected
+    try:
+        cls = classify_lc_germ(g)
+    except GermError:
+        # not plt or lc center, or an lc-center shape whose index does
+        # not divide 2: no class to compare
+        return
+    assert (cls.tag, cls.gamma, cls.violation) == expected

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
 from germcalc.residue import (FAILURE_COEFF_LIMIT, FAILURE_SEARCH_LIMIT,
-                              dihedral_image_twist, find_failure_m,
+                              _certificate, dihedral_image_twist, find_failure_m,
                               glued_mcartier, glued_restriction_coeff,
                               multibranch_deficit, residue_table,
                               single_branch_report)
@@ -157,9 +157,27 @@ def test_find_failure_m_scans_up_to_the_limit():
 
 
 def test_find_failure_m_raises_past_the_limit():
+    # the sum is 2000000016 / D over D = 1000000007 * 1000000009, and
+    # every D c_i is an integer, so the certificate is 2000000016^-1 mod D
     coeffs = [Fraction(1, 1_000_000_007), Fraction(1, 1_000_000_009)]
-    with pytest.raises(LimitExceeded, match="search limit"):
+    with pytest.raises(LimitExceeded) as info:
         find_failure_m(coeffs)
+    assert str(info.value) == ("no failure up to the search limit 100000; "
+                               "m = 500000004 fails")
+    assert multibranch_deficit(500_000_004, coeffs) > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6),
+                             max_denominator=10**6),
+                min_size=2, max_size=5))
+def test_the_certificate_has_a_positive_deficit(coeffs):
+    den = lcm(*(c.denominator for c in coeffs))
+    certificate = _certificate([c.numerator * (den // c.denominator) for c in coeffs], den)
+    assert 1 <= certificate <= sum(coeffs).denominator
+    assert multibranch_deficit(certificate, coeffs) > 0
+    if certificate <= FAILURE_SEARCH_LIMIT:
+        assert find_failure_m(coeffs) <= certificate
 
 
 @settings(max_examples=300, deadline=None)
