@@ -5,10 +5,12 @@ seeded random calls of the argument subcommands.
 The germ files are of all three kinds, malformed ones included, and a
 few percent of them are large: cyclic quotients with n up to 10^6, and
 dual graphs of up to 400 curves, so the runs reach the big integers of
-the graph elimination. The argument calls are ``failure-m --coeffs``
-and ``stdcoeff --c --m``, with valid, malformed and out-of-range
-values; their denominators stay at most 50, so that no failure-m search
-comes near its limit. Each source tree runs in its own process, which
+the graph elimination. ``residue`` runs with ``--m-max 6``, with the
+default 24, and with a length drawn for each file from the seed in
+1..300, so the table is compared at many lengths. The argument calls
+are ``failure-m --coeffs`` and ``stdcoeff --c --m``, with valid,
+malformed and out-of-range values; their denominators stay at most 50,
+so that no failure-m search comes near its limit. Each source tree runs in its own process, which
 calls ``cli.main`` once per file and subcommand variant, and once per
 argument call, and records the exit code and stdout. The script prints the runs that differ, grouped
 by subcommand and by the pair of exit codes, and exits 1 when any run
@@ -36,11 +38,16 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
+# A word of a variant replaced, for each file, by a table length drawn
+# from the run's seed in 1..DRAWN_M_MAX_TOP.
+DRAWN = "drawn"
+DRAWN_M_MAX_TOP = 300
 VARIANTS = (
     ("report",),
     ("classify",),
     ("discrepancy",),
     ("residue", "--m-max", "6"),
+    ("residue", "--m-max", DRAWN),
     ("residue",),
     ("glue",),
     ("glue", "--m", "3"),
@@ -195,12 +202,15 @@ def worker(src: str, directory: str) -> None:
     """Run every variant on every germ file of ``directory`` and every
     argument call of its ``arguments.json`` with the tree at ``src``; one
     JSON line [input, variant, exit code, stdout sha256] per run, where
-    the input is the file path or the numbered argument words."""
+    the input is the file path or the numbered argument words. A
+    ``DRAWN`` word takes the file's value in ``drawn.json``."""
     sys.path.insert(0, src)
     from germcalc import cli
+    drawn = json.loads((Path(directory) / "drawn.json").read_text())
     for path in sorted(str(p) for p in (Path(directory) / "germs").iterdir()):
         for variant in VARIANTS:
-            argv = [variant[0], path, *variant[1:]]
+            argv = [variant[0], path,
+                    *(drawn[Path(path).name] if word == DRAWN else word for word in variant[1:])]
             print(json.dumps([path, " ".join(variant), *_run(cli, argv)]))
     calls = json.loads((Path(directory) / "arguments.json").read_text())
     for k, words in enumerate(calls):
@@ -238,6 +248,10 @@ def main() -> int:
             (Path(tmp) / "germs" / f"germ{k:05d}.json").write_bytes(germ_bytes(rng))
         calls = [argument_words(rng) for _ in range(args.files)]
         (Path(tmp) / "arguments.json").write_text(json.dumps(calls))
+        # drawn after the files and the calls, which keep their bytes
+        drawn = {f"germ{k:05d}.json": str(rng.randint(1, DRAWN_M_MAX_TOP))
+                 for k in range(args.files)}
+        (Path(tmp) / "drawn.json").write_text(json.dumps(drawn))
         old = run_tree(str(Path(args.old).resolve()), tmp)
         new = run_tree(str(Path(args.new).resolve()), tmp)
         groups = defaultdict(list)
@@ -256,7 +270,10 @@ def main() -> int:
             lines.append(f"  {variant}: exit {code_old} -> {code_new}: {len(inputs)} runs")
             for given in inputs[:args.show]:
                 if variant not in ARGUMENT_COMMANDS:
-                    given = Path(given).read_bytes().decode("utf-8", "replace")
+                    text = Path(given).read_bytes().decode("utf-8", "replace")
+                    if DRAWN in variant.split():
+                        text += f"  ({DRAWN} {drawn[Path(given).name]})"
+                    given = text
                 lines.append(f"    {given}")
     crashed = Counter(code for code, _ in new.values()
                       if str(code).startswith("traceback"))

@@ -42,8 +42,8 @@ from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
-from .residue import (find_failure_m, glued_mcartier,
-                      glued_restriction_coeff, residue_table)
+from .residue import (ResidueTable, find_failure_m, glued_mcartier,
+                      glued_restriction_coeff, restriction_exponents)
 from .stdcoeff import coeff_check, plt_modification
 
 DEFAULT_M_MAX = 24
@@ -315,7 +315,7 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
     if m_max > M_MAX_LIMIT:
         raise LimitExceeded(f"--m-max {m_max} exceeds the limit {M_MAX_LIMIT}")
     return {"input": gf.payload, "m_max": m_max,
-            "residue_table": residue_table(gamma, m_max)}
+            "residue_table": ResidueTable(gamma.numerator, gamma.denominator, m_max)}
 
 
 def _cmd_glue(gf: GermFile, m: int) -> dict:
@@ -382,7 +382,7 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
         out["residue_table"] = None
         out["flags"].append("residue-not-applicable")
     else:
-        out["residue_table"] = residue_table(gamma, m_max)
+        out["residue_table"] = ResidueTable(gamma.numerator, gamma.denominator, m_max)
     return out
 
 
@@ -518,6 +518,20 @@ def _emit(obj, pad: str, append) -> None:
         append("null")
     elif kind is bool:
         append("true" if obj else "false")
+    elif kind is ResidueTable:
+        # the list of row dicts, each row from one template with its
+        # keys in sorted order
+        inner = pad + "  "
+        key = inner + '  "'
+        row = ("{" + key + 'deficit": %d,' + key + 'm": %d,' + key + 'source_exponent": %d,'
+               + key + 'surjective": %s,' + key + 'target_exponent": %d' + inner + "}")
+        p, n, sep = obj.p, obj.n, "[" + inner
+        for m in range(1, obj.m_max + 1):
+            source, target, deficit = restriction_exponents(m, p, n)
+            append(sep)
+            append(row % (deficit, m, source, "false" if deficit else "true", target))
+            sep = "," + inner
+        append(pad + "]" if obj.m_max >= 1 else "[]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -530,8 +544,10 @@ def _dumps(payload: dict) -> str:
 
     A payload is built fresh from dicts with str keys, lists, and str,
     int, bool and None leaves, so it holds no cycle and no float. The
-    dispatch is on the exact type: any other type, a subclass included,
-    raises TypeError.
+    one value that is not JSON it takes is a ``residue.ResidueTable``,
+    written as json would write its list of row dicts, each row straight
+    from ``restriction_exponents``. The dispatch is on the exact type:
+    any other type, a subclass included, raises TypeError.
     """
     parts: list[str] = []
     try:

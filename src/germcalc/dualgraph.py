@@ -106,8 +106,9 @@ class ResolutionGraph(FrozenRecord):
     * the labels, by one ``min``; only on a fault does ``check_label``
       run over them, to name the first label below 1;
     * each edge, in the iteration order of the ``edges`` frozenset: a
-      self-loop, or an index outside 0..n-1. The same walk fills the
-      neighbour tuples ``_adj``;
+      self-loop, an index outside 0..n-1, or an index in that range
+      that is not an integer (0.5). The same walk fills the neighbour
+      tuples ``_adj``;
     * the tree: n - 1 edges, and the search of ``_tree`` reaches all n
       vertices;
     * each branch attach index, in order.
@@ -138,8 +139,13 @@ class ResolutionGraph(FrozenRecord):
                 if i == j:
                     raise ValidationError("self-loop edge")
                 raise ValidationError(f"edge ({i}, {j}) references a missing vertex")
-            adj[i].append(j)
-            adj[j].append(i)
+            try:
+                adj[i].append(j)
+                adj[j].append(i)
+            except TypeError:
+                # only an index that is no integer fails to index a list
+                raise ValidationError(
+                    f"edge ({i}, {j}) has an index that is not an integer") from None
         # tuples: read-only, and smaller than the lists
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         if n and (len(edges) != n - 1 or len(self._tree[0]) != n):

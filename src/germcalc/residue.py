@@ -85,20 +85,21 @@ def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
     return ResidueReport(m, source, target, deficit == 0, deficit)
 
 
-def residue_table(gamma: Fraction, m_max: int) -> list[dict]:
-    """single_branch_report's fields for m = 1..m_max, one plain dict per
-    row, at the slope gamma in [0, 1]; any germ of that slope gives the
-    same exponents, so none is built.
+class ResidueTable(FrozenRecord):
+    """single_branch_report's fields for m = 1..m_max at the slope
+    p/n in [0, 1], as one value: ``cli._dumps`` writes each row straight
+    from restriction_exponents, so no row is built. Any germ of that
+    slope gives the same exponents, so none is kept.
     """
-    if not 0 <= gamma <= 1:
-        raise BadParameters(f"slope {gamma} outside [0, 1]")
-    p, n = gamma.numerator, gamma.denominator
-    rows = []
-    for m in range(1, m_max + 1):
-        source, target, deficit = restriction_exponents(m, p, n)
-        rows.append({"m": m, "source_exponent": source, "target_exponent": target,
-                     "surjective": deficit == 0, "deficit": deficit})
-    return rows
+
+    _fields = ("p", "n", "m_max")
+
+    def __init__(self, p: int, n: int, m_max: int):
+        if n < 1 or not 0 <= p <= n:
+            raise BadParameters(f"slope {p}/{n} outside [0, 1]")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m_max", m_max)
 
 
 def multibranch_deficit(m: int, coeffs) -> int:

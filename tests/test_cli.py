@@ -18,7 +18,7 @@ from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
 from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
-from germcalc.residue import FAILURE_COEFF_LIMIT
+from germcalc.residue import FAILURE_COEFF_LIMIT, ResidueTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -819,6 +819,18 @@ def test_the_report_writer_gives_the_text_of_json_dumps(tree):
 def test_the_report_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._dumps(value)
+
+
+def test_the_report_writer_takes_the_residue_table_by_its_exact_type():
+    class Table(ResidueTable):
+        pass
+
+    assert cli._dumps([ResidueTable(1, 3, 1)]) == json.dumps(
+        [[{"m": 1, "source_exponent": 1, "target_exponent": 0,
+           "surjective": True, "deficit": 0}]], sort_keys=True, indent=2)
+    assert cli._dumps({"t": ResidueTable(1, 3, 0)}) == '{\n  "t": []\n}'
+    with pytest.raises(TypeError):
+        cli._dumps({"t": Table(1, 3, 2)})
 
 
 def test_a_dual_graph_at_the_vertex_limit_parses():

@@ -5,10 +5,9 @@ type and message, on every edge collection drawn; and the same
 (tag, gamma, violation) on the random trees of ``test_dualgraph``.
 
 Edge indices are drawn as integers, the type the constructor takes. A
-non-integer index (0.5, say) is refused by a TypeError from indexing
-the neighbour lists, now met in the edge walk, before the tree check,
-where the reference met it after; so with a second fault in the same
-input the two may name different faults."""
+non-integer index in range (0.5, say) is refused in the edge walk by a
+ValidationError naming the edge, where the reference raised the
+TypeError of indexing a list; it has its own test below."""
 
 from fractions import Fraction
 
@@ -123,6 +122,23 @@ def test_a_faulty_graph_names_its_first_fault(labels, edges, message):
         with pytest.raises(ValidationError) as info:
             ResolutionGraph(labels, container(edges))
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("labels, edges, message", [
+    ([2, 2], [(0.5, 1)], "edge (0.5, 1) has an index that is not an integer"),
+    ([2, 2], [(1.0, 0)], "edge (0, 1.0) has an index that is not an integer"),
+    ([2, 2, 2], [(0, Fraction(1)), (1, 2)],
+     "edge (0, 1) has an index that is not an integer"),
+])
+def test_a_non_integer_edge_index_is_a_validation_error(labels, edges, message):
+    with pytest.raises(ValidationError) as info:
+        ResolutionGraph(labels, edges)
+    assert str(info.value) == message
+
+
+def test_an_unorderable_edge_pair_keeps_its_type_error():
+    with pytest.raises(TypeError):
+        ResolutionGraph([2, 2], [("a", 1)])
 
 
 @pytest.mark.parametrize("graph, attach, message", [

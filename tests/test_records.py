@@ -13,7 +13,7 @@ from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
 from germcalc.errors import BadParameters, ValidationError
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy)
-from germcalc.residue import ResidueReport
+from germcalc.residue import ResidueReport, ResidueTable
 from germcalc.stdcoeff import CoeffCheck
 
 HALF = Fraction(1, 2)
@@ -37,6 +37,7 @@ RECORDS = [
      ((GERM, GERM), Trichotomy.LC_CENTER_CASE, None, None), 2),
     (ResidueReport, "m source_exponent target_exponent surjective deficit",
      (3, 1, 2, True, 0), (4, 1, 2, True, 0), 0),
+    (ResidueTable, "p n m_max", (1, 10, 24), (1, 10, 6), 0),
     (CoeffCheck, "c m standard hypothesis_ok bracket_ok",
      (HALF, 2, True, True, True), (HALF, 3, True, True, True), 0),
     (GermFile, "kind germ graph parts glue_ok payload",

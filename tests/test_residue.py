@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residue_oracle import fraction_table
+from germcalc import cli
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import CyclicQuotientGerm
 from germcalc.residue import (FAILURE_COEFF_LIMIT, FAILURE_SEARCH_LIMIT,
-                              _certificate, dihedral_image_twist, find_failure_m,
-                              glued_mcartier, glued_restriction_coeff,
-                              multibranch_deficit, residue_table,
+                              ResidueTable, _certificate, dihedral_image_twist,
+                              find_failure_m, glued_mcartier,
+                              glued_restriction_coeff, multibranch_deficit,
                               single_branch_report)
 
 HALF = Fraction(1, 2)
@@ -59,15 +61,25 @@ SLOPES = st.integers(1, 200).flatmap(
 @given(gamma=SLOPES, m_max=st.integers(1, 500))
 def test_the_integer_table_matches_the_fraction_oracle(gamma, m_max):
     expected = fraction_table(gamma, m_max)
-    assert residue_table(gamma, m_max) == expected
     germ = CyclicQuotientGerm(1, 1, 1, 1 - gamma)  # slope gamma
     assert [vars(single_branch_report(m, germ)) for m in range(1, m_max + 1)] == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(gamma=SLOPES, m_max=st.integers(1, 500))
+def test_the_written_table_is_the_text_of_the_fraction_oracle(gamma, m_max):
+    table = ResidueTable(gamma.numerator, gamma.denominator, m_max)
+    rows = fraction_table(gamma, m_max)
+    # at the top level and two objects deep, so that the rows are
+    # written at two indents
+    for wrap in (lambda t: t, lambda t: {"m_max": m_max, "report": {"residue_table": t}}):
+        assert cli._dumps(wrap(table)) == json.dumps(wrap(rows), sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("gamma", [Fraction(-1, 3), Fraction(4, 3)])
 def test_the_table_refuses_a_slope_outside_the_unit_interval(gamma):
-    with pytest.raises(BadParameters):
-        residue_table(gamma, 3)
+    with pytest.raises(BadParameters, match=f"slope {gamma} outside"):
+        ResidueTable(gamma.numerator, gamma.denominator, 3)
 
 
 @pytest.mark.parametrize("m, coeffs, expected", [
