@@ -5,7 +5,10 @@ seeded random calls of the argument subcommands.
 The germ files are of all three kinds, malformed ones included, and a
 few percent of them are large: cyclic quotients with n up to 10^6, and
 dual graphs of up to 400 curves, so the runs reach the big integers of
-the graph elimination. ``residue`` runs with ``--m-max 6``, with the
+the graph elimination. Most cyclic quotients have a weight prime to
+their order, and half the short dual graphs are chains with a
+coefficient-1 branch at one end, so that many files are plt chains and
+reach the residue table. ``residue`` runs with ``--m-max 6``, with the
 default 24, and with a length drawn for each file from the seed in
 1..300, so the table is compared at many lengths. The argument calls
 are ``failure-m --coeffs`` and ``stdcoeff --c --m``, with valid,
@@ -36,6 +39,7 @@ import sys
 import tempfile
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 # A word of a variant replaced, for each file, by a table length drawn
@@ -63,6 +67,13 @@ STDCOEFF_M = ["2", "2", "3", "4", "5", "12", "50", "1", "0", "-3", "x", "2.5"]
 # Share of cyclic files with n up to 10^6, and of dual graphs with 20 to
 # 400 curves (labels 2..9, now and then one of 21 to 61 digits).
 LONG_SHARE = 0.04
+# Share of cyclic files, glued components included, whose weight q is
+# drawn prime to n, so that the germ is valid; the rest draw any q.
+COPRIME_SHARE = 0.8
+# Share of the short dual graphs that are conductor-1 chains: labels of
+# at least 2, a coefficient-1 branch on the first curve and at most one
+# other branch, on the last. Most are plt chains, with a residue table.
+PLT_CHAIN_SHARE = 0.5
 
 
 def _rat(rng):
@@ -73,7 +84,13 @@ def _cyclic(rng, kind=True):
     n = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12, 20, 31, rng.randint(1, 60)])
     if rng.random() < LONG_SHARE:
         n = rng.randint(61, 10**6)
-    q = rng.randint(1, n) if rng.random() < 0.95 else rng.choice([0, n + 1, "2"])
+    roll = rng.random()
+    if roll < 0.95:
+        q = rng.randint(1, n)
+        while roll < COPRIME_SHARE and gcd(n, q) != 1:
+            q = rng.randint(1, n)
+    else:
+        q = rng.choice([0, n + 1, "2"])
     rec = {"n": n, "q": q}
     if kind:
         rec["kind"] = "cyclic_quotient"
@@ -96,6 +113,11 @@ def _dual_graph(rng):
             chain[rng.randrange(k)] = 10 ** rng.randint(20, 60)
     else:
         k = rng.randint(0, 6)
+        if rng.random() < PLT_CHAIN_SHARE:
+            branches = [[1 if k else 0, "1"], [k, _rat(rng)]]
+            del branches[rng.randint(1, 2):]
+            return {"kind": "dual_graph", "chain": [rng.randint(2, 5) for _ in range(k)],
+                    "forks": [], "branches": branches}
         chain = [rng.choice(LABELS) for _ in range(k)]
         if chain and rng.random() < 0.03:
             chain[rng.randrange(k)] = rng.choice([0, -2, "2", True])

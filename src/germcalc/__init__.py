@@ -15,11 +15,11 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
 from .rational import floor_scale, format_rat, parse_rat
-from .residue import (ResidueReport, dihedral_image_twist, find_failure_m,
-                      glued_mcartier, glued_restriction_coeff,
-                      multibranch_deficit, single_branch_report)
+from .residue import (ResidueReport, find_failure_m, glued_mcartier,
+                      glued_restriction_coeff, multibranch_deficit,
+                      single_branch_report)
 from .stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
-                       is_standard, plt_modification, vanishing_hypothesis)
+                       is_standard, vanishing_hypothesis)
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,10 @@ __all__ = [
     "ValidationError", "boundary_coefficients", "bracket_bound_holds",
     "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",
-    "dihedral_image_twist", "find_failure_m", "floor_scale", "format_rat",
+    "find_failure_m", "floor_scale", "format_rat",
     "glued_mcartier", "glued_restriction_coeff", "hj_contract", "hj_expand",
     "is_contractible", "is_standard", "log_canonical_class",
     "multibranch_deficit",
-    "parse_rat", "plt_modification", "resolution_graph",
+    "parse_rat", "resolution_graph",
     "single_branch_report", "vanishing_hypothesis",
 ]

@@ -1,8 +1,8 @@
 """The one base of the package's frozen value classes.
 
 A record class names its fields in ``_fields`` and writes its own
-``__init__``, which sets each field once with ``object.__setattr__`` and
-then calls ``__post_init__`` when the class checks its values. The base
+``__init__``, which checks the values first, when the class has checks,
+and then sets each field once with ``object.__setattr__``. The base
 gives the rest of what a frozen dataclass would: equality and hashing
 by the field tuple, a ``Name(field=value, ...)`` repr, and assignment
 and deletion that raise AttributeError. Instances keep their

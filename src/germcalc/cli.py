@@ -36,15 +36,15 @@ from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
                         solved_numerators)
-from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
-                     ParseError, ValidationError)
+from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
+                     NotApplicable, ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
 from .residue import (ResidueTable, find_failure_m, glued_mcartier,
                       glued_restriction_coeff, restriction_exponents)
-from .stdcoeff import coeff_check, plt_modification
+from .stdcoeff import coeff_check
 
 DEFAULT_M_MAX = 24
 # Largest --m-max accepted by residue: one table row per m.
@@ -113,10 +113,11 @@ class GermFile(FrozenRecord):
         """
         cls = self.classification
         if cls.tag is GermTag.PLT_CHAIN:
-            # the order-1 model with drop gamma has the chain's slope
-            discrepancy, coeff = plt_modification(1, cls.gamma)
-            return {"extracted_coeff": format_rat(coeff),
-                    "extracted_discrepancy": format_rat(discrepancy),
+            # the conductor-end curve has discrepancy gamma - 1 and enters
+            # the boundary at 1 - gamma, the different; each is formatted
+            # from its own value, so gamma = 1 gives "0" twice, not "-0"
+            return {"extracted_coeff": format_rat(1 - cls.gamma),
+                    "extracted_discrepancy": format_rat(cls.gamma - 1),
                     "perturbed": False}
         if cls.tag in LC_CENTER_TAGS:
             numerators, den = solved_numerators(self._resolved)
@@ -330,15 +331,19 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
     if len(comps) == 2:
         if comps[0].q != comps[1].q:
             flags.add("q-mismatch")
-        if m != 2 or any(1 - c.side_coeff >= Fraction(1, 2) for c in comps):
+        cs = [1 - c.side_coeff for c in comps]
+        if m != 2 or any(c >= Fraction(1, 2) for c in cs):
             flags.add("extrapolated")
+        # the model's refusals flag the pair; a number past the digit
+        # limit is LimitExceeded, as everywhere
         try:
             equal = glued_mcartier(m, comps[0], comps[1])
-            coeffs = [format_rat(glued_restriction_coeff(m, c.n, 1 - c.side_coeff))
-                      for c in comps]
-            restriction = {"m": m, "coefficients": coeffs, "equal": equal}
-        except GermError:
+            coeffs = [glued_restriction_coeff(m, comp.n, c) for comp, c in zip(comps, cs)]
+        except (GlueMismatch, BadParameters):
             flags.add("restriction-unavailable")
+        else:
+            restriction = {"m": m, "coefficients": [format_rat(c) for c in coeffs],
+                           "equal": equal}
     classification = None
     try:
         classification = _nonnormal_dict(gf)

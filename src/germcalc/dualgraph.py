@@ -78,13 +78,11 @@ class BoundaryBranch(FrozenRecord):
     _fields = ("attach", "coeff")
 
     def __init__(self, attach: int | None, coeff: Fraction):
+        coeff = Fraction(coeff)
+        if not 0 < coeff <= 1:
+            raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
         object.__setattr__(self, "attach", attach)
-        object.__setattr__(self, "coeff", Fraction(coeff))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not 0 < self.coeff <= 1:
-            raise ValidationError(f"branch coefficient {self.coeff} outside (0, 1]")
+        object.__setattr__(self, "coeff", coeff)
 
 
 def check_label(c: int) -> int:
@@ -100,7 +98,7 @@ class ResolutionGraph(FrozenRecord):
     Construction is one linear pass. ``edges`` may be any iterable of
     index pairs (a list, a set, either orientation): each pair is put in
     (low, high) order into the frozenset field, in the order the
-    iterable gives them, duplicates merged. ``__post_init__`` then checks,
+    iterable gives them, duplicates merged. ``__init__`` then checks,
     in this order, and raises ValidationError at the first fault:
 
     * the labels, by one ``min``; only on a fault does ``check_label``
@@ -118,16 +116,11 @@ class ResolutionGraph(FrozenRecord):
 
     def __init__(self, selfints: tuple[int, ...], edges: frozenset[tuple[int, int]],
                  branches: tuple[BoundaryBranch, ...] = ()):
-        object.__setattr__(self, "selfints", tuple(map(int, selfints)))
+        labels = tuple(map(int, selfints))
         # j < i is the comparison min(i, j) makes, so a pair that cannot
         # be ordered raises min's TypeError
-        object.__setattr__(self, "edges",
-                           frozenset([(j, i) if j < i else (i, j) for i, j in edges]))
-        object.__setattr__(self, "branches", tuple(branches))
-        self.__post_init__()
-
-    def __post_init__(self):
-        labels, edges = self.selfints, self.edges
+        edges = frozenset([(j, i) if j < i else (i, j) for i, j in edges])
+        branches = tuple(branches)
         n = len(labels)
         if labels and min(labels) < 1:
             for c in labels:
@@ -146,16 +139,19 @@ class ResolutionGraph(FrozenRecord):
                 # only an index that is no integer fails to index a list
                 raise ValidationError(
                     f"edge ({i}, {j}) has an index that is not an integer") from None
-        # tuples: read-only, and smaller than the lists
+        # tuples: read-only, and smaller than the lists; _tree searches them
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         if n and (len(edges) != n - 1 or len(self._tree[0]) != n):
             raise ValidationError("edge set is not a tree on the vertex set")
-        for br in self.branches:
+        for br in branches:
             if n == 0:
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
             elif br.attach is None or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach} out of range")
+        object.__setattr__(self, "selfints", labels)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "branches", branches)
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":

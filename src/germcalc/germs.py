@@ -68,23 +68,21 @@ class CyclicQuotientGerm(FrozenRecord):
 
     def __init__(self, n: int, q: int, conductor_coeff: Fraction = Fraction(1),
                  side_coeff: Fraction = Fraction(0)):
+        conductor_coeff, side_coeff = Fraction(conductor_coeff), Fraction(side_coeff)
+        if n < 1:
+            raise BadParameters(f"order n = {n} must be >= 1")
+        if not 1 <= q <= n:
+            raise BadParameters(f"weight q = {q} outside [1, {n}]")
+        if gcd(n, q) != 1:
+            raise BadParameters(f"gcd({n}, {q}) != 1")
+        if not 0 < conductor_coeff <= 1:
+            raise BadParameters(f"conductor coefficient {conductor_coeff} outside (0, 1]")
+        if not 0 <= side_coeff <= 1:
+            raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "conductor_coeff", Fraction(conductor_coeff))
-        object.__setattr__(self, "side_coeff", Fraction(side_coeff))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadParameters(f"order n = {self.n} must be >= 1")
-        if not 1 <= self.q <= self.n:
-            raise BadParameters(f"weight q = {self.q} outside [1, {self.n}]")
-        if gcd(self.n, self.q) != 1:
-            raise BadParameters(f"gcd({self.n}, {self.q}) != 1")
-        if not 0 < self.conductor_coeff <= 1:
-            raise BadParameters(f"conductor coefficient {self.conductor_coeff} outside (0, 1]")
-        if not 0 <= self.side_coeff <= 1:
-            raise BadParameters(f"side coefficient {self.side_coeff} outside [0, 1]")
+        object.__setattr__(self, "conductor_coeff", conductor_coeff)
+        object.__setattr__(self, "side_coeff", side_coeff)
 
     @cached_property
     def gamma(self) -> Fraction:
@@ -98,7 +96,7 @@ class CyclicQuotientGerm(FrozenRecord):
         k = len(chain)
         left = 0 if k else None
         right = k - 1 if k else None
-        # __post_init__ keeps the conductor coefficient in (0, 1]
+        # __init__ keeps the conductor coefficient in (0, 1]
         branches = [(left, self.conductor_coeff)]
         if self.side_coeff != 0:
             branches.append((right, self.side_coeff))
@@ -135,19 +133,16 @@ class GermClass(FrozenRecord):
 
     def __init__(self, tag: GermTag, cartier_index: int, gamma: Fraction | None = None,
                  violation: str | None = None):
+        if tag is GermTag.PLT_CHAIN:
+            if gamma is None or not 0 < gamma <= 1:
+                raise BadParameters("plt chain requires gamma in (0, 1]")
+        if tag in LC_CENTER_TAGS and 2 % cartier_index != 0:
+            raise BadParameters(
+                f"lc-center germ with Cartier index {cartier_index} not dividing 2")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "cartier_index", cartier_index)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "violation", violation)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.tag is GermTag.PLT_CHAIN:
-            if self.gamma is None or not 0 < self.gamma <= 1:
-                raise BadParameters("plt chain requires gamma in (0, 1]")
-        if self.tag in LC_CENTER_TAGS and 2 % self.cartier_index != 0:
-            raise BadParameters(
-                f"lc-center germ with Cartier index {self.cartier_index} not dividing 2")
 
 
 class Trichotomy(str, Enum):
@@ -171,19 +166,17 @@ class NonNormalGerm(FrozenRecord):
 
     def __init__(self, components: tuple[CyclicQuotientGerm, ...], trichotomy: Trichotomy,
                  class_group: ClassGroup | None = None, cartier_index: int | None = None):
-        object.__setattr__(self, "components", tuple(components))
+        components = tuple(components)
+        if trichotomy is Trichotomy.TWO_COMPONENT_PLT:
+            if len(components) != 2 or class_group is not ClassGroup.RANK_ONE:
+                raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")
+        if trichotomy is Trichotomy.ONE_COMPONENT_PLT:
+            if len(components) != 1 or class_group is not ClassGroup.TORSION:
+                raise BadParameters("one-component plt germ must have 1 component, torsion class group")
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "trichotomy", trichotomy)
         object.__setattr__(self, "class_group", class_group)
         object.__setattr__(self, "cartier_index", cartier_index)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.trichotomy is Trichotomy.TWO_COMPONENT_PLT:
-            if len(self.components) != 2 or self.class_group is not ClassGroup.RANK_ONE:
-                raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")
-        if self.trichotomy is Trichotomy.ONE_COMPONENT_PLT:
-            if len(self.components) != 1 or self.class_group is not ClassGroup.TORSION:
-                raise BadParameters("one-component plt germ must have 1 component, torsion class group")
 
 
 def hj_expand(n: int, q: int) -> list[int]:

@@ -7,8 +7,8 @@ gamma)); the identity m - ceil(m g) = floor(m (1 - g)) makes the
 restriction surjective for every m. With several fractional branches
 through one point the floor of the sum can exceed the sum of floors,
 and the first m where it does is the obstruction this module hunts
-down. The dihedral and glued computations record the two ways the
-single-branch picture degrades.
+down. The glued computation records how the single-branch picture
+degrades when two components meet along their conductors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from ._record import FrozenRecord
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
-from .rational import floor_scale
+from .rational import DIGITS_EXCEEDED, floor_scale, format_ratio
 
 # Largest m that find_failure_m tries, and most coefficients it takes:
 # each step of the search is one sum over the coefficients, so together
@@ -39,18 +39,15 @@ class ResidueReport(FrozenRecord):
 
     def __init__(self, m: int, source_exponent: int, target_exponent: int,
                  surjective: bool, deficit: int):
+        if deficit < 0:
+            raise BadParameters("negative deficit")
+        if surjective != (deficit == 0):
+            raise BadParameters("surjectivity flag contradicts deficit")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "source_exponent", source_exponent)
         object.__setattr__(self, "target_exponent", target_exponent)
         object.__setattr__(self, "surjective", surjective)
         object.__setattr__(self, "deficit", deficit)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.deficit < 0:
-            raise BadParameters("negative deficit")
-        if self.surjective != (self.deficit == 0):
-            raise BadParameters("surjectivity flag contradicts deficit")
 
 
 def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
@@ -163,42 +160,45 @@ def find_failure_m(coeffs) -> int:
     for m in range(1, min(bound, FAILURE_SEARCH_LIMIT) + 1):
         if sum(m * a % den for a in nums) >= den:
             return m
-    raise LimitExceeded(
-        f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
-        f"m = {_certificate(nums, den)} fails")
+    try:
+        fails = f"m = {_certificate(nums, den)} fails"
+    except ValueError:
+        # only int-to-text raises it: a certificate past the digit limit
+        fails = f"the failing m is too long to print: {DIGITS_EXCEEDED}"
+    raise LimitExceeded(f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; {fails}")
 
 
-def dihedral_image_twist(m: int) -> int:
-    """Twist of the degree-m restriction image at the pinch point.
-
-    The full twisted sheaf is hit only in even degrees; odd degrees
-    land one twist short. Returns m for even m and m - 1 for odd m.
-    """
+def _glue_ceiling(m: int, p: int, d: int) -> int:
+    """ceil(m c) for the coefficient c = p/d in lowest terms, after
+    refusing m < 1 and c outside (0, 1) as glued_restriction_coeff does."""
     if m < 1:
-        raise BadParameters("m must be >= 1")
-    return m - (m % 2)
+        raise BadParameters("m and n must be >= 1")
+    if not 0 < p < d:
+        raise BadParameters(f"coefficient {format_ratio(p, d)} outside (0, 1)")
+    return -((-m * p) // d)
 
 
 def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
     """Coefficient of the marked point after restricting
     m*(K + D) + floor(m(1-c))*C to the conductor D, in the 1/n(1,1)
-    model: m(1 - 1/n) + floor(m(1-c))/n.
+    model: m(1 - 1/n) + floor(m(1-c))/n, which is (mn - ceil(mc))/n
+    since floor(m - mc) = m - ceil(mc). Its floor is m - ceil(mc/n),
+    the residue table's m minus its source exponent at the slope c/n.
 
     Only the m = 2 value is pinned by the divisor computation; other m
     extrapolate the same intersection numbers and are flagged as such
     by the CLI.
     """
-    if m < 1 or n < 1:
+    if n < 1:
         raise BadParameters("m and n must be >= 1")
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise BadParameters(f"coefficient {c} outside (0, 1)")
-    return m * Fraction(n - 1, n) + Fraction(floor_scale(m, 1 - c), n)
+    return Fraction(m * n - _glue_ceiling(m, c.numerator, c.denominator), n)
 
 
 def glued_mcartier(m: int, g1: CyclicQuotientGerm, g2: CyclicQuotientGerm) -> bool:
     """Whether the degree-m rounded divisor restricts equally to the
-    two sides of a glued pair of 1/n(1,1) germs.
+    two sides of a glued pair of 1/n(1,1) germs: whether the two
+    glued_restriction_coeff values m - ceil(m c_i)/n_i agree, compared
+    by cross-multiplication.
 
     For m = 2 and both fractional coefficients below 1/2 this reduces
     to asking that the two orders n agree.
@@ -208,6 +208,8 @@ def glued_mcartier(m: int, g1: CyclicQuotientGerm, g2: CyclicQuotientGerm) -> bo
             raise GlueMismatch("restriction formula needs the 1/n(1,1) model (q = 1)")
     if not check_slc_glue(g1, g2):
         raise GlueMismatch("differents disagree, the pair does not glue")
-    c1 = 1 - g1.side_coeff
-    c2 = 1 - g2.side_coeff
-    return glued_restriction_coeff(m, g1.n, c1) == glued_restriction_coeff(m, g2.n, c2)
+    # c = 1 - side is (den - num)/den in lowest terms
+    s1, s2 = g1.side_coeff, g2.side_coeff
+    ceil1 = _glue_ceiling(m, s1.denominator - s1.numerator, s1.denominator)
+    ceil2 = _glue_ceiling(m, s2.denominator - s2.numerator, s2.denominator)
+    return ceil1 * g2.n == ceil2 * g1.n

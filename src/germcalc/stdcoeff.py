@@ -67,19 +67,3 @@ def coeff_check(c: Fraction, m: int) -> CoeffCheck:
     return CoeffCheck(c, m, is_standard(c), vanishing_hypothesis(c, m),
                       bracket_bound_holds(c, m))
 
-
-def plt_modification(n: int, d: Fraction) -> tuple[Fraction, Fraction]:
-    """Discrepancy and replacement coefficient for extracting the
-    conductor-end curve of a plt chain of order n with boundary drop d.
-
-    Returns (-1 + d/n, 1 - d/n); the two always sum to zero, so the
-    extracted curve enters the new boundary exactly at its discrepancy
-    level with the sign flipped.
-    """
-    if n < 1:
-        raise BadParameters("n must be >= 1")
-    d = Fraction(d)
-    if not 0 < d <= 1:
-        raise BadParameters(f"drop {d} outside (0, 1]")
-    gamma = d / n
-    return (-1 + gamma, 1 - gamma)

@@ -1,13 +1,19 @@
-"""The residue table in Fraction arithmetic, the reference for the
-integer kernel of ``germcalc.residue``.
+"""The residue table and the glued restriction in Fraction arithmetic,
+the reference for the integer kernel of ``germcalc.residue``.
 
 Each row takes ceil(m g) from ``ceil_scale`` here and floor(m (1 - g))
 from ``germcalc.rational.floor_scale``, both Fraction scalings, and
 checks the table's invariants as it goes: the slope lies in [0, 1], the
 deficit is not negative, and the restriction is surjective exactly when
-the deficit vanishes.
+the deficit vanishes. The glued restriction coefficient and its
+comparison are the Fraction formulas that ``glued_restriction_coeff``
+and ``glued_mcartier`` replaced by their integer form.
 """
 
+from fractions import Fraction
+
+from germcalc.errors import BadParameters, GlueMismatch
+from germcalc.germs import check_slc_glue
 from germcalc.rational import floor_scale
 
 
@@ -31,3 +37,26 @@ def fraction_table(gamma, m_max: int) -> list[dict]:
         rows.append({"m": m, "source_exponent": source, "target_exponent": target,
                      "surjective": surjective, "deficit": deficit})
     return rows
+
+
+def fraction_glued_restriction_coeff(m: int, n: int, c) -> Fraction:
+    """m(1 - 1/n) + floor(m(1 - c))/n in Fraction arithmetic, with the
+    checks of germcalc.residue.glued_restriction_coeff."""
+    if m < 1 or n < 1:
+        raise BadParameters("m and n must be >= 1")
+    c = Fraction(c)
+    if not 0 < c < 1:
+        raise BadParameters(f"coefficient {c} outside (0, 1)")
+    return m * Fraction(n - 1, n) + Fraction(floor_scale(m, 1 - c), n)
+
+
+def fraction_glued_mcartier(m: int, g1, g2) -> bool:
+    """Whether the two sides' Fraction glued restriction coefficients
+    agree, with the checks of germcalc.residue.glued_mcartier."""
+    for g in (g1, g2):
+        if g.q != 1:
+            raise GlueMismatch("restriction formula needs the 1/n(1,1) model (q = 1)")
+    if not check_slc_glue(g1, g2):
+        raise GlueMismatch("differents disagree, the pair does not glue")
+    return (fraction_glued_restriction_coeff(m, g1.n, 1 - g1.side_coeff)
+            == fraction_glued_restriction_coeff(m, g2.n, 1 - g2.side_coeff))

@@ -19,9 +19,8 @@ from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
 from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
                             hj_expand, resolution_graph, check_slc_glue)
 from germcalc.rational import floor_scale
-from germcalc.residue import (dihedral_image_twist, find_failure_m,
-                              glued_mcartier, multibranch_deficit,
-                              single_branch_report)
+from germcalc.residue import (find_failure_m, glued_mcartier,
+                              multibranch_deficit, single_branch_report)
 from germcalc.stdcoeff import bracket_bound_holds, vanishing_hypothesis
 from residue_oracle import ceil_scale
 
@@ -152,13 +151,6 @@ def test_criterion_5_gluing_criteria():
                         g1 = CyclicQuotientGerm(n1, 1, 1, 1 - c1)
                         g2 = CyclicQuotientGerm(n2, 1, 1, 1 - c2)
                         assert check_slc_glue(g1, g2) == (c1 / n1 == c2 / n2)
-
-
-def test_criterion_6_dihedral_parity():
-    with Criterion(6, "restriction image twist m (even), m-1 (odd)", 1.0):
-        for m in range(1, 11):
-            expected = m if m % 2 == 0 else m - 1
-            assert dihedral_image_twist(m) == expected
 
 
 def _classification_triple(germ):

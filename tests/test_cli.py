@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
 from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
 from germcalc.errors import NotApplicable, ParseError, ValidationError
+from germcalc.rational import DIGITS_EXCEEDED, parse_rat
 from germcalc.residue import FAILURE_COEFF_LIMIT, ResidueTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -332,6 +334,41 @@ def test_report_modification_bookkeeping(tmp_path, capsys):
     assert "perturbed" in out["flags"]
 
 
+def test_a_plt_report_extracts_the_conductor_end_curve(capsys):
+    # every cyclic plt germ of order n < 30, with five sides: the curve
+    # enters the boundary at the different, at its own discrepancy
+    # (curve 1 meets the conductor), and the two sum to zero
+    checked = 0
+    for n in range(1, 30):
+        for q in range(1, n + 1):
+            if gcd(n, q) != 1 or (q == n and n > 1):
+                continue
+            for side in ("0", "1/2", "1/3", "2/3", "3/4"):
+                gf = parse_germ_file(json.dumps(
+                    {"kind": "cyclic_quotient", "n": n, "q": q, "side": side}))
+                report = cli._cmd_report(gf, 1)
+                mod = report["modification"]
+                assert mod["extracted_coeff"] == report["different"]
+                if n > 1:
+                    assert mod["extracted_discrepancy"] == report["discrepancies"][0]
+                assert parse_rat(mod["extracted_coeff"]) == -parse_rat(
+                    mod["extracted_discrepancy"])
+                checked += 1
+    assert checked == 1350
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "cyclic_quotient", "n": 1, "q": 1}',
+    '{"kind": "dual_graph", "chain": [], "branches": [[0, "1"]]}',
+], ids=["cyclic_order_1", "empty_dual_graph"])
+def test_a_plt_slope_of_one_extracts_at_zero_not_minus_zero(tmp_path, capsys, text):
+    assert main(["report", write(tmp_path, text)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classification"]["gamma"] == "1"
+    assert out["modification"] == {"extracted_coeff": "0", "extracted_discrepancy": "0",
+                                   "perturbed": False}
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write(tmp_path, GLUED)
     assert main(["report", path]) == 0
@@ -431,6 +468,45 @@ def test_failure_m_past_the_coefficient_limit_is_an_error(capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
     assert str(FAILURE_COEFF_LIMIT) in err["message"]
+
+
+def test_failure_m_with_a_certificate_past_the_digit_limit_is_an_error(capsys):
+    # the certificate has about 8700 digits; its message says so, and
+    # the run ends in the error object, not in a traceback
+    coeffs = ",".join(str(Fraction(1, 10**2900 + k)) for k in (1, 3, 7))
+    assert main(["failure-m", "--coeffs", coeffs]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "LimitExceeded"
+    assert err["message"].endswith(f"too long to print: {DIGITS_EXCEEDED}")
+
+
+@pytest.mark.parametrize("pair, flags", [
+    # q = 3 leaves the 1/n(1,1) model: GlueMismatch
+    ([{"n": 4, "q": 1, "side": "3/4"}, {"n": 4, "q": 3, "side": "3/4"}],
+     ["q-mismatch", "restriction-unavailable"]),
+    # side 0 is the coefficient c = 1, outside (0, 1): BadParameters
+    ([{"n": 2, "q": 1, "side": "0"}, {"n": 2, "q": 1, "side": "0"}],
+     ["extrapolated", "restriction-unavailable"]),
+    # unmatched slopes: GlueMismatch, and no classification either
+    ([{"n": 2, "q": 1, "side": "3/4"}, {"n": 3, "q": 1, "side": "3/4"}],
+     ["glue-mismatch", "restriction-unavailable"]),
+])
+def test_a_glue_the_model_refuses_is_flagged(tmp_path, capsys, pair, flags):
+    record = {"kind": "glued", "glue_ok": True, "components": pair}
+    assert main(["glue", write(tmp_path, json.dumps(record))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["restriction"] is None
+    assert out["flags"] == flags
+
+
+def test_a_glue_coefficient_past_the_digit_limit_is_an_error(tmp_path, capsys):
+    # (mn - ceil(m/2))/n for m of 4300 digits has more digits than
+    # int-to-text converts: LimitExceeded, not a flag
+    comp = {"n": 1000003, "q": 1, "side": "1/2"}
+    record = {"kind": "glued", "glue_ok": True, "components": [comp, comp]}
+    assert main(["glue", write(tmp_path, json.dumps(record)), "--m", "9" * 4300]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "LimitExceeded", "message": DIGITS_EXCEEDED}
 
 
 def test_glue_rejects_nonpositive_m(tmp_path, capsys):
@@ -593,13 +669,13 @@ def test_one_classification_per_germ_in_a_report(capsys, monkeypatch, name, clas
 
 def test_a_parsed_dual_graph_is_built_once(monkeypatch):
     built = []
-    post_init = dualgraph.ResolutionGraph.__post_init__
+    init = dualgraph.ResolutionGraph.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(dualgraph.ResolutionGraph, "__post_init__", counting)
+    monkeypatch.setattr(dualgraph.ResolutionGraph, "__init__", counting)
     gf = parse_germ_file((FIXTURES / "dihedral_fork.json").read_text())
     assert built == [gf.graph]
     assert gf.graph.selfints == (2, 2, 2)

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_oracle import fraction_table
+from residue_oracle import (fraction_glued_mcartier,
+                            fraction_glued_restriction_coeff, fraction_table)
+from toric_oracle import image_pole_order, target_exponent, toric_different
 from germcalc import cli
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
-from germcalc.germs import CyclicQuotientGerm
+from germcalc.germs import CyclicQuotientGerm, different_coeff
+from germcalc.rational import DIGITS_EXCEEDED, floor_scale
 from germcalc.residue import (FAILURE_COEFF_LIMIT, FAILURE_SEARCH_LIMIT,
-                              ResidueTable, _certificate, dihedral_image_twist,
-                              find_failure_m, glued_mcartier,
-                              glued_restriction_coeff, multibranch_deficit,
+                              ResidueTable, _certificate, find_failure_m,
+                              glued_mcartier, glued_restriction_coeff,
+                              multibranch_deficit, restriction_exponents,
                               single_branch_report)
 
 HALF = Fraction(1, 2)
@@ -204,6 +207,16 @@ def test_the_integer_scan_finds_the_first_positive_deficit(coeffs):
     assert find_failure_m(coeffs) == m
 
 
+def test_a_certificate_past_the_digit_limit_is_not_printed():
+    # three denominators of 2901 digits: the certificate, the denominator
+    # of the sum, has about 8700 digits, more than int-to-text converts
+    coeffs = [Fraction(1, 10**2900 + k) for k in (1, 3, 7)]
+    with pytest.raises(LimitExceeded) as info:
+        find_failure_m(coeffs)
+    assert str(info.value) == ("no failure up to the search limit 100000; the "
+                               f"failing m is too long to print: {DIGITS_EXCEEDED}")
+
+
 def test_find_failure_m_refuses_more_coefficients_than_the_limit():
     coeffs = [Fraction(1, 1_000_000_007)] * FAILURE_COEFF_LIMIT
     with pytest.raises(LimitExceeded, match="search limit"):
@@ -213,18 +226,6 @@ def test_find_failure_m_refuses_more_coefficients_than_the_limit():
     # a coefficient out of range is still reported as such
     with pytest.raises(BadParameters):
         find_failure_m([HALF] * FAILURE_COEFF_LIMIT + [Fraction(3, 2)])
-
-
-@pytest.mark.parametrize("m, expected", [(1, 0), (2, 2), (3, 2)])
-def test_dihedral_image_twist_examples(m, expected):
-    assert dihedral_image_twist(m) == expected
-
-
-def test_dihedral_image_twist_parity():
-    for m in range(1, 101):
-        t = dihedral_image_twist(m)
-        assert t % 2 == 0
-        assert t == m - (m % 2)
 
 
 @pytest.mark.parametrize("m, n, c, expected", [
@@ -280,3 +281,63 @@ def test_glued_mcartier_iff_equal_orders_on_small_grid():
             gamma = Fraction(1, 2 * max(n1, n2) + 1)
             g1, g2 = germ_1n1(n1, n1 * gamma), germ_1n1(n2, n2 * gamma)
             assert glued_mcartier(2, g1, g2) == (n1 == n2)
+
+
+def weights(n):
+    """Every q of a cyclic quotient germ of order n."""
+    return [q for q in range(1, n + 1) if (q < n or n == 1) and gcd(n, q) == 1]
+
+
+TORIC_SIDES = sorted({Fraction(a, b) for b in range(1, 6) for a in range(b + 1)})
+
+
+def test_the_toric_scan_is_the_restriction_side():
+    # every q for n <= 10, sides a/b with b <= 5, degrees m <= 16
+    for n in range(1, 11):
+        for q in weights(n):
+            for s in TORIC_SIDES:
+                germ = CyclicQuotientGerm(n, q, 1, s)
+                p, d = germ.gamma.numerator, germ.gamma.denominator
+                assert different_coeff(germ) == toric_different(n, s)
+                for m in range(1, 17):
+                    pole = image_pole_order(m, n, q, s)
+                    source, target, deficit = restriction_exponents(m, p, d)
+                    assert pole == m - source
+                    assert target == target_exponent(m, n, s)
+                    assert target == floor_scale(m, different_coeff(germ))
+                    assert (pole == target) == (deficit == 0)
+                    if 0 < s < 1:
+                        assert pole == floor_scale(1, glued_restriction_coeff(m, n, 1 - s))
+
+
+def outcome(f, *args):
+    """f's value, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+COEFFS = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2),
+                      max_denominator=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(-1, 80), n=st.integers(0, 40), c=COEFFS)
+def test_the_glue_coefficient_is_the_fraction_formula(m, n, c):
+    assert (outcome(glued_restriction_coeff, m, n, c)
+            == outcome(fraction_glued_restriction_coeff, m, n, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(-1, 80), n1=st.integers(1, 30), n2=st.integers(1, 30),
+       gamma=st.fractions(min_value=0, max_value=Fraction(1, 30), max_denominator=60),
+       q2=st.sampled_from([1, 1, 1, 2]), skew=st.sampled_from([0, 0, 0, Fraction(1, 61)]))
+def test_the_glue_comparison_is_the_fraction_formula(m, n1, n2, gamma, q2, skew):
+    # matched slopes gamma, mostly; a skew unmatches them, and q2 = 2
+    # leaves the 1/n(1,1) model where n2 allows it
+    g1 = CyclicQuotientGerm(n1, 1, 1, 1 - n1 * gamma)
+    q2 = q2 if n2 > 2 and gcd(n2, q2) == 1 else 1
+    side2 = 1 - n2 * gamma
+    g2 = CyclicQuotientGerm(n2, q2, 1, side2 + skew if side2 + skew <= 1 else side2 - skew)
+    assert outcome(glued_mcartier, m, g1, g2) == outcome(fraction_glued_mcartier, m, g1, g2)
