@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from germcalc.cli import GermFile
+from germcalc.dualgraph import ResolutionGraph, boundary_coefficients
 from germcalc.errors import BadParameters
+from germcalc.germs import CyclicQuotientGerm, classify_lc_germ, resolution_graph
+from germcalc.rational import parse_rat
 from germcalc.stdcoeff import (bracket_bound_holds, coeff_check, is_standard,
                                vanishing_hypothesis)
 
@@ -95,3 +99,41 @@ def test_bracket_bound_counterexample_found_by_search():
 def test_coeff_check_record():
     rec = coeff_check(Fraction(3, 5), 4)
     assert (rec.standard, rec.hypothesis_ok, rec.bracket_ok) == (False, False, True)
+
+
+def plt_modification(n, d):
+    """(extracted_discrepancy, extracted_coeff) of the order-n plt chain
+    with boundary drop d, read from the report's modification fields."""
+    germ = CyclicQuotientGerm(n, 1, 1, 1 - Fraction(d))
+    mod = GermFile("cyclic_quotient", germ=germ).modification
+    return parse_rat(mod["extracted_discrepancy"]), parse_rat(mod["extracted_coeff"])
+
+
+@pytest.mark.parametrize("n, d, expected", [
+    (1, Fraction(1), (Fraction(0), Fraction(0))),
+    (2, HALF, (Fraction(-3, 4), Fraction(3, 4))),
+    (4, Fraction(1), (Fraction(-3, 4), Fraction(3, 4))),
+])
+def test_plt_modification_examples(n, d, expected):
+    assert plt_modification(n, d) == expected
+
+
+@given(st.integers(1, 30), st.fractions(min_value=Fraction(1, 12), max_value=1,
+                                        max_denominator=12))
+def test_plt_modification_outputs_sum_to_zero(n, d):
+    disc, coeff = plt_modification(n, d)
+    assert disc + coeff == 0
+
+
+@pytest.mark.parametrize("n, d", [(2, HALF), (3, Fraction(2, 3)), (5, Fraction(1)),
+                                  (7, Fraction(3, 4))])
+def test_plt_modification_matches_solver_and_taxonomy(n, d):
+    disc, coeff = plt_modification(n, d)
+    # the order-n single-curve germ with boundary drop d
+    branches = [(0, 1)] + ([(0, 1 - d)] if d != 1 else [])
+    g = ResolutionGraph.chain([n], branches)
+    (b,) = boundary_coefficients(g)
+    assert disc == -b
+    germ = CyclicQuotientGerm(n, 1, 1, 1 - d)
+    gamma = classify_lc_germ(resolution_graph(germ)).gamma
+    assert coeff == 1 - gamma
