@@ -8,18 +8,28 @@ dual graphs of up to 400 curves, so the runs reach the big integers of
 the graph elimination. Most cyclic quotients have a weight prime to
 their order, and half the short dual graphs are chains with a
 coefficient-1 branch at one end, so that many files are plt chains and
-reach the residue table. ``residue`` runs with ``--m-max 6``, with the
+reach the residue table. Many glued files are pairs of q = 1
+components with a conductor each and equal slopes, so that ``glue``
+reaches the restriction. ``residue`` runs with ``--m-max 6``, with the
 default 24, and with a length drawn for each file from the seed in
 1..300, so the table is compared at many lengths. The argument calls
 are ``failure-m --coeffs`` and ``stdcoeff --c --m``, with valid,
-malformed and out-of-range values; their denominators stay at most 50,
-so that no failure-m search comes near its limit. Each source tree runs in its own process, which
-calls ``cli.main`` once per file and subcommand variant, and once per
-argument call, and records the exit code and stdout. The script prints the runs that differ, grouped
-by subcommand and by the pair of exit codes, and exits 1 when any run
-differs or when any run of the ``--new`` tree ends in a traceback, since
-the CLI must be total. A reader that closes stdout early (``| head``)
-cuts the summary short but not the exit status.
+malformed and out-of-range values. Most have denominators of at most
+50. A few percent have big ones: ``stdcoeff`` with 20- to 60-digit
+terms, at and one small step off 1 - 1/m, with ``--m`` up to 10^30,
+and ``failure-m`` with one big coefficient outside (0, 1), which is
+refused before any search. So no failure-m search comes near its
+limit. The glued pairs and the big values come from a second generator
+seeded from the same seed, so that the first makes every other file
+and call as it did before they were added.
+
+Each source tree runs in its own process, which calls ``cli.main`` once
+per file and subcommand variant, and once per argument call, and records
+the exit code and stdout. The script prints the runs that differ,
+grouped by subcommand and by the pair of exit codes, and exits 1 when
+any run differs or when any run of the ``--new`` tree ends in a
+traceback, since the CLI must be total. A reader that closes stdout
+early (``| head``) cuts the summary short but not the exit status.
 
     python scripts/cli_differential.py --old ../parent/src --new src --files 3200
 
@@ -74,6 +84,15 @@ COPRIME_SHARE = 0.8
 # at least 2, a coefficient-1 branch on the first curve and at most one
 # other branch, on the last. Most are plt chains, with a residue table.
 PLT_CHAIN_SHARE = 0.5
+# Share of glued components that the second generator gives q = 1 and
+# conductor 1, and of two-component glued files that it gives equal
+# slopes, on top of what the first generator draws.
+GLUED_Q1_SHARE = 0.8
+GLUED_MATCH_SHARE = 0.8
+# Share of argument calls whose values are big numbers: stdcoeff with
+# 20- to 60-digit terms and m up to 10^30, and failure-m with one big
+# coefficient outside (0, 1).
+BIG_SHARE = 0.05
 
 
 def _rat(rng):
@@ -149,6 +168,14 @@ def _dual_graph(rng):
     return rec
 
 
+def _match_slopes(comps, rng):
+    """Equal slopes (1 - side)/n for a pair of components, so that it glues."""
+    n1, n2 = comps[0]["n"], comps[1]["n"]
+    gamma = Fraction(rng.choice([1, 1, 2, 3]), 2 * max(n1, n2) + rng.randint(1, 3))
+    comps[0]["side"] = str(1 - n1 * gamma)
+    comps[1]["side"] = str(1 - n2 * gamma)
+
+
 def _glued(rng):
     comps = []
     for _ in range(rng.choice([1, 2, 2, 2, 2, 0, 3])):
@@ -157,20 +184,30 @@ def _glued(rng):
             comp["q"], comp["conductor"] = 1, "1"
         comps.append(comp)
     if len(comps) == 2 and rng.random() < 0.5:
-        # equal slopes (1 - side)/n, so the pair glues
-        n1, n2 = comps[0]["n"], comps[1]["n"]
-        gamma = Fraction(rng.choice([1, 1, 2, 3]), 2 * max(n1, n2) + rng.randint(1, 3))
-        comps[0]["side"] = str(1 - n1 * gamma)
-        comps[1]["side"] = str(1 - n2 * gamma)
+        _match_slopes(comps, rng)
     rec = {"kind": "glued", "components": comps}
     if rng.random() < 0.9:
         rec["glue_ok"] = rng.random() < 0.85 or rng.choice([False, "yes", None])
     return rec
 
 
-def germ_bytes(rng) -> bytes:
+def _toward_restriction(rec, aux):
+    """Give more components of a glued record q = 1 and conductor 1, and
+    more of its pairs equal slopes, so that most glued pairs reach the
+    restriction. Only aux draws here."""
+    comps = rec["components"]
+    for comp in comps:
+        if aux.random() < GLUED_Q1_SHARE:
+            comp["q"], comp["conductor"] = 1, "1"
+    if len(comps) == 2 and aux.random() < GLUED_MATCH_SHARE:
+        _match_slopes(comps, aux)
+
+
+def germ_bytes(rng, aux) -> bytes:
     """One random germ file: a record of one of the three kinds, or a
-    malformed text."""
+    malformed text. rng draws every file; aux then reworks the glued
+    records that are not malformed (``_toward_restriction``), so that
+    rng draws as it did before aux was added."""
     roll = rng.random()
     if roll < 0.3:
         rec = _cyclic(rng)
@@ -178,6 +215,7 @@ def germ_bytes(rng) -> bytes:
         rec = _dual_graph(rng)
     elif roll < 0.92:
         rec = _glued(rng)
+        _toward_restriction(rec, aux)
     else:
         text = json.dumps(rng.choice([_cyclic(rng), _dual_graph(rng), _glued(rng)]))
         return rng.choice([text[:rng.randrange(len(text))], "[]", "null", '"germ"',
@@ -196,17 +234,58 @@ def _arg_rat(rng) -> str:
     return rng.choice(ARG_OUT_OF_RANGE if roll < 0.93 else ARG_MALFORMED)
 
 
-def argument_words(rng) -> list:
-    """One random call of failure-m or stdcoeff, as argument words."""
+def _big(aux) -> int:
+    """A positive integer of 20 to 60 digits."""
+    digits = aux.randint(20, 60)
+    return aux.randrange(10 ** (digits - 1), 10 ** digits)
+
+
+def _big_coeffs(aux) -> str:
+    """Two to four coefficients with 20- to 60-digit terms, one of them
+    outside (0, 1), so that failure-m refuses the call before any search."""
+    coeffs = []
+    for _ in range(aux.randint(1, 3)):
+        b = _big(aux)
+        coeffs.append(f"{aux.randint(1, b - 1)}/{b}")
+    b = _big(aux)
+    bad = aux.choice([f"{aux.randint(b, 2 * b)}/{b}", f"-{aux.randint(1, b)}/{b}",
+                      f"0/{b}", f"{b}/{b}"])
+    coeffs.insert(aux.randint(0, len(coeffs)), bad)
+    return ",".join(coeffs)
+
+
+def _big_stdcoeff(aux) -> tuple[str, str]:
+    """(m, c) for stdcoeff: m up to 10^30, and c with 20- to 60-digit
+    terms, either anywhere in [-1, 2] or at 1 - 1/m and one step of
+    1/(m k) to either side of it, for a big k."""
+    m = aux.choice([2, 3, 12, aux.randint(2, 10**30)])
+    k = _big(aux)
+    if aux.random() < 0.4:
+        c = f"{aux.randint(-k, 2 * k)}/{k}"
+    else:
+        c = f"{(m - 1) * k + aux.choice([-1, 0, 1])}/{m * k}"
+    return str(m), c
+
+
+def argument_words(rng, aux) -> list:
+    """One random call of failure-m or stdcoeff, as argument words. rng
+    draws every call as it always has; for a share BIG_SHARE of them,
+    aux then redraws the values with big numbers."""
+    big = aux.random() < BIG_SHARE
     if rng.random() < 0.5:
         option = "--coeffs"
         value = ",".join(_arg_rat(rng) for _ in range(rng.choice([1, 2, 2, 3, 4])))
         words = ["failure-m"]
+        if big:
+            value = _big_coeffs(aux)
     else:
         option, value = "--c", _arg_rat(rng)
         words = ["stdcoeff", "--m", rng.choice(STDCOEFF_M)]
+        if big:
+            words[2], value = _big_stdcoeff(aux)
     # a value that starts with "-" is an option to argparse unless joined
-    return words + ([f"{option}={value}"] if rng.random() < 0.5 else [option, value])
+    joined = rng.random() < 0.5 or big
+    return words + ([f"{option}={value}"] if joined else [option, value])
 
 
 def _run(cli, argv) -> list:
@@ -264,11 +343,15 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    # the second generator draws only what the glued files and the big
+    # argument calls add, so rng makes every other file and call as it
+    # did before they were added
+    aux = random.Random(f"aux {args.seed}")
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "germs").mkdir()
         for k in range(args.files):
-            (Path(tmp) / "germs" / f"germ{k:05d}.json").write_bytes(germ_bytes(rng))
-        calls = [argument_words(rng) for _ in range(args.files)]
+            (Path(tmp) / "germs" / f"germ{k:05d}.json").write_bytes(germ_bytes(rng, aux))
+        calls = [argument_words(rng, aux) for _ in range(args.files)]
         (Path(tmp) / "arguments.json").write_text(json.dumps(calls))
         # drawn after the files and the calls, which keep their bytes
         drawn = {f"germ{k:05d}.json": str(rng.randint(1, DRAWN_M_MAX_TOP))

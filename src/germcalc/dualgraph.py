@@ -78,8 +78,10 @@ class BoundaryBranch(FrozenRecord):
     _fields = ("attach", "coeff")
 
     def __init__(self, attach: int | None, coeff: Fraction):
-        coeff = Fraction(coeff)
-        if not 0 < coeff <= 1:
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        # the denominator is positive: 0 < coeff <= 1 on the integers
+        if not 0 < coeff.numerator <= coeff.denominator:
             raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
         object.__setattr__(self, "attach", attach)
         object.__setattr__(self, "coeff", coeff)

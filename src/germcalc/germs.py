@@ -51,9 +51,6 @@ from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 
-HALF = Fraction(1, 2)
-
-
 class CyclicQuotientGerm(FrozenRecord):
     """Parameters of the quotient model.
 
@@ -68,16 +65,21 @@ class CyclicQuotientGerm(FrozenRecord):
 
     def __init__(self, n: int, q: int, conductor_coeff: Fraction = Fraction(1),
                  side_coeff: Fraction = Fraction(0)):
-        conductor_coeff, side_coeff = Fraction(conductor_coeff), Fraction(side_coeff)
+        if type(conductor_coeff) is not Fraction:
+            conductor_coeff = Fraction(conductor_coeff)
+        if type(side_coeff) is not Fraction:
+            side_coeff = Fraction(side_coeff)
         if n < 1:
             raise BadParameters(f"order n = {n} must be >= 1")
         if not 1 <= q <= n:
             raise BadParameters(f"weight q = {q} outside [1, {n}]")
         if gcd(n, q) != 1:
             raise BadParameters(f"gcd({n}, {q}) != 1")
-        if not 0 < conductor_coeff <= 1:
+        # each denominator is positive, so the ranges are checked on the
+        # numerators against the denominators
+        if not 0 < conductor_coeff.numerator <= conductor_coeff.denominator:
             raise BadParameters(f"conductor coefficient {conductor_coeff} outside (0, 1]")
-        if not 0 <= side_coeff <= 1:
+        if not 0 <= side_coeff.numerator <= side_coeff.denominator:
             raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
@@ -134,7 +136,7 @@ class GermClass(FrozenRecord):
     def __init__(self, tag: GermTag, cartier_index: int, gamma: Fraction | None = None,
                  violation: str | None = None):
         if tag is GermTag.PLT_CHAIN:
-            if gamma is None or not 0 < gamma <= 1:
+            if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
         if tag in LC_CENTER_TAGS and 2 % cartier_index != 0:
             raise BadParameters(
@@ -242,11 +244,12 @@ def germ_class(germ: CyclicQuotientGerm) -> GermClass:
     return germ._class
 
 
-# (prongs, far coefficients) -> (tag, whether the far end may carry label 1)
+# (prongs, sorted (numerator, denominator) pairs of the far coefficients)
+# -> (tag, whether the far end may carry label 1)
 SHAPES = {
-    (0, (Fraction(1),)): (GermTag.CYCLIC_NONPLT, False),
-    (0, (HALF, HALF)): (GermTag.DIHEDRAL_33, True),
-    (1, (HALF,)): (GermTag.DIHEDRAL_32, True),
+    (0, ((1, 1),)): (GermTag.CYCLIC_NONPLT, False),
+    (0, ((1, 2), (1, 2))): (GermTag.DIHEDRAL_33, True),
+    (1, ((1, 2),)): (GermTag.DIHEDRAL_32, True),
     (2, ()): (GermTag.DIHEDRAL_31, False),
 }
 
@@ -259,7 +262,9 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     adj = g._adj
     i = next(i for i, br in enumerate(g.branches) if br.coeff == 1)
     rest = g.branches[:i] + g.branches[i + 1:]
-    far = tuple(sorted(br.coeff for br in rest))
+    # each coefficient as its (numerator, denominator) pair, so that the
+    # lookup hashes and compares integers only
+    far = tuple(sorted([(br.coeff.numerator, br.coeff.denominator) for br in rest]))
     arm, ahead = [], []
     if g.n_vertices:
         attached = {br.attach for br in rest}
@@ -282,12 +287,12 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
             return (GermTag.UNCLASSIFIED, None,
                     f"a curve beyond the far end is not a bare -2 prong: {why}")
     prongs = len(ahead)
-    if prongs == 0 and len(far) <= 1 and 1 not in far:
+    if prongs == 0 and len(far) <= 1 and (1, 1) not in far:
         tag, unit_end = GermTag.PLT_CHAIN, False
     else:
         tag, unit_end = SHAPES.get((prongs, far), (None, False))
         if tag is None:
-            listed = ", ".join(str(c) for c in far)
+            listed = ", ".join(str(c) for c in sorted(br.coeff for br in rest))
             return (GermTag.UNCLASSIFIED, None,
                     f"no shape or plt chain has prong count {prongs} and far "
                     f"coefficients [{listed}]")
@@ -297,7 +302,9 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     if tag is not GermTag.PLT_CHAIN:
         return tag, None, None
     n, _q = hj_contract(g.selfints[v] for v in arm)
-    return tag, (1 - sum(far, Fraction(0))) / n, None
+    # gamma = (1 - p/d)/n for the far coefficient p/d, or 1/n with none
+    p, d = far[0] if far else (0, 1)
+    return tag, Fraction(d - p, d * n), None
 
 
 def classify_lc_germ(g: ResolutionGraph) -> GermClass:

@@ -149,7 +149,8 @@ def find_failure_m(coeffs) -> int:
     if len(coeffs) < 2:
         raise BadParameters("need at least two branch coefficients")
     for c in coeffs:
-        if not 0 < c < 1:
+        # the denominator is positive: 0 < c < 1 on the integers
+        if not 0 < c.numerator < c.denominator:
             raise BadParameters(f"coefficient {c} outside (0, 1)")
     if len(coeffs) > FAILURE_COEFF_LIMIT:
         raise LimitExceeded(f"{len(coeffs)} coefficients exceed the limit "

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from ._record import FrozenRecord
 from .errors import BadParameters
-from .rational import floor_scale
 
 
 class CoeffCheck(FrozenRecord):
@@ -35,32 +34,38 @@ class CoeffCheck(FrozenRecord):
 
 
 def is_standard(c: Fraction) -> bool:
-    """True iff c = 1 or c = (k-1)/k for an integer k >= 2."""
-    if c == 1:
-        return True
-    if not 0 < c < 1:
-        return False
-    r = 1 - c
-    return r.numerator == 1 and r.denominator >= 2
+    """True iff c = 1 or c = (k-1)/k for an integer k >= 2.
+
+    With c = a/b in lowest terms, 1 - c = (b - a)/b is in lowest terms
+    too, so the test is a = b, or 0 < a = b - 1.
+    """
+    a, b = c.numerator, c.denominator
+    return a == b or 0 < a == b - 1
+
+
+def _terms(c: Fraction, m: int) -> tuple[int, int]:
+    """(a, b) with c = a/b in lowest terms, after refusing m < 2 and then
+    c outside (0, 1]: b > 0, so 0 < c <= 1 is 0 < a <= b."""
+    if m < 2:
+        raise BadParameters("m must be >= 2")
+    a, b = c.numerator, c.denominator
+    if not 0 < a <= b:
+        raise BadParameters(f"coefficient {c} outside (0, 1]")
+    return a, b
 
 
 def vanishing_hypothesis(c: Fraction, m: int) -> bool:
-    """Membership in the standard set extended by [1 - 1/m, 1]."""
-    if m < 2:
-        raise BadParameters("m must be >= 2")
-    if not 0 < c <= 1:
-        raise BadParameters(f"coefficient {c} outside (0, 1]")
-    return is_standard(c) or c >= 1 - Fraction(1, m)
+    """Membership in the standard set extended by [1 - 1/m, 1]: for
+    c = a/b, c >= 1 - 1/m is a m >= b (m - 1)."""
+    a, b = _terms(c, m)
+    return is_standard(c) or a * m >= b * (m - 1)
 
 
 def bracket_bound_holds(c: Fraction, m: int) -> bool:
-    """Exact check of 0 <= floor(m c) - (m - 1) c <= c."""
-    if m < 2:
-        raise BadParameters("m must be >= 2")
-    if not 0 < c <= 1:
-        raise BadParameters(f"coefficient {c} outside (0, 1]")
-    gap = floor_scale(m, c) - (m - 1) * c
-    return 0 <= gap <= c
+    """Exact check of 0 <= floor(m c) - (m - 1) c <= c, scaled by the
+    denominator b of c = a/b: 0 <= floor(m a / b) b - (m - 1) a <= a."""
+    a, b = _terms(c, m)
+    return 0 <= (m * a // b) * b - (m - 1) * a <= a
 
 
 def coeff_check(c: Fraction, m: int) -> CoeffCheck:

@@ -6,15 +6,26 @@ became one pass.
 did: every edge put in order by ``min``/``max``, each label and each
 edge checked by a loop, the neighbour lists sorted from the edge set
 and a breadth-first search over a ``seen`` set. ``reference_decompose``
-walks the arm with a list of the vertices ahead at every step. Both are
-slow and serve only as oracles for ``germcalc.dualgraph`` and
-``germcalc.germs``.
+walks the arm with a list of the vertices ahead at every step, and
+looks the shape up in its own copy of the shape table, keyed by
+``Fraction`` far coefficients as the table was before its lookup went
+over integer pairs. Both are slow and serve only as oracles for
+``germcalc.dualgraph`` and ``germcalc.germs``.
 """
 
 from fractions import Fraction
 
 from germcalc.errors import ValidationError
-from germcalc.germs import SHAPES, GermTag, hj_contract
+from germcalc.germs import GermTag, hj_contract
+
+HALF = Fraction(1, 2)
+# (prongs, far coefficients) -> (tag, whether the far end may carry label 1)
+REFERENCE_SHAPES = {
+    (0, (Fraction(1),)): (GermTag.CYCLIC_NONPLT, False),
+    (0, (HALF, HALF)): (GermTag.DIHEDRAL_33, True),
+    (1, (HALF,)): (GermTag.DIHEDRAL_32, True),
+    (2, ()): (GermTag.DIHEDRAL_31, False),
+}
 
 
 def reference_adjacency(n: int, edges) -> list[list[int]]:
@@ -99,7 +110,7 @@ def reference_decompose(g):
     if prongs == 0 and len(far) <= 1 and 1 not in far:
         tag, unit_end = GermTag.PLT_CHAIN, False
     else:
-        tag, unit_end = SHAPES.get((prongs, far), (None, False))
+        tag, unit_end = REFERENCE_SHAPES.get((prongs, far), (None, False))
         if tag is None:
             listed = ", ".join(str(c) for c in far)
             return (GermTag.UNCLASSIFIED, None,

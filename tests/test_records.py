@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from coeff_oracle import (fraction_branch_coeff, fraction_class_gamma,
+                          fraction_quotient_coeffs)
+
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import GermFile
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
@@ -123,6 +126,53 @@ def test_construction_normalises_and_checks_its_fields():
         CyclicQuotientGerm(5, 5)
     with pytest.raises(ValidationError):
         BoundaryBranch(0, 2)
+
+
+# values at and around 0 and 1, then each one as a Fraction, as an int
+# when it is one, and as text for the records that take text
+EDGES = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 10**30), Fraction(0),
+         Fraction(1, 10**30), HALF, Fraction(10**30 - 1, 10**30), Fraction(1),
+         Fraction(10**30 + 1, 10**30), Fraction(3, 2), Fraction(2)]
+NUMBERS = EDGES + [int(v) for v in EDGES if v.denominator == 1]
+GIVEN = NUMBERS + [str(v) for v in EDGES]
+
+
+def outcome(make):
+    """The values that make() returns, with the type of each, or the
+    type and text of what it raises."""
+    try:
+        values = make()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", values, tuple(map(type, values))
+
+
+def quotient_coeffs(*args):
+    germ = CyclicQuotientGerm(*args)
+    return germ.conductor_coeff, germ.side_coeff
+
+
+@pytest.mark.parametrize("coeff", GIVEN, ids=repr)
+def test_a_branch_refuses_what_the_fraction_check_refused(coeff):
+    assert (outcome(lambda: (BoundaryBranch(0, coeff).coeff,))
+            == outcome(lambda: (fraction_branch_coeff(coeff),)))
+
+
+@pytest.mark.parametrize("n, q", [(5, 2), (1, 1), (0, 1), (4, 6), (3, 3)])
+def test_a_quotient_germ_refuses_what_the_fraction_checks_refused(n, q):
+    for conductor in GIVEN:
+        for side in GIVEN:
+            assert (outcome(lambda: quotient_coeffs(n, q, conductor, side))
+                    == outcome(lambda: fraction_quotient_coeffs(n, q, conductor, side)))
+
+
+@pytest.mark.parametrize("tag", [GermTag.PLT_CHAIN, GermTag.DIHEDRAL_31,
+                                 GermTag.UNCLASSIFIED])
+def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
+    for index in (1, 2, 3):
+        for gamma in NUMBERS + [None]:
+            assert (outcome(lambda: (GermClass(tag, index, gamma).gamma,))
+                    == outcome(lambda: (fraction_class_gamma(tag, index, gamma),)))
 
 
 def _counting(monkeypatch, module, name):

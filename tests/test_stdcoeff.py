@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from coeff_oracle import (fraction_bracket_bound_holds, fraction_is_standard,
+                          fraction_vanishing_hypothesis)
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germcalc.cli import GermFile
@@ -99,6 +101,51 @@ def test_bracket_bound_counterexample_found_by_search():
 def test_coeff_check_record():
     rec = coeff_check(Fraction(3, 5), 4)
     assert (rec.standard, rec.hypothesis_ok, rec.bracket_ok) == (False, False, True)
+
+
+def outcome(f, *args):
+    """f's value with its type, or the type and text of what it raises."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", type(value), value
+
+
+CHECKS = [(vanishing_hypothesis, fraction_vanishing_hypothesis),
+          (bracket_bound_holds, fraction_bracket_bound_holds)]
+
+
+def test_the_integer_checks_are_the_fraction_checks_on_every_small_coefficient():
+    # every c = p/q with q <= 60 and p in -1..q+1, against every m in 0..40
+    for q in range(1, 61):
+        for p in range(-1, q + 2):
+            c = Fraction(p, q)
+            assert outcome(is_standard, c) == outcome(fraction_is_standard, c)
+            for m in range(41):
+                for check, reference in CHECKS:
+                    assert outcome(check, c, m) == outcome(reference, c, m), (c, m)
+
+
+@st.composite
+def big_coefficients(draw):
+    """(c, m) with m up to 10^30 and c = a/k for k of 1 to 60 digits:
+    either a anywhere in -k..2k, or c within two steps of 1/(m k) of
+    1 - 1/m, where the hypothesis test turns."""
+    m = draw(st.integers(0, 10**30))
+    k = draw(st.integers(1, 10**60 - 1))
+    if draw(st.booleans()):
+        return Fraction(draw(st.integers(-k, 2 * k)), k), m
+    return Fraction((m - 1) * k + draw(st.integers(-2, 2)), max(m, 1) * k), m
+
+
+@settings(max_examples=500, deadline=None)
+@given(big_coefficients())
+def test_the_integer_checks_are_the_fraction_checks_on_big_numbers(case):
+    c, m = case
+    assert outcome(is_standard, c) == outcome(fraction_is_standard, c)
+    for check, reference in CHECKS:
+        assert outcome(check, c, m) == outcome(reference, c, m)
 
 
 def plt_modification(n, d):
