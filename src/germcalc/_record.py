@@ -2,10 +2,11 @@
 
 A record class names its fields in ``_fields`` and writes its own
 ``__init__``, which checks the values first, when the class has checks,
-and then sets each field once with ``object.__setattr__``. The base
-gives the rest of what a frozen dataclass would: equality and hashing
-by the field tuple, a ``Name(field=value, ...)`` repr, and assignment
-and deletion that raise AttributeError. Instances keep their
+and then passes them, in ``_fields`` order, to one ``self._set(...)``.
+The base stores the fields: ``_set`` is the only code that writes one.
+The base also gives the rest of what a frozen dataclass would: equality
+and hashing by the field tuple, a ``Name(field=value, ...)`` repr, and
+assignment and deletion that raise AttributeError. Instances keep their
 ``__dict__``, so a ``functools.cached_property`` stores its value there
 once. This module imports nothing, so building records loads none of
 ``dataclasses``, ``inspect`` or ``ast``.
@@ -14,6 +15,9 @@ once. This module imports nothing, so building records loads none of
 
 class FrozenRecord:
     _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

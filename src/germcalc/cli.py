@@ -68,12 +68,7 @@ class GermFile(FrozenRecord):
     def __init__(self, kind: str, germ: CyclicQuotientGerm | None = None,
                  graph: ResolutionGraph | None = None, parts: tuple[GermFile, ...] = (),
                  glue_ok: bool = True, payload: dict | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "germ", germ)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "glue_ok", glue_ok)
-        object.__setattr__(self, "payload", payload)
+        self._set(kind, germ, graph, parts, glue_ok, payload)
 
     @cached_property
     def _resolved(self) -> ResolutionGraph:
@@ -392,15 +387,25 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
 
 
 def _read_input(path: str) -> str:
+    """The text of the file at path, or of stdin for "-": its bytes as
+    strict UTF-8 with universal newlines, as a file opened in text mode
+    reads, so both sources give the same text and the same errors under
+    any locale."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            if sys.stdin is None:
+                # started with fd 0 closed
+                raise OSError("stdin is closed")
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _styled(text: str, code: str) -> str:
@@ -472,10 +477,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> dict:
     if args.command == "failure-m":
         coeffs = [_rat(part) for part in args.coeffs.split(",")]
-        total = sum(coeffs, Fraction(0))
-        return {"coeffs": [format_rat(c) for c in coeffs],
-                "m": find_failure_m(coeffs),
-                "search_bound": total.denominator}
+        out = {"coeffs": [format_rat(c) for c in coeffs], "m": find_failure_m(coeffs)}
+        # summed once the search has refused too many coefficients
+        out["search_bound"] = sum(coeffs, Fraction(0)).denominator
+        return out
     if args.command == "stdcoeff":
         rec = coeff_check(_rat(args.c), args.m)
         return {"c": format_rat(rec.c), "m": rec.m, "standard": rec.standard,

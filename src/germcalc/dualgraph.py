@@ -83,8 +83,7 @@ class BoundaryBranch(FrozenRecord):
         # the denominator is positive: 0 < coeff <= 1 on the integers
         if not 0 < coeff.numerator <= coeff.denominator:
             raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
-        object.__setattr__(self, "attach", attach)
-        object.__setattr__(self, "coeff", coeff)
+        self._set(attach, coeff)
 
 
 def check_label(c: int) -> int:
@@ -151,9 +150,7 @@ class ResolutionGraph(FrozenRecord):
                     raise ValidationError("branch attach index on an empty graph")
             elif br.attach is None or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach} out of range")
-        object.__setattr__(self, "selfints", labels)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "branches", branches)
+        self._set(labels, edges, branches)
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":

@@ -81,10 +81,7 @@ class CyclicQuotientGerm(FrozenRecord):
             raise BadParameters(f"conductor coefficient {conductor_coeff} outside (0, 1]")
         if not 0 <= side_coeff.numerator <= side_coeff.denominator:
             raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "conductor_coeff", conductor_coeff)
-        object.__setattr__(self, "side_coeff", side_coeff)
+        self._set(n, q, conductor_coeff, side_coeff)
 
     @cached_property
     def gamma(self) -> Fraction:
@@ -141,10 +138,7 @@ class GermClass(FrozenRecord):
         if tag in LC_CENTER_TAGS and 2 % cartier_index != 0:
             raise BadParameters(
                 f"lc-center germ with Cartier index {cartier_index} not dividing 2")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "cartier_index", cartier_index)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "violation", violation)
+        self._set(tag, cartier_index, gamma, violation)
 
 
 class Trichotomy(str, Enum):
@@ -175,10 +169,7 @@ class NonNormalGerm(FrozenRecord):
         if trichotomy is Trichotomy.ONE_COMPONENT_PLT:
             if len(components) != 1 or class_group is not ClassGroup.TORSION:
                 raise BadParameters("one-component plt germ must have 1 component, torsion class group")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "trichotomy", trichotomy)
-        object.__setattr__(self, "class_group", class_group)
-        object.__setattr__(self, "cartier_index", cartier_index)
+        self._set(components, trichotomy, class_group, cartier_index)
 
 
 def hj_expand(n: int, q: int) -> list[int]:
@@ -258,9 +249,14 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     """(tag, gamma, violation) of the graph: walk it from the first
     coefficient-1 branch into arm, prongs and far coefficients as the
     module docstring says, and look the shape up in SHAPES. A graph that
-    fits no shape is UNCLASSIFIED, with the rule the walk broke."""
+    fits no shape is UNCLASSIFIED, with the rule the walk broke. A graph
+    with no coefficient-1 branch raises NotApplicable."""
     adj = g._adj
-    i = next(i for i, br in enumerate(g.branches) if br.coeff == 1)
+    # a coefficient in (0, 1] is 1 exactly when its terms are equal
+    i = next((i for i, br in enumerate(g.branches)
+              if br.coeff.numerator == br.coeff.denominator), None)
+    if i is None:
+        raise NotApplicable("no coefficient-1 branch through the point")
     rest = g.branches[:i] + g.branches[i + 1:]
     # each coefficient as its (numerator, denominator) pair, so that the
     # lookup hashes and compares integers only
@@ -317,11 +313,9 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     lc = log_canonical_class(g)
     if lc not in (LcClass.PLT, LcClass.LC_CENTER):
         raise NotApplicable(f"germ classifies as {lc.value}, not plt or lc-center")
-    if not any(br.coeff == 1 for br in g.branches):
-        raise NotApplicable("no coefficient-1 branch through the point")
-    index = cartier_index(g)
     tag, gamma, violation = _decompose(g)
-    return GermClass(tag, index, gamma, violation)
+    # a plt or lc-center graph has its index, so this raises nothing
+    return GermClass(tag, cartier_index(g), gamma, violation)
 
 
 def different_coeff(germ: CyclicQuotientGerm) -> Fraction:

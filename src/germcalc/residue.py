@@ -43,11 +43,7 @@ class ResidueReport(FrozenRecord):
             raise BadParameters("negative deficit")
         if surjective != (deficit == 0):
             raise BadParameters("surjectivity flag contradicts deficit")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "source_exponent", source_exponent)
-        object.__setattr__(self, "target_exponent", target_exponent)
-        object.__setattr__(self, "surjective", surjective)
-        object.__setattr__(self, "deficit", deficit)
+        self._set(m, source_exponent, target_exponent, surjective, deficit)
 
 
 def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
@@ -94,9 +90,7 @@ class ResidueTable(FrozenRecord):
     def __init__(self, p: int, n: int, m_max: int):
         if n < 1 or not 0 <= p <= n:
             raise BadParameters(f"slope {p}/{n} outside [0, 1]")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m_max", m_max)
+        self._set(p, n, m_max)
 
 
 def multibranch_deficit(m: int, coeffs) -> int:

@@ -26,11 +26,7 @@ class CoeffCheck(FrozenRecord):
 
     def __init__(self, c: Fraction, m: int, standard: bool, hypothesis_ok: bool,
                  bracket_ok: bool):
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "standard", standard)
-        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
-        object.__setattr__(self, "bracket_ok", bracket_ok)
+        self._set(c, m, standard, hypothesis_ok, bracket_ok)
 
 
 def is_standard(c: Fraction) -> bool:

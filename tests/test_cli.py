@@ -135,7 +135,7 @@ def test_stdcoeff_command(capsys):
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(PLT_GERM))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(PLT_GERM.encode())))
     assert main(["classify", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["tag"] == "PLT_CHAIN"
 
@@ -548,6 +548,42 @@ def test_a_process_without_stdout_exits_one_without_traceback():
     proc = _report_process(preexec_fn=lambda: os.close(1))
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _c_locale_report(source, **kwargs):
+    """``germcalc report <source>`` under the C locale in a fresh
+    interpreter, with the given subprocess.run arguments: its exit code
+    and its error object, after checking that no traceback is printed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-m", "germcalc.cli", "report", str(source)],
+                          capture_output=True, env=env, timeout=60, **kwargs)
+    assert b"Traceback" not in proc.stdout + proc.stderr
+    return proc.returncode, json.loads(proc.stdout)["error"]
+
+
+def test_a_closed_stdin_is_a_parse_failure():
+    # as `germcalc report - <&-`: fd 0 is closed, so sys.stdin is None
+    code, err = _c_locale_report("-", preexec_fn=lambda: os.close(0))
+    assert code == 2 and err["type"] == "ParseError"
+    assert err["message"].startswith("cannot read -: ")
+
+
+@pytest.mark.parametrize("data, message, line, column", [
+    (b'{"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "1\xff"}',
+     "input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 54: "
+     "invalid start byte", None, None),
+    (b'{\r"kind"\r: x}', "Expecting value", 3, 3),
+], ids=["not-utf8", "lone-cr"])
+def test_stdin_bytes_read_as_the_same_file_bytes(tmp_path, data, message, line, column):
+    # under the C locale Python would read stdin text with surrogateescape
+    # and without newline translation; the bytes are decoded as a file's
+    path = tmp_path / "germ.json"
+    path.write_bytes(data)
+    from_file = _c_locale_report(path)
+    assert _c_locale_report("-", input=data) == from_file
+    code, err = from_file
+    assert code == 2 and err["type"] == "ParseError"
+    assert (err["message"], err["line"], err["column"]) == (message, line, column)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

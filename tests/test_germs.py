@@ -372,6 +372,16 @@ def test_a_raising_germ_class_caches_nothing():
     assert "_class" not in vars(germ)
 
 
+@pytest.mark.parametrize("g", [
+    ResolutionGraph((), (), [BoundaryBranch(None, Fraction(2, 3))] * 3),
+    ResolutionGraph.chain([2], [(0, HALF)] * 4),
+], ids=["smooth-point", "one-curve"])
+def test_an_lc_center_without_a_coefficient_one_branch_is_refused(g):
+    assert log_canonical_class(g) is LcClass.LC_CENTER
+    with pytest.raises(NotApplicable, match="^no coefficient-1 branch through the point$"):
+        classify_lc_germ(g)
+
+
 # ---------------------------------------------------------------- differents
 
 @pytest.mark.parametrize("n, side, expected", [

@@ -3,14 +3,19 @@ fields, unequal across classes, immutable, a repr naming every field,
 positional, keyword and default construction, and cached properties
 computed once per object."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from coeff_oracle import (fraction_branch_coeff, fraction_class_gamma,
                           fraction_quotient_coeffs)
 
+import germcalc
 from germcalc import cli, dualgraph, germs
+from germcalc._record import FrozenRecord
 from germcalc.cli import GermFile
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
 from germcalc.errors import BadParameters, ValidationError
@@ -53,6 +58,30 @@ IDS = [case[0].__name__ for case in RECORDS]
 def case(request):
     cls, fields, args, other, defaults = request.param
     return cls, tuple(fields.split()), args, other, defaults
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_class_of_the_package_is_listed():
+    for module in pkgutil.iter_modules(germcalc.__path__):
+        importlib.import_module(f"germcalc.{module.name}")
+    defined = {cls for cls in _subclasses(FrozenRecord)
+               if cls.__module__.partition(".")[0] == "germcalc"}
+    assert defined == {case[0] for case in RECORDS}
+
+
+def test_construction_stores_exactly_the_fields(case):
+    # the fields, each once, besides what __init__ derives or caches
+    cls, fields, args, _, _ = case
+    rec = cls(*args)
+    cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
+    derived = {"_adj"} if cls is ResolutionGraph else set()
+    assert set(vars(rec)) - cached - derived == set(fields)
+    assert [vars(rec)[name] for name in fields] == list(args)
 
 
 def test_records_with_equal_fields_are_equal_and_hash_equal(case):
