@@ -26,10 +26,19 @@ def proper_fractions(max_den):
                   for p in range(1, q) if gcd(p, q) == 1)
 
 
+def at_least_two(text: str) -> int:
+    """An integer argument of 2 or more: a denominator bound below 2 has
+    no proper fraction, and a failure needs two branches."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is below 2")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-den", type=int, default=12)
-    ap.add_argument("--r", type=int, default=2, help="branches per tuple")
+    ap.add_argument("--max-den", type=at_least_two, default=12)
+    ap.add_argument("--r", type=at_least_two, default=2, help="branches per tuple")
     args = ap.parse_args()
 
     hist: Counter = Counter()

@@ -39,8 +39,8 @@ from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
 from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
                      NotApplicable, ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
-                    classify_lc_germ, classify_nonnormal, different_coeff,
-                    germ_class, resolution_graph)
+                    check_slc_glue, classify_lc_germ, classify_nonnormal,
+                    different_coeff, germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
 from .residue import (ResidueTable, find_failure_m, glued_mcartier,
                       glued_restriction_coeff, restriction_exponents)
@@ -70,7 +70,7 @@ class GermFile(FrozenRecord):
                  glue_ok: bool = True, payload: dict | None = None):
         self._set(kind, germ, graph, parts, glue_ok, payload)
 
-    @cached_property
+    @property
     def _resolved(self) -> ResolutionGraph:
         """The dual graph, built from the germ for a cyclic file."""
         if self.kind == "glued":
@@ -346,7 +346,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
         flags.add("glue-mismatch")
     return {"input": gf.payload, "differents": differents,
             "gammas": [format_rat(c.gamma) for c in comps],
-            "glue_consistent": len(comps) == 1 or comps[0].gamma == comps[1].gamma,
+            "glue_consistent": len(comps) == 1 or check_slc_glue(*comps),
             "restriction": restriction, "classification": classification,
             "case": None if classification is None else classification["trichotomy"],
             "flags": sorted(flags)}

@@ -39,8 +39,8 @@ c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT bits, so the
 size of every number it makes is bounded before any work.
 
 All exceptional curves are assumed rational and the graph a tree. One
-breadth-first search from vertex 0, cached on the graph, checks the tree
-at construction time, and the elimination runs leaf to root along its
+breadth-first search from vertex 0, run by the constructor, checks the
+tree at construction time, and the elimination runs leaf to root along its
 order, so each graph is traversed once. Branches meet their attachment
 curve transversally in one point each, which is a modeling assumption
 rather than checked input.
@@ -52,9 +52,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
 from ._record import FrozenRecord
 from .errors import LimitExceeded, NotApplicable, ValidationError
+from .rational import as_fraction
 
 # Most exceptional curves a graph read from input may have: hj_expand and
 # the CLI's dual-graph reader stop past it with LimitExceeded.
@@ -78,8 +80,7 @@ class BoundaryBranch(FrozenRecord):
     _fields = ("attach", "coeff")
 
     def __init__(self, attach: int | None, coeff: Fraction):
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
+        coeff = as_fraction(coeff, ValidationError, "branch coefficient")
         # the denominator is positive: 0 < coeff <= 1 on the integers
         if not 0 < coeff.numerator <= coeff.denominator:
             raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
@@ -87,7 +88,11 @@ class BoundaryBranch(FrozenRecord):
 
 
 def check_label(c: int) -> int:
-    """Return c, a self-intersection label, or raise when it is below 1."""
+    """Return c, a self-intersection label, as an int, or raise unless it is an integer >= 1."""
+    try:
+        c = index(c)
+    except TypeError:
+        raise ValidationError(f"self-intersection label {c!r} is not an integer") from None
     if c < 1:
         raise ValidationError(f"self-intersection label {c} must be >= 1")
     return c
@@ -102,14 +107,14 @@ class ResolutionGraph(FrozenRecord):
     iterable gives them, duplicates merged. ``__init__`` then checks,
     in this order, and raises ValidationError at the first fault:
 
-    * the labels, by one ``min``; only on a fault does ``check_label``
-      run over them, to name the first label below 1;
+    * the labels, by ``index`` and one ``min``; only on a fault does
+      ``check_label`` name the first that is not an integer or is below 1;
     * each edge, in the iteration order of the ``edges`` frozenset: a
       self-loop, an index outside 0..n-1, or an index in that range
       that is not an integer (0.5). The same walk fills the neighbour
       tuples ``_adj``;
-    * the tree: n - 1 edges, and the search of ``_tree`` reaches all n
-      vertices;
+    * the tree: n - 1 edges, then a breadth-first search from vertex 0
+      that reaches all n, kept in ``_tree`` as (order, parent), ((), ()) if empty;
     * each branch attach index, in order.
     """
 
@@ -117,7 +122,11 @@ class ResolutionGraph(FrozenRecord):
 
     def __init__(self, selfints: tuple[int, ...], edges: frozenset[tuple[int, int]],
                  branches: tuple[BoundaryBranch, ...] = ()):
-        labels = tuple(map(int, selfints))
+        labels = tuple(selfints)
+        try:
+            labels = tuple(map(index, labels))
+        except TypeError:
+            labels = tuple(map(check_label, labels))  # raises at the first fault
         # j < i is the comparison min(i, j) makes, so a pair that cannot
         # be ordered raises min's TypeError
         edges = frozenset([(j, i) if j < i else (i, j) for i, j in edges])
@@ -140,16 +149,26 @@ class ResolutionGraph(FrozenRecord):
                 # only an index that is no integer fails to index a list
                 raise ValidationError(
                     f"edge ({i}, {j}) has an index that is not an integer") from None
-        # tuples: read-only, and smaller than the lists; _tree searches them
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        if n and (len(edges) != n - 1 or len(self._tree[0]) != n):
+        # parent marks each vertex visited, vertex 0 by itself while the search runs
+        order, parent = [], [-1] * n
+        if n and len(edges) == n - 1:
+            order, parent[0] = [0], 0
+            for v in order:
+                for w in adj[v]:
+                    if parent[w] < 0:
+                        parent[w] = v
+                        order.append(w)
+            parent[0] = -1
+        if len(order) != n:
             raise ValidationError("edge set is not a tree on the vertex set")
+        # tuples: read-only, and smaller than the lists
+        self.__dict__.update(_adj=tuple(map(tuple, adj)), _tree=(tuple(order), tuple(parent)))
         for br in branches:
             if n == 0:
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
-            elif br.attach is None or not 0 <= br.attach < n:
-                raise ValidationError(f"branch attach index {br.attach} out of range")
+            elif not isinstance(br.attach, int) or not 0 <= br.attach < n:
+                raise ValidationError(f"branch attach index {br.attach!r} out of range")
         self._set(labels, edges, branches)
 
     @classmethod
@@ -174,25 +193,6 @@ class ResolutionGraph(FrozenRecord):
     @property
     def n_vertices(self) -> int:
         return len(self.selfints)
-
-    @cached_property
-    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """BFS order from vertex 0 and each vertex's parent (-1 for vertex
-        0 and for every vertex not reached), built once for a graph with
-        at least one vertex. The parent array marks the visited vertices
-        (vertex 0 by itself while the search runs), so the search ends
-        on any edge set; the edges form a tree exactly when there are
-        n - 1 of them and the order reaches all n vertices."""
-        adj = self._adj
-        order, parent = [0], [-1] * len(adj)
-        parent[0] = 0
-        for v in order:
-            for w in adj[v]:
-                if parent[w] < 0:
-                    parent[w] = v
-                    order.append(w)
-        parent[0] = -1
-        return tuple(order), tuple(parent)
 
     @cached_property
     def _elimination(self):

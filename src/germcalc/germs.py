@@ -50,6 +50,7 @@ from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
+from .rational import as_fraction
 
 class CyclicQuotientGerm(FrozenRecord):
     """Parameters of the quotient model.
@@ -65,10 +66,10 @@ class CyclicQuotientGerm(FrozenRecord):
 
     def __init__(self, n: int, q: int, conductor_coeff: Fraction = Fraction(1),
                  side_coeff: Fraction = Fraction(0)):
-        if type(conductor_coeff) is not Fraction:
-            conductor_coeff = Fraction(conductor_coeff)
-        if type(side_coeff) is not Fraction:
-            side_coeff = Fraction(side_coeff)
+        conductor_coeff = as_fraction(conductor_coeff, BadParameters, "conductor coefficient")
+        side_coeff = as_fraction(side_coeff, BadParameters, "side coefficient")
+        if not isinstance(n, int) or not isinstance(q, int):
+            raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
         if n < 1:
             raise BadParameters(f"order n = {n} must be >= 1")
         if not 1 <= q <= n:
@@ -181,6 +182,8 @@ def hj_expand(n: int, q: int) -> list[int]:
     would pass the limit, so n/(n-1), which has n - 1 entries, costs at
     most VERTEX_LIMIT steps whatever n is.
     """
+    if not isinstance(n, int) or not isinstance(q, int):
+        raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
     if n < 1:
         raise BadParameters(f"order n = {n} must be >= 1")
     if n == 1:
@@ -367,8 +370,8 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
         if cl.tag is not GermTag.PLT_CHAIN:
             raise NotApplicable(f"component outside the germ taxonomy: {cl.violation}")
     if len(components) == 2:
-        d1, d2 = different_coeff(components[0]), different_coeff(components[1])
-        if d1 != d2:
+        if not check_slc_glue(*components):
+            d1, d2 = different_coeff(components[0]), different_coeff(components[1])
             raise GlueMismatch(f"conductor differents disagree: {d1} vs {d2}")
         return NonNormalGerm(components, Trichotomy.TWO_COMPONENT_PLT,
                              class_group=ClassGroup.RANK_ONE)

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import LimitExceeded
+from .errors import GermError, LimitExceeded
 
 DIGITS_EXCEEDED = ("a number in the result has more digits than the "
                    "interpreter's integer-to-text conversion limit")
@@ -58,6 +58,15 @@ def format_ratio(num: int, den: int) -> str:
         return f"{num // g}/{den // g}"
     except ValueError as exc:
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
+
+
+def as_fraction(x, error: type[GermError], what: str) -> Fraction:
+    """x, an int or a Fraction, as a Fraction; ``error`` refuses a float, a str or any other type."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise error(f"{what} {x!r} is not an integer or a Fraction")
 
 
 def floor_scale(m: int, q: Fraction) -> int:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from ._record import FrozenRecord
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm, check_slc_glue
-from .rational import DIGITS_EXCEEDED, floor_scale, format_ratio
+from .rational import DIGITS_EXCEEDED, as_fraction, floor_scale, format_ratio
 
 # Largest m that find_failure_m tries, and most coefficients it takes:
 # each step of the search is one sum over the coefficients, so together
@@ -143,6 +143,7 @@ def find_failure_m(coeffs) -> int:
     if len(coeffs) < 2:
         raise BadParameters("need at least two branch coefficients")
     for c in coeffs:
+        as_fraction(c, BadParameters, "coefficient")
         # the denominator is positive: 0 < c < 1 on the integers
         if not 0 < c.numerator < c.denominator:
             raise BadParameters(f"coefficient {c} outside (0, 1)")

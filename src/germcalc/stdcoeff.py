@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from ._record import FrozenRecord
 from .errors import BadParameters
+from .rational import as_fraction
 
 
 class CoeffCheck(FrozenRecord):
@@ -65,6 +66,9 @@ def bracket_bound_holds(c: Fraction, m: int) -> bool:
 
 
 def coeff_check(c: Fraction, m: int) -> CoeffCheck:
+    as_fraction(c, BadParameters, "coefficient")
+    if not isinstance(m, int):
+        raise BadParameters(f"m = {m!r} is not an integer")
     return CoeffCheck(c, m, is_standard(c), vanishing_hypothesis(c, m),
                       bracket_bound_holds(c, m))
 

@@ -7,8 +7,9 @@ they compared numerators with denominators: each test is a Fraction
 comparison. The record checks are the range checks of
 ``BoundaryBranch``, ``CyclicQuotientGerm`` and ``GermClass`` as they
 were: every coefficient wrapped in ``Fraction`` and compared with 0
-and 1. Each returns the checked values, or raises what the record
-raised.
+and 1, after the records' one type rule: a coefficient that is neither
+an int nor a Fraction (a float, a str) is refused first. Each returns
+the checked values, or raises what the record raises.
 """
 
 from fractions import Fraction
@@ -48,9 +49,15 @@ def fraction_bracket_bound_holds(c, m: int) -> bool:
     return 0 <= gap <= c
 
 
+def _exact(x, error, what) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise error(f"{what} {x!r} is not an integer or a Fraction")
+    return Fraction(x)
+
+
 def fraction_branch_coeff(coeff) -> Fraction:
     """BoundaryBranch's coefficient, or its ValidationError."""
-    coeff = Fraction(coeff)
+    coeff = _exact(coeff, ValidationError, "branch coefficient")
     if not 0 < coeff <= 1:
         raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
     return coeff
@@ -59,7 +66,8 @@ def fraction_branch_coeff(coeff) -> Fraction:
 def fraction_quotient_coeffs(n: int, q: int, conductor_coeff, side_coeff):
     """CyclicQuotientGerm's (conductor_coeff, side_coeff), or its
     BadParameters, checked in the constructor's order."""
-    conductor_coeff, side_coeff = Fraction(conductor_coeff), Fraction(side_coeff)
+    conductor_coeff = _exact(conductor_coeff, BadParameters, "conductor coefficient")
+    side_coeff = _exact(side_coeff, BadParameters, "side coefficient")
     if n < 1:
         raise BadParameters(f"order n = {n} must be >= 1")
     if not 1 <= q <= n:

@@ -52,9 +52,17 @@ def reference_order(n: int, edges) -> list[int]:
 def reference_graph(selfints, edges, branches=()):
     """The fields ``(selfints, edges, branches)`` of
     ``ResolutionGraph(selfints, edges, branches)``, or the exception it
-    raises, checked in the constructor's order: conversions, labels,
-    edges in the iteration order of the edge frozenset, the tree, then
-    the branch attach indices."""
+    raises, checked in the constructor's order: conversions (where a
+    label that is not an int names the first label at fault, of either
+    kind), labels, edges in the iteration order of the edge frozenset,
+    the tree, then the branch attach indices."""
+    selfints = tuple(selfints)
+    if not all(isinstance(c, int) for c in selfints):
+        for c in selfints:
+            if not isinstance(c, int):
+                raise ValidationError(f"self-intersection label {c!r} is not an integer")
+            if c < 1:
+                raise ValidationError(f"self-intersection label {c} must be >= 1")
     selfints = tuple(int(c) for c in selfints)
     edges = frozenset((min(i, j), max(i, j)) for i, j in edges)
     branches = tuple(branches)

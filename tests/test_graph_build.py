@@ -12,7 +12,7 @@ TypeError of indexing a list; it has its own test below."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import reference_decompose, reference_graph
@@ -23,8 +23,8 @@ from test_dualgraph import random_trees, record_trees, recurrence_trees
 
 HALF = Fraction(1, 2)
 
-# labels that are below 1, or that int() reads ("3", True, 7/2) or
-# refuses ("x")
+# labels that are below 1, that operator.index reads (True), or that
+# it refuses ("3", 7/2, "x")
 ODD_LABELS = st.one_of(st.integers(-2, 0), st.sampled_from(["3", True, Fraction(7, 2), "x"]))
 CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
               "iterator": iter}
@@ -80,6 +80,7 @@ def _fields(labels, edges, branches):
 
 @settings(max_examples=1500, deadline=None)
 @given(graph_inputs())
+@example(([], [], "list", []))
 def test_construction_matches_the_reference_constructor(case):
     expected, expected_error = _outcome(reference_graph, *case)
     fields, error = _outcome(_fields, *case)
@@ -106,6 +107,8 @@ def test_construction_matches_the_reference_constructor(case):
         assert [sorted(nbrs) for nbrs in g._adj] == [
             sorted(w for e in edges if v in e for w in e if w != v)
             for v in range(len(selfints))]
+    else:
+        assert g._tree == ((), ()) and g._adj == ()
 
 
 @pytest.mark.parametrize("labels, edges, message", [

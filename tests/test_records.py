@@ -5,6 +5,7 @@ computed once per object."""
 
 import importlib
 import pkgutil
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,9 +21,9 @@ from germcalc.cli import GermFile
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
 from germcalc.errors import BadParameters, ValidationError
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
-                            NonNormalGerm, Trichotomy)
-from germcalc.residue import ResidueReport, ResidueTable
-from germcalc.stdcoeff import CoeffCheck
+                            NonNormalGerm, Trichotomy, hj_expand)
+from germcalc.residue import ResidueReport, ResidueTable, find_failure_m
+from germcalc.stdcoeff import CoeffCheck, coeff_check
 
 HALF = Fraction(1, 2)
 GERM = CyclicQuotientGerm(5, 2, Fraction(1), HALF)
@@ -79,7 +80,7 @@ def test_construction_stores_exactly_the_fields(case):
     cls, fields, args, _, _ = case
     rec = cls(*args)
     cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
-    derived = {"_adj"} if cls is ResolutionGraph else set()
+    derived = {"_adj", "_tree"} if cls is ResolutionGraph else set()
     assert set(vars(rec)) - cached - derived == set(fields)
     assert [vars(rec)[name] for name in fields] == list(args)
 
@@ -202,6 +203,51 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
         for gamma in NUMBERS + [None]:
             assert (outcome(lambda: (GermClass(tag, index, gamma).gamma,))
                     == outcome(lambda: (fraction_class_gamma(tag, index, gamma),)))
+
+
+# every value that is neither an int nor a Fraction where the library
+# takes one, or that is not an int where it takes an int: each call
+# raises its entry point's own GermError, never a TypeError or an
+# AttributeError, and no float reaches the arithmetic
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ResolutionGraph.chain([2.7, 2], [(0, 1)]), ValidationError,
+     "self-intersection label 2.7 is not an integer"),
+    (lambda: ResolutionGraph.chain(["3", 2], [(0, 1)]), ValidationError,
+     "self-intersection label '3' is not an integer"),
+    (lambda: ResolutionGraph.chain([0, "x"]), ValidationError,
+     "self-intersection label 0 must be >= 1"),
+    (lambda: ResolutionGraph((2, 2), [(0, 1)], [BoundaryBranch(0.5, Fraction(1))]),
+     ValidationError, "branch attach index 0.5 out of range"),
+    (lambda: ResolutionGraph((2, 2), [(0, 1)], [BoundaryBranch("1", Fraction(1))]),
+     ValidationError, "branch attach index '1' out of range"),
+    (lambda: BoundaryBranch(0, 0.1), ValidationError,
+     "branch coefficient 0.1 is not an integer or a Fraction"),
+    (lambda: BoundaryBranch(0, "1/2"), ValidationError,
+     "branch coefficient '1/2' is not an integer or a Fraction"),
+    (lambda: CyclicQuotientGerm(5, 2, side_coeff=0.5), BadParameters,
+     "side coefficient 0.5 is not an integer or a Fraction"),
+    (lambda: CyclicQuotientGerm(5, 2, Decimal(1)), BadParameters,
+     "conductor coefficient Decimal('1') is not an integer or a Fraction"),
+    (lambda: CyclicQuotientGerm(5.0, 2), BadParameters,
+     "order n = 5.0 and weight q = 2 must be integers"),
+    (lambda: hj_expand(5.0, 2), BadParameters,
+     "order n = 5.0 and weight q = 2 must be integers"),
+    (lambda: hj_expand(5, Fraction(2)), BadParameters,
+     "order n = 5 and weight q = Fraction(2, 1) must be integers"),
+    (lambda: find_failure_m([Fraction(1, 2), 0.25]), BadParameters,
+     "coefficient 0.25 is not an integer or a Fraction"),
+    (lambda: coeff_check(0.5, 2), BadParameters,
+     "coefficient 0.5 is not an integer or a Fraction"),
+    (lambda: coeff_check(Fraction(1, 2), 2.5), BadParameters, "m = 2.5 is not an integer"),
+], ids=["label float", "label str", "label below 1 first", "attach float",
+        "attach str", "branch float", "branch str", "side float",
+        "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
+        "failure_m float", "coeff_check float", "coeff_check m float"])
+def test_a_value_that_is_not_exact_is_refused_by_a_germ_error(make, error, message):
+    with pytest.raises(Exception) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def _counting(monkeypatch, module, name):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -20,3 +22,16 @@ def test_the_differential_run_exits_quietly_on_a_closed_stdout():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0  # one tree against itself: nothing differs
+
+
+@pytest.mark.parametrize("args", [["--max-den", "1"], ["--max-den", "0"],
+                                  ["--r", "1"], ["--r", "0"]])
+def test_the_failure_scan_refuses_an_argument_below_two(args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "failure_scan.py"), *args],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: failure_scan.py")
+    assert f"argument {args[0]}: {args[1]} is below 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
