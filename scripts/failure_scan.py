@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from germcalc import find_failure_m
+from germcalc.residue import FAILURE_COEFF_LIMIT
 
 
 def proper_fractions(max_den):
@@ -35,10 +36,19 @@ def at_least_two(text: str) -> int:
     return value
 
 
+def branch_count(text: str) -> int:
+    """A branch count of 2 or more and at most the number of
+    coefficients find_failure_m takes."""
+    value = at_least_two(text)
+    if value > FAILURE_COEFF_LIMIT:
+        raise argparse.ArgumentTypeError(f"{value} is above the limit {FAILURE_COEFF_LIMIT}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-den", type=at_least_two, default=12)
-    ap.add_argument("--r", type=at_least_two, default=2, help="branches per tuple")
+    ap.add_argument("--r", type=branch_count, default=2, help="branches per tuple")
     args = ap.parse_args()
 
     hist: Counter = Counter()

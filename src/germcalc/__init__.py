@@ -15,9 +15,8 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
 from .rational import floor_scale, format_rat, parse_rat
-from .residue import (ResidueReport, find_failure_m, glued_mcartier,
-                      glued_restriction_coeff, multibranch_deficit,
-                      single_branch_report)
+from .residue import (ResidueReport, find_failure_m, glued_restriction_coeff,
+                      multibranch_deficit, single_branch_report)
 from .stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
                        is_standard, vanishing_hypothesis)
 
@@ -33,7 +32,7 @@ __all__ = [
     "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",
     "find_failure_m", "floor_scale", "format_rat",
-    "glued_mcartier", "glued_restriction_coeff", "hj_contract", "hj_expand",
+    "glued_restriction_coeff", "hj_contract", "hj_expand",
     "is_contractible", "is_standard", "log_canonical_class",
     "multibranch_deficit",
     "parse_rat", "resolution_graph",

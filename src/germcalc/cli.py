@@ -42,8 +42,8 @@ from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     check_slc_glue, classify_lc_germ, classify_nonnormal,
                     different_coeff, germ_class, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
-from .residue import (ResidueTable, find_failure_m, glued_mcartier,
-                      glued_restriction_coeff, restriction_exponents)
+from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
+                      restriction_exponents)
 from .stdcoeff import coeff_check
 
 DEFAULT_M_MAX = 24
@@ -322,6 +322,8 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
     comps = [part.germ for part in gf.parts]
     flags: set[str] = set()
     differents = [format_rat(different_coeff(c)) for c in comps]
+    # different_coeff has refused a conductor != 1, so this raises nothing
+    glue_consistent = len(comps) == 1 or check_slc_glue(*comps)
     restriction = None
     if len(comps) == 2:
         if comps[0].q != comps[1].q:
@@ -329,16 +331,20 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
         cs = [1 - c.side_coeff for c in comps]
         if m != 2 or any(c >= Fraction(1, 2) for c in cs):
             flags.add("extrapolated")
-        # the model's refusals flag the pair; a number past the digit
-        # limit is LimitExceeded, as everywhere
-        try:
-            equal = glued_mcartier(m, comps[0], comps[1])
-            coeffs = [glued_restriction_coeff(m, comp.n, c) for comp, c in zip(comps, cs)]
-        except (GlueMismatch, BadParameters):
+        coeffs = None
+        # the restriction formula is the 1/n(1,1) model's, and its two
+        # sides meet only where the slopes agree
+        if glue_consistent and comps[0].q == comps[1].q == 1:
+            try:
+                coeffs = [glued_restriction_coeff(m, comp.n, c) for comp, c in zip(comps, cs)]
+            except BadParameters:
+                # a side of 0 or 1 leaves its c outside (0, 1)
+                pass
+        if coeffs is None:
             flags.add("restriction-unavailable")
         else:
             restriction = {"m": m, "coefficients": [format_rat(c) for c in coeffs],
-                           "equal": equal}
+                           "equal": coeffs[0] == coeffs[1]}
     classification = None
     try:
         classification = _nonnormal_dict(gf)
@@ -346,7 +352,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
         flags.add("glue-mismatch")
     return {"input": gf.payload, "differents": differents,
             "gammas": [format_rat(c.gamma) for c in comps],
-            "glue_consistent": len(comps) == 1 or check_slc_glue(*comps),
+            "glue_consistent": glue_consistent,
             "restriction": restriction, "classification": classification,
             "case": None if classification is None else classification["trichotomy"],
             "flags": sorted(flags)}

@@ -45,6 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
 from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
@@ -133,6 +134,8 @@ class GermClass(FrozenRecord):
 
     def __init__(self, tag: GermTag, cartier_index: int, gamma: Fraction | None = None,
                  violation: str | None = None):
+        if gamma is not None:
+            as_fraction(gamma, BadParameters, "gamma")
         if tag is GermTag.PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
@@ -207,8 +210,12 @@ def hj_expand(n: int, q: int) -> list[int]:
 
 
 def hj_contract(chain) -> tuple[int, int]:
-    """Inverse of hj_expand: evaluate the string back to (n, q)."""
-    chain = list(chain)
+    """Inverse of hj_expand: evaluate the string back to (n, q). Each
+    entry is read with operator.index, so a float or a str is refused."""
+    try:
+        chain = list(map(index, chain))
+    except TypeError:
+        raise BadParameters("continued-fraction entries must be integers") from None
     if any(c < 2 for c in chain):
         raise BadParameters("continued-fraction entries must be >= 2")
     if not chain:

@@ -17,13 +17,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import FrozenRecord
-from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
-from .germs import CyclicQuotientGerm, check_slc_glue
+from .errors import BadParameters, LimitExceeded, NotApplicable
+from .germs import CyclicQuotientGerm
 from .rational import DIGITS_EXCEEDED, as_fraction, floor_scale, format_ratio
 
-# Largest m that find_failure_m tries, and most coefficients it takes:
-# each step of the search is one sum over the coefficients, so together
-# they keep one search to about a second.
+# Largest m that find_failure_m tries, and most coefficients it takes.
+# Together they bound the steps of one search, not its time: each step
+# sums one product per coefficient modulo the common denominator, and a
+# product costs more the more digits that denominator has.
 FAILURE_SEARCH_LIMIT = 100_000
 FAILURE_COEFF_LIMIT = 64
 
@@ -164,16 +165,6 @@ def find_failure_m(coeffs) -> int:
     raise LimitExceeded(f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; {fails}")
 
 
-def _glue_ceiling(m: int, p: int, d: int) -> int:
-    """ceil(m c) for the coefficient c = p/d in lowest terms, after
-    refusing m < 1 and c outside (0, 1) as glued_restriction_coeff does."""
-    if m < 1:
-        raise BadParameters("m and n must be >= 1")
-    if not 0 < p < d:
-        raise BadParameters(f"coefficient {format_ratio(p, d)} outside (0, 1)")
-    return -((-m * p) // d)
-
-
 def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
     """Coefficient of the marked point after restricting
     m*(K + D) + floor(m(1-c))*C to the conductor D, in the 1/n(1,1)
@@ -185,27 +176,13 @@ def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
     extrapolate the same intersection numbers and are flagged as such
     by the CLI.
     """
-    if n < 1:
+    c = as_fraction(c, BadParameters, "coefficient")
+    if not isinstance(m, int) or not isinstance(n, int):
+        raise BadParameters(f"m = {m!r} and n = {n!r} must be integers")
+    if m < 1 or n < 1:
         raise BadParameters("m and n must be >= 1")
-    return Fraction(m * n - _glue_ceiling(m, c.numerator, c.denominator), n)
-
-
-def glued_mcartier(m: int, g1: CyclicQuotientGerm, g2: CyclicQuotientGerm) -> bool:
-    """Whether the degree-m rounded divisor restricts equally to the
-    two sides of a glued pair of 1/n(1,1) germs: whether the two
-    glued_restriction_coeff values m - ceil(m c_i)/n_i agree, compared
-    by cross-multiplication.
-
-    For m = 2 and both fractional coefficients below 1/2 this reduces
-    to asking that the two orders n agree.
-    """
-    for g in (g1, g2):
-        if g.q != 1:
-            raise GlueMismatch("restriction formula needs the 1/n(1,1) model (q = 1)")
-    if not check_slc_glue(g1, g2):
-        raise GlueMismatch("differents disagree, the pair does not glue")
-    # c = 1 - side is (den - num)/den in lowest terms
-    s1, s2 = g1.side_coeff, g2.side_coeff
-    ceil1 = _glue_ceiling(m, s1.denominator - s1.numerator, s1.denominator)
-    ceil2 = _glue_ceiling(m, s2.denominator - s2.numerator, s2.denominator)
-    return ceil1 * g2.n == ceil2 * g1.n
+    p, d = c.numerator, c.denominator
+    if not 0 < p < d:
+        raise BadParameters(f"coefficient {format_ratio(p, d)} outside (0, 1)")
+    # m n - ceil(m p / d), with the ceiling as a negated floor division
+    return Fraction(m * n + (-m * p) // d, n)

@@ -5,9 +5,10 @@ Each row takes ceil(m g) from ``ceil_scale`` here and floor(m (1 - g))
 from ``germcalc.rational.floor_scale``, both Fraction scalings, and
 checks the table's invariants as it goes: the slope lies in [0, 1], the
 deficit is not negative, and the restriction is surjective exactly when
-the deficit vanishes. The glued restriction coefficient and its
-comparison are the Fraction formulas that ``glued_restriction_coeff``
-and ``glued_mcartier`` replaced by their integer form.
+the deficit vanishes. The glued restriction coefficient is the Fraction
+formula that ``glued_restriction_coeff`` replaced by its integer form,
+and the comparison of its two sides is the one ``glue`` prints as
+``equal``, with the refusals that leave it unavailable.
 """
 
 from fractions import Fraction
@@ -52,7 +53,9 @@ def fraction_glued_restriction_coeff(m: int, n: int, c) -> Fraction:
 
 def fraction_glued_mcartier(m: int, g1, g2) -> bool:
     """Whether the two sides' Fraction glued restriction coefficients
-    agree, with the checks of germcalc.residue.glued_mcartier."""
+    agree. GlueMismatch refuses a pair outside the 1/n(1,1) model or
+    with unequal slopes, and BadParameters a side of 0 or 1: the pairs
+    that ``glue`` flags restriction-unavailable."""
     for g in (g1, g2):
         if g.q != 1:
             raise GlueMismatch("restriction formula needs the 1/n(1,1) model (q = 1)")

@@ -19,7 +19,7 @@ from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
 from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
                             hj_expand, resolution_graph, check_slc_glue)
 from germcalc.rational import floor_scale
-from germcalc.residue import (find_failure_m, glued_mcartier,
+from germcalc.residue import (find_failure_m, glued_restriction_coeff,
                               multibranch_deficit, single_branch_report)
 from germcalc.stdcoeff import bracket_bound_holds, vanishing_hypothesis
 from residue_oracle import ceil_scale
@@ -140,9 +140,10 @@ def test_criterion_5_gluing_criteria():
                 gamma = Fraction(1, 2 * max(n1, n2) + 1)
                 c1, c2 = n1 * gamma, n2 * gamma
                 assert c1 < HALF and c2 < HALF
-                g1 = CyclicQuotientGerm(n1, 1, 1, 1 - c1)
-                g2 = CyclicQuotientGerm(n2, 1, 1, 1 - c2)
-                assert glued_mcartier(2, g1, g2) == (n1 == n2)
+                assert check_slc_glue(CyclicQuotientGerm(n1, 1, 1, 1 - c1),
+                                      CyclicQuotientGerm(n2, 1, 1, 1 - c2))
+                assert ((glued_restriction_coeff(2, n1, c1) == glued_restriction_coeff(2, n2, c2))
+                        == (n1 == n2))
         cs = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(5, 12)]
         for n1 in range(1, 13):
             for n2 in range(1, 13):

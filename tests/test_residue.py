@@ -16,9 +16,8 @@ from germcalc.germs import CyclicQuotientGerm, different_coeff
 from germcalc.rational import DIGITS_EXCEEDED, floor_scale
 from germcalc.residue import (FAILURE_COEFF_LIMIT, FAILURE_SEARCH_LIMIT,
                               ResidueTable, _certificate, find_failure_m,
-                              glued_mcartier, glued_restriction_coeff,
-                              multibranch_deficit, restriction_exponents,
-                              single_branch_report)
+                              glued_restriction_coeff, multibranch_deficit,
+                              restriction_exponents, single_branch_report)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -254,33 +253,44 @@ def germ_1n1(n, c):
     return CyclicQuotientGerm(n, 1, 1, 1 - c)
 
 
-def test_glued_mcartier_identical_germs():
-    assert glued_mcartier(2, germ_1n1(2, Fraction(1, 4)), germ_1n1(2, Fraction(1, 4)))
+def glued_text(*germs):
+    """The glued file of the germs, each with conductor 1."""
+    return json.dumps({"kind": "glued", "components": [
+        {"n": g.n, "q": g.q, "side": str(g.side_coeff)} for g in germs]})
 
 
-def test_glued_mcartier_distinct_orders():
-    # matched slope 1/8, orders 2 and 4: coefficients 3/2 vs 7/4
-    assert not glued_mcartier(2, germ_1n1(2, Fraction(1, 4)),
-                              germ_1n1(4, HALF))
+@pytest.mark.parametrize("germs, coefficients, equal", [
+    # identical germs
+    ((germ_1n1(2, Fraction(1, 4)), germ_1n1(2, Fraction(1, 4))), ["3/2", "3/2"], True),
+    # matched slope 1/8, distinct orders 2 and 4
+    ((germ_1n1(2, Fraction(1, 4)), germ_1n1(4, HALF)), ["3/2", "7/4"], False),
+    # unmatched slopes 1/8 and 1/32: the pair does not glue
+    ((germ_1n1(2, Fraction(1, 4)), germ_1n1(4, Fraction(1, 8))), None, None),
+    # q = 2 on both sides, outside the 1/n(1,1) model
+    ((CyclicQuotientGerm(5, 2, 1, HALF),) * 2, None, None),
+    # side 0 on both sides, so c = 1 lies outside (0, 1)
+    ((germ_1n1(2, Fraction(1)),) * 2, None, None),
+], ids=["identical_germs", "distinct_orders", "unmatched_slopes", "q_not_1", "side_0"])
+def test_the_glue_restriction_examples(tmp_path, capsys, germs, coefficients, equal):
+    path = tmp_path / "glued.json"
+    path.write_text(glued_text(*germs), encoding="utf-8")
+    assert cli.main(["glue", "--m", "2", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if coefficients is None:
+        assert out["restriction"] is None
+        assert "restriction-unavailable" in out["flags"]
+    else:
+        assert out["restriction"] == {"m": 2, "coefficients": coefficients, "equal": equal}
+        assert "restriction-unavailable" not in out["flags"]
 
 
-def test_glued_mcartier_requires_matched_slopes():
-    with pytest.raises(GlueMismatch):
-        glued_mcartier(2, germ_1n1(2, Fraction(1, 4)), germ_1n1(4, Fraction(1, 8)))
-
-
-def test_glued_mcartier_requires_canonical_model():
-    g1 = CyclicQuotientGerm(5, 2, 1, HALF)
-    with pytest.raises(GlueMismatch):
-        glued_mcartier(2, g1, g1)
-
-
-def test_glued_mcartier_iff_equal_orders_on_small_grid():
+def test_the_glue_restriction_is_equal_iff_the_orders_are_on_a_small_grid():
     for n1 in range(1, 9):
         for n2 in range(1, 9):
             gamma = Fraction(1, 2 * max(n1, n2) + 1)
             g1, g2 = germ_1n1(n1, n1 * gamma), germ_1n1(n2, n2 * gamma)
-            assert glued_mcartier(2, g1, g2) == (n1 == n2)
+            out = cli._cmd_glue(cli.parse_germ_file(glued_text(g1, g2)), 2)
+            assert out["restriction"]["equal"] == (n1 == n2)
 
 
 def weights(n):
@@ -329,15 +339,29 @@ def test_the_glue_coefficient_is_the_fraction_formula(m, n, c):
             == outcome(fraction_glued_restriction_coeff, m, n, c))
 
 
+def oracle_restriction(m, g1, g2):
+    """The restriction glue prints for the pair, and whether it flags
+    it unavailable, from the Fraction formulas."""
+    try:
+        equal = fraction_glued_mcartier(m, g1, g2)
+    except (GlueMismatch, BadParameters):
+        return None, True
+    coeffs = [str(fraction_glued_restriction_coeff(m, g.n, 1 - g.side_coeff))
+              for g in (g1, g2)]
+    return {"m": m, "coefficients": coeffs, "equal": equal}, False
+
+
 @settings(max_examples=300, deadline=None)
-@given(m=st.integers(-1, 80), n1=st.integers(1, 30), n2=st.integers(1, 30),
+@given(m=st.integers(1, 80), n1=st.integers(1, 30), n2=st.integers(1, 30),
        gamma=st.fractions(min_value=0, max_value=Fraction(1, 30), max_denominator=60),
        q2=st.sampled_from([1, 1, 1, 2]), skew=st.sampled_from([0, 0, 0, Fraction(1, 61)]))
-def test_the_glue_comparison_is_the_fraction_formula(m, n1, n2, gamma, q2, skew):
+def test_the_glue_restriction_is_the_fraction_formula(m, n1, n2, gamma, q2, skew):
     # matched slopes gamma, mostly; a skew unmatches them, and q2 = 2
     # leaves the 1/n(1,1) model where n2 allows it
     g1 = CyclicQuotientGerm(n1, 1, 1, 1 - n1 * gamma)
     q2 = q2 if n2 > 2 and gcd(n2, q2) == 1 else 1
     side2 = 1 - n2 * gamma
     g2 = CyclicQuotientGerm(n2, q2, 1, side2 + skew if side2 + skew <= 1 else side2 - skew)
-    assert outcome(glued_mcartier, m, g1, g2) == outcome(fraction_glued_mcartier, m, g1, g2)
+    out = cli._cmd_glue(cli.parse_germ_file(glued_text(g1, g2)), m)
+    assert ((out["restriction"], "restriction-unavailable" in out["flags"])
+            == oracle_restriction(m, g1, g2))

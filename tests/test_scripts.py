@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from germcalc.residue import FAILURE_COEFF_LIMIT
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,4 +36,17 @@ def test_the_failure_scan_refuses_an_argument_below_two(args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: failure_scan.py")
     assert f"argument {args[0]}: {args[1]} is below 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_failure_scan_refuses_more_branches_than_the_search_takes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "failure_scan.py"), "--max-den", "3",
+         "--r", str(FAILURE_COEFF_LIMIT + 1)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: failure_scan.py")
+    assert (f"argument --r: {FAILURE_COEFF_LIMIT + 1} is above the limit "
+            f"{FAILURE_COEFF_LIMIT}") in proc.stderr
     assert "Traceback" not in proc.stderr
