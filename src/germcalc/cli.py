@@ -179,8 +179,9 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
     chain = obj.get("chain", [])
     forks = obj.get("forks", [])
     branches = obj.get("branches", [])
-    if not isinstance(chain, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in chain):
+    # json.loads makes no int subclass but bool, so this exact-type scan
+    # refuses what an int-but-not-bool test per entry would
+    if not isinstance(chain, list) or not {*map(type, chain)} <= {int}:
         raise ValidationError("'chain' must be a list of integers")
     # Every entry is checked as it is read, so the first fault in file
     # order is the one reported; the graph is built once, at the end.
@@ -524,11 +525,18 @@ def _emit(obj, pad: str, append) -> None:
         append(pad + "}" if obj else "{}")
     elif kind is list:
         inner = pad + "  "
+        comma = "," + inner
         sep = "[" + inner
         for value in obj:
             append(sep)
-            _emit(value, inner, append)
-            sep = "," + inner
+            item = type(value)
+            if item is str:
+                append(_quote(value))
+            elif item is int:
+                append(int.__repr__(value))
+            else:
+                _emit(value, inner, append)
+            sep = comma
         append(pad + "]" if obj else "[]")
     elif obj is None:
         append("null")
@@ -563,7 +571,11 @@ def _dumps(payload: dict) -> str:
     one value that is not JSON it takes is a ``residue.ResidueTable``,
     written as json would write its list of row dicts, each row straight
     from ``restriction_exponents``. The dispatch is on the exact type:
-    any other type, a subclass included, raises TypeError.
+    any other type, a subclass included, raises TypeError. A list's str
+    and int items, the bulk of a long report list, are written in the
+    list's own loop by the same exact-type rule, with no call per item;
+    its other items (bool, None, dict, list, ``ResidueTable``, or a type
+    to refuse) go through the dispatch.
     """
     parts: list[str] = []
     try:

@@ -122,6 +122,11 @@ LC_CENTER_TAGS = frozenset({GermTag.CYCLIC_NONPLT, GermTag.DIHEDRAL_31,
                             GermTag.DIHEDRAL_32, GermTag.DIHEDRAL_33})
 
 
+def _check_index(cartier_index) -> None:
+    if not isinstance(cartier_index, int) or cartier_index < 1:
+        raise BadParameters(f"Cartier index {cartier_index!r} is not an integer >= 1")
+
+
 class GermClass(FrozenRecord):
     """Taxonomy tag with the derived invariants.
 
@@ -139,6 +144,7 @@ class GermClass(FrozenRecord):
         if tag is GermTag.PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
+        _check_index(cartier_index)
         if tag in LC_CENTER_TAGS and 2 % cartier_index != 0:
             raise BadParameters(
                 f"lc-center germ with Cartier index {cartier_index} not dividing 2")
@@ -173,6 +179,8 @@ class NonNormalGerm(FrozenRecord):
         if trichotomy is Trichotomy.ONE_COMPONENT_PLT:
             if len(components) != 1 or class_group is not ClassGroup.TORSION:
                 raise BadParameters("one-component plt germ must have 1 component, torsion class group")
+        if cartier_index is not None:
+            _check_index(cartier_index)
         self._set(components, trichotomy, class_group, cartier_index)
 
 

@@ -11,14 +11,14 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from residue_oracle import fraction_table
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
 from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
-from germcalc.errors import NotApplicable, ParseError, ValidationError
+from germcalc.errors import LimitExceeded, NotApplicable, ParseError, ValidationError
 from germcalc.rational import DIGITS_EXCEEDED, parse_rat
 from germcalc.residue import FAILURE_COEFF_LIMIT, ResidueTable
 
@@ -736,6 +736,19 @@ def test_non_list_forks_or_branches_exit_one(tmp_path, capsys, record, message):
         assert err == {"type": "ValidationError", "message": message}
 
 
+# json.loads gives a bool, a float, a str or a list where an int belongs;
+# the chain's type check refuses each before any label is read
+@pytest.mark.parametrize("chain", [[2, True], [2, 2.0], [2, "2"], [2, [2]], "22"],
+                         ids=repr)
+def test_a_chain_of_anything_but_integers_exits_one(tmp_path, capsys, chain):
+    path = write(tmp_path, json.dumps({"kind": "dual_graph", "chain": chain}))
+    for command in ("report", "classify", "discrepancy", "residue"):
+        assert main([command, path]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "ValidationError",
+                       "message": "'chain' must be a list of integers"}
+
+
 @pytest.mark.parametrize("record, message", [
     # a bad chain label comes before any fork or branch fault
     ({"chain": [2, 0], "forks": [[9, 2]], "branches": [[9, "x"]]},
@@ -925,9 +938,36 @@ def test_the_report_writer_gives_the_text_of_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+# long lists, as a report's discrepancies and curve lists are, whose
+# str and int items the list loop writes itself and whose other items
+# it hands to the dispatch
+LONG_LISTS = st.lists(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | TEXT
+    | st.lists(st.integers() | TEXT | st.booleans(), max_size=3)
+    | st.dictionaries(TEXT, st.integers() | st.none(), max_size=3),
+    max_size=300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LONG_LISTS)
+@example([True, 1, "1", None, [], {}, False, 0])
+def test_the_report_writer_gives_the_text_of_json_dumps_on_long_lists(items):
+    assert cli._dumps(items) == json.dumps(items, sort_keys=True, indent=2)
+    assert cli._dumps({"l": [items]}) == json.dumps({"l": [items]}, sort_keys=True,
+                                                    indent=2)
+
+
+def test_an_integer_past_the_digit_limit_deep_in_a_long_list_is_limit_exceeded():
+    items = list(range(5000)) + [[["x", 10**sys.get_int_max_str_digits()]]] + ["y"]
+    with pytest.raises(LimitExceeded) as info:
+        cli._dumps({"discrepancies": items})
+    assert str(info.value) == DIGITS_EXCEEDED
+
+
 @pytest.mark.parametrize("value", [
     1.5, (1, 2), {1, 2}, {1: "int key"}, {"nested": [Fraction(1, 2)]},
-    germs.GermTag.PLT_CHAIN])
+    germs.GermTag.PLT_CHAIN, ["x", 1, germs.GermTag.PLT_CHAIN], [1, "x", (1, 2)],
+    [1, 2, 2.0]])
 def test_the_report_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._dumps(value)

@@ -257,13 +257,22 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
      "m = 2.5 and n = 3 must be integers"),
     (lambda: GermClass(GermTag.PLT_CHAIN, 2, 0.5), BadParameters,
      "gamma 0.5 is not an integer or a Fraction"),
+    (lambda: GermClass(GermTag.PLT_CHAIN, 2.5, HALF), BadParameters,
+     "Cartier index 2.5 is not an integer >= 1"),
+    (lambda: GermClass(GermTag.DIHEDRAL_31, "2"), BadParameters,
+     "Cartier index '2' is not an integer >= 1"),
+    (lambda: GermClass(GermTag.DIHEDRAL_31, 0), BadParameters,
+     "Cartier index 0 is not an integer >= 1"),
+    (lambda: NonNormalGerm((GERM,), Trichotomy.LC_CENTER_CASE, cartier_index=0.5),
+     BadParameters, "Cartier index 0.5 is not an integer >= 1"),
 ], ids=["label float", "label str", "label below 1 first", "attach float",
         "attach str", "branch float", "branch str", "side float",
         "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
         "failure_m float", "coeff_check float", "coeff_check m float",
         "vanishing m float", "bracket m float", "vanishing float", "is_standard float",
         "hj_contract float", "hj_contract str", "glue coefficient float",
-        "glue m float", "germ class gamma float"])
+        "glue m float", "germ class gamma float", "germ class index float",
+        "germ class index str", "germ class index 0", "non-normal index float"])
 def test_a_value_that_is_not_exact_is_refused_by_a_germ_error(make, error, message):
     with pytest.raises(Exception) as info:
         make()
