@@ -14,11 +14,10 @@ from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     hj_contract, hj_expand, resolution_graph)
-from .rational import floor_scale, format_rat, parse_rat
+from .rational import format_rat, parse_rat
 from .residue import (ResidueReport, find_failure_m, glued_restriction_coeff,
                       multibranch_deficit, single_branch_report)
-from .stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
-                       is_standard, vanishing_hypothesis)
+from .stdcoeff import CoeffCheck, coeff_check
 
 __version__ = "0.1.0"
 
@@ -28,13 +27,13 @@ __all__ = [
     "GlueMismatch", "LcClass", "LimitExceeded",
     "NonNormalGerm", "NotApplicable", "ParseError",
     "ResidueReport", "ResolutionGraph", "Trichotomy",
-    "ValidationError", "boundary_coefficients", "bracket_bound_holds",
+    "ValidationError", "boundary_coefficients",
     "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",
-    "find_failure_m", "floor_scale", "format_rat",
+    "find_failure_m", "format_rat",
     "glued_restriction_coeff", "hj_contract", "hj_expand",
-    "is_contractible", "is_standard", "log_canonical_class",
+    "is_contractible", "log_canonical_class",
     "multibranch_deficit",
     "parse_rat", "resolution_graph",
-    "single_branch_report", "vanishing_hypothesis",
+    "single_branch_report",
 ]

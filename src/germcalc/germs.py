@@ -181,6 +181,10 @@ class NonNormalGerm(FrozenRecord):
                 raise BadParameters("one-component plt germ must have 1 component, torsion class group")
         if cartier_index is not None:
             _check_index(cartier_index)
+        if trichotomy is Trichotomy.LC_CENTER_CASE and class_group is not None:
+            raise BadParameters("an lc-center germ has no class group")
+        if not 1 <= len(components) <= 2:
+            raise BadParameters("a non-normal germ has 1 or 2 components")
         self._set(components, trichotomy, class_group, cartier_index)
 
 

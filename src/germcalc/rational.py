@@ -2,9 +2,9 @@
 
 Every numeric quantity in this package is a ``fractions.Fraction``, or an
 integer numerator over an integer denominator; there is no floating
-point anywhere. This module adds the integer-valued floor scaling that
-the divisor rounding arguments run on, plus the canonical ``a/b`` text
-form used by the CLI file format.
+point anywhere. This module holds the canonical ``a/b`` text form used
+by the CLI file format, its parser and formatters, and ``as_fraction``,
+the one type rule for an exact coefficient argument.
 """
 
 from __future__ import annotations
@@ -68,12 +68,3 @@ def as_fraction(x, error: type[GermError], what: str) -> Fraction:
         return Fraction(x)
     raise error(f"{what} {x!r} is not an integer or a Fraction")
 
-
-def floor_scale(m: int, q: Fraction) -> int:
-    """Return the unique integer k with k <= m*q < k+1.
-
-    Floors toward minus infinity, so negative products round down.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return (m * q.numerator) // q.denominator

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from ._record import FrozenRecord
 from .errors import BadParameters, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm
-from .rational import DIGITS_EXCEEDED, as_fraction, floor_scale, format_ratio
+from .rational import DIGITS_EXCEEDED, as_fraction, format_ratio
 
 # Largest m that find_failure_m tries, and most coefficients it takes.
 # Together they bound the steps of one search, not its time: each step
@@ -89,6 +89,8 @@ class ResidueTable(FrozenRecord):
     _fields = ("p", "n", "m_max")
 
     def __init__(self, p: int, n: int, m_max: int):
+        if not (isinstance(p, int) and isinstance(n, int) and isinstance(m_max, int)):
+            raise BadParameters(f"p = {p!r}, n = {n!r} and m_max = {m_max!r} must be integers")
         if n < 1 or not 0 <= p <= n:
             raise BadParameters(f"slope {p}/{n} outside [0, 1]")
         self._set(p, n, m_max)
@@ -105,7 +107,8 @@ def multibranch_deficit(m: int, coeffs) -> int:
         if not 0 < c < 1:
             raise BadParameters(f"coefficient {c} outside (0, 1)")
     total = sum(coeffs, Fraction(0))
-    return floor_scale(m, total) - sum(floor_scale(m, c) for c in coeffs)
+    return ((m * total.numerator) // total.denominator
+            - sum((m * c.numerator) // c.denominator for c in coeffs))
 
 
 def _certificate(nums: list[int], den: int) -> int:

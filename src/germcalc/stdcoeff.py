@@ -30,56 +30,24 @@ class CoeffCheck(FrozenRecord):
         self._set(c, m, standard, hypothesis_ok, bracket_ok)
 
 
-def is_standard(c: Fraction) -> bool:
-    """True iff c = 1 or c = (k-1)/k for an integer k >= 2.
+def coeff_check(c: Fraction, m: int) -> CoeffCheck:
+    """The three checks on the terms of c = a/b in lowest terms.
 
-    With c = a/b in lowest terms, 1 - c = (b - a)/b is in lowest terms
-    too, so the test is a = b, or 0 < a = b - 1.
+    Refuses a c that is not an int or a Fraction, an m that is not an
+    int, m < 2 and then c outside (0, 1]: b > 0, so 0 < c <= 1 is
+    0 < a <= b. Then 1 - c = (b - a)/b is in lowest terms too, so c is
+    standard iff a = b or 0 < a = b - 1; the hypothesis c >= 1 - 1/m is
+    a m >= b (m - 1); and the bracket bound, scaled by b, is
+    0 <= floor(m a / b) b - (m - 1) a <= a.
     """
-    c = as_fraction(c, BadParameters, "coefficient")
-    return _standard(c.numerator, c.denominator)
-
-
-def _standard(a: int, b: int) -> bool:
-    return a == b or 0 < a == b - 1
-
-
-def _terms(c: Fraction, m: int) -> tuple[int, int]:
-    """(a, b) with c = a/b in lowest terms, after refusing a c that is
-    not an int or a Fraction, an m that is not an int, m < 2 and then c
-    outside (0, 1]: b > 0, so 0 < c <= 1 is 0 < a <= b."""
-    c = as_fraction(c, BadParameters, "coefficient")
+    q = as_fraction(c, BadParameters, "coefficient")
     if not isinstance(m, int):
         raise BadParameters(f"m = {m!r} is not an integer")
     if m < 2:
         raise BadParameters("m must be >= 2")
-    a, b = c.numerator, c.denominator
+    a, b = q.numerator, q.denominator
     if not 0 < a <= b:
-        raise BadParameters(f"coefficient {c} outside (0, 1]")
-    return a, b
-
-
-def vanishing_hypothesis(c: Fraction, m: int) -> bool:
-    """Membership in the standard set extended by [1 - 1/m, 1]: for
-    c = a/b, c >= 1 - 1/m is a m >= b (m - 1)."""
-    return _hypothesis(*_terms(c, m), m)
-
-
-def _hypothesis(a: int, b: int, m: int) -> bool:
-    return _standard(a, b) or a * m >= b * (m - 1)
-
-
-def bracket_bound_holds(c: Fraction, m: int) -> bool:
-    """Exact check of 0 <= floor(m c) - (m - 1) c <= c, scaled by the
-    denominator b of c = a/b: 0 <= floor(m a / b) b - (m - 1) a <= a."""
-    return _bracket(*_terms(c, m), m)
-
-
-def _bracket(a: int, b: int, m: int) -> bool:
-    return 0 <= (m * a // b) * b - (m - 1) * a <= a
-
-
-def coeff_check(c: Fraction, m: int) -> CoeffCheck:
-    """The three checks on the terms of c, read once."""
-    a, b = _terms(c, m)
-    return CoeffCheck(c, m, _standard(a, b), _hypothesis(a, b, m), _bracket(a, b, m))
+        raise BadParameters(f"coefficient {q} outside (0, 1]")
+    standard = a == b or 0 < a == b - 1
+    return CoeffCheck(c, m, standard, standard or a * m >= b * (m - 1),
+                      0 <= (m * a // b) * b - (m - 1) * a <= a)

@@ -1,23 +1,23 @@
 """The coefficient checks in Fraction arithmetic, the reference for the
-integer checks of ``germcalc.stdcoeff`` and of the records' ranges.
+integer checks of ``germcalc.stdcoeff.coeff_check`` and of the records'
+ranges.
 
-The three predicates are the bodies of ``is_standard``,
-``vanishing_hypothesis`` and ``bracket_bound_holds`` as they were before
-they compared numerators with denominators: each test is a Fraction
-comparison. The record checks are the range checks of
-``BoundaryBranch``, ``CyclicQuotientGerm`` and ``GermClass`` as they
-were: every coefficient wrapped in ``Fraction`` and compared with 0
-and 1, after the records' one type rule: a coefficient that is neither
-an int nor a Fraction (a float, a str) is refused first. Each returns
-the checked values, or raises what the record raises.
+The three predicates are the standard, hypothesis and bracket fields of
+``coeff_check`` as Fraction comparisons. The floor of m c is
+``math.floor`` of the Fraction product, which is exact, so nothing here
+comes from ``germcalc.rational``. The record checks are the range
+checks of ``BoundaryBranch``, ``CyclicQuotientGerm`` and ``GermClass``
+as they were: every coefficient wrapped in ``Fraction`` and compared
+with 0 and 1, after the records' one type rule: a coefficient that is
+neither an int nor a Fraction (a float, a str) is refused first. Each
+returns the checked values, or raises what the record raises.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from germcalc.errors import BadParameters, ValidationError
 from germcalc.germs import LC_CENTER_TAGS, GermTag
-from germcalc.rational import floor_scale
 
 
 def fraction_is_standard(c) -> bool:
@@ -45,7 +45,7 @@ def fraction_bracket_bound_holds(c, m: int) -> bool:
         raise BadParameters("m must be >= 2")
     if not 0 < c <= 1:
         raise BadParameters(f"coefficient {c} outside (0, 1]")
-    gap = floor_scale(m, c) - (m - 1) * c
+    gap = floor(m * c) - (m - 1) * c
     return 0 <= gap <= c
 
 

@@ -2,20 +2,21 @@
 the reference for the integer kernel of ``germcalc.residue``.
 
 Each row takes ceil(m g) from ``ceil_scale`` here and floor(m (1 - g))
-from ``germcalc.rational.floor_scale``, both Fraction scalings, and
-checks the table's invariants as it goes: the slope lies in [0, 1], the
-deficit is not negative, and the restriction is surjective exactly when
-the deficit vanishes. The glued restriction coefficient is the Fraction
-formula that ``glued_restriction_coeff`` replaced by its integer form,
-and the comparison of its two sides is the one ``glue`` prints as
-``equal``, with the refusals that leave it unavailable.
+from ``math.floor`` of the Fraction product, both exact and neither from
+``germcalc.rational``, and checks the table's invariants as it goes:
+the slope lies in [0, 1], the deficit is not negative, and the
+restriction is surjective exactly when the deficit vanishes. The
+glued restriction coefficient is the Fraction formula that
+``glued_restriction_coeff`` replaced by its integer form, and the
+comparison of its two sides is the one ``glue`` prints as ``equal``,
+with the refusals that leave it unavailable.
 """
 
 from fractions import Fraction
+from math import floor
 
 from germcalc.errors import BadParameters, GlueMismatch
 from germcalc.germs import check_slc_glue
-from germcalc.rational import floor_scale
 
 
 def ceil_scale(m: int, q) -> int:
@@ -31,7 +32,7 @@ def fraction_table(gamma, m_max: int) -> list[dict]:
     rows = []
     for m in range(1, m_max + 1):
         source = ceil_scale(m, gamma)
-        target = floor_scale(m, 1 - gamma)
+        target = floor(m * (1 - gamma))
         deficit = target - (m - source)
         surjective = deficit == 0
         assert deficit >= 0 and surjective == (m - source == target)
@@ -48,7 +49,7 @@ def fraction_glued_restriction_coeff(m: int, n: int, c) -> Fraction:
     c = Fraction(c)
     if not 0 < c < 1:
         raise BadParameters(f"coefficient {c} outside (0, 1)")
-    return m * Fraction(n - 1, n) + Fraction(floor_scale(m, 1 - c), n)
+    return m * Fraction(n - 1, n) + Fraction(floor(m * (1 - c)), n)
 
 
 def fraction_glued_mcartier(m: int, g1, g2) -> bool:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import floor, gcd
 from pathlib import Path
 
 import pytest
@@ -18,10 +18,9 @@ from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
                                 cartier_index, is_contractible)
 from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
                             hj_expand, resolution_graph, check_slc_glue)
-from germcalc.rational import floor_scale
 from germcalc.residue import (find_failure_m, glued_restriction_coeff,
                               multibranch_deficit, single_branch_report)
-from germcalc.stdcoeff import bracket_bound_holds, vanishing_hypothesis
+from germcalc.stdcoeff import coeff_check
 from residue_oracle import ceil_scale
 
 HALF = Fraction(1, 2)
@@ -96,7 +95,7 @@ def test_criterion_3_residue_identity():
             germ = CyclicQuotientGerm(n, 1, 1, 1 - n * gamma)
             assert germ.gamma == gamma
             for m in range(1, 1001):
-                assert m - ceil_scale(m, gamma) == floor_scale(m, 1 - gamma)
+                assert m - ceil_scale(m, gamma) == floor(m * (1 - gamma))
                 assert single_branch_report(m, germ).surjective
 
 
@@ -184,14 +183,16 @@ def test_criterion_8_standard_coefficient_suite():
         for k in range(2, 51):
             c = Fraction(k - 1, k)
             for m in range(2, 51):
-                assert vanishing_hypothesis(c, m)
-                assert bracket_bound_holds(c, m)
+                rec = coeff_check(c, m)
+                assert rec.hypothesis_ok
+                assert rec.bracket_ok
         found = None
         for m in range(2, 9):
             for den in range(2, 13):
                 for num in range(1, den):
                     c = Fraction(num, den)
-                    if not vanishing_hypothesis(c, m) and not bracket_bound_holds(c, m):
+                    rec = coeff_check(c, m)
+                    if not rec.hypothesis_ok and not rec.bracket_ok:
                         found = (c, m)
                         break
                 if found:
@@ -199,7 +200,7 @@ def test_criterion_8_standard_coefficient_suite():
             if found:
                 break
         assert found == (Fraction(1, 3), 2)
-        assert not bracket_bound_holds(Fraction(1, 3), 2)
+        assert not coeff_check(Fraction(1, 3), 2).bracket_ok
 
 
 FIXTURE_NAMES = [

@@ -12,7 +12,7 @@ from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
-                            Trichotomy, check_slc_glue, classify_lc_germ,
+                            NonNormalGerm, Trichotomy, check_slc_glue, classify_lc_germ,
                             classify_nonnormal, different_coeff, germ_class,
                             hj_contract, hj_expand, resolution_graph)
 
@@ -526,6 +526,30 @@ def test_classify_nonnormal_lc_center_takes_precedence():
     nn = classify_nonnormal([CyclicQuotientGerm(2, 1, 1, HALF),
                              CyclicQuotientGerm(3, 2, 1, 1)], True)
     assert nn.trichotomy is Trichotomy.LC_CENTER_CASE
+
+
+LC_GERM = CyclicQuotientGerm(3, 2, 1, 1)
+LC = Trichotomy.LC_CENTER_CASE
+
+
+# the last two also fail an lc-center check, but an earlier check's
+# message wins: the plt and Cartier-index checks run first
+@pytest.mark.parametrize("components, trichotomy, kwargs, message", [
+    ((LC_GERM,), LC, {"class_group": ClassGroup.TORSION, "cartier_index": 2},
+     "an lc-center germ has no class group"),
+    ((LC_GERM,) * 3, LC, {"cartier_index": 2}, "a non-normal germ has 1 or 2 components"),
+    ((), LC, {}, "a non-normal germ has 1 or 2 components"),
+    ((), Trichotomy.ONE_COMPONENT_PLT, {},
+     "one-component plt germ must have 1 component, torsion class group"),
+    ((), LC, {"class_group": ClassGroup.TORSION, "cartier_index": 0.5},
+     "Cartier index 0.5 is not an integer >= 1"),
+], ids=["class group", "three components", "no component", "plt check first",
+        "index check first"])
+def test_an_inconsistent_non_normal_record_is_refused(components, trichotomy, kwargs,
+                                                       message):
+    with pytest.raises(BadParameters) as info:
+        NonNormalGerm(components, trichotomy, **kwargs)
+    assert str(info.value) == message
 
 
 @given(st.integers(1, 24), st.data())

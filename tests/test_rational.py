@@ -1,32 +1,14 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from germcalc.errors import LimitExceeded
-from germcalc.rational import floor_scale, format_rat, format_ratio, parse_rat
+from germcalc.rational import format_rat, format_ratio, parse_rat
 from residue_oracle import ceil_scale
-
-
-def floor_oracle(m, q):
-    # brute force the defining inequality k <= m*q < k+1
-    prod = m * q
-    k = prod.numerator // prod.denominator - 2
-    while not (k <= prod < k + 1):
-        k += 1
-    return k
-
-
-@pytest.mark.parametrize("m, q, expected", [
-    (2, Fraction(1, 2), 1),
-    (5, Fraction(1, 3), 1),
-    (3, Fraction(-1, 2), -2),
-])
-def test_floor_scale_examples(m, q, expected):
-    assert floor_scale(m, q) == expected
-    assert floor_oracle(m, q) == expected
 
 
 @pytest.mark.parametrize("m, q, expected", [
@@ -40,25 +22,18 @@ def test_ceil_scale_examples(m, q, expected):
 
 def test_scale_rejects_nonpositive_m():
     with pytest.raises(ValueError):
-        floor_scale(0, Fraction(1, 2))
-    with pytest.raises(ValueError):
         ceil_scale(-3, Fraction(1, 2))
 
 
 @given(st.integers(1, 10**6), st.fractions())
 def test_complement_identity(m, gamma):
     # m - ceil(m g) = floor(m (1 - g)) for every rational g
-    assert m - ceil_scale(m, gamma) == floor_scale(m, 1 - gamma)
+    assert m - ceil_scale(m, gamma) == floor(m * (1 - gamma))
 
 
 @given(st.integers(1, 10**6), st.fractions())
 def test_floor_ceil_negation(m, q):
-    assert floor_scale(m, q) + ceil_scale(m, -q) == 0
-
-
-@given(st.integers(1, 1000), st.fractions(max_denominator=50))
-def test_floor_scale_matches_oracle(m, q):
-    assert floor_scale(m, q) == floor_oracle(m, q)
+    assert floor(m * q) + ceil_scale(m, -q) == 0
 
 
 def test_arithmetic_matches_cross_multiplication_oracle():

@@ -24,8 +24,7 @@ from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy, hj_contract, hj_expand)
 from germcalc.residue import (ResidueReport, ResidueTable, find_failure_m,
                               glued_restriction_coeff)
-from germcalc.stdcoeff import (CoeffCheck, bracket_bound_holds, coeff_check,
-                               is_standard, vanishing_hypothesis)
+from germcalc.stdcoeff import CoeffCheck, coeff_check
 
 HALF = Fraction(1, 2)
 GERM = CyclicQuotientGerm(5, 2, Fraction(1), HALF)
@@ -241,12 +240,6 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
     (lambda: coeff_check(0.5, 2), BadParameters,
      "coefficient 0.5 is not an integer or a Fraction"),
     (lambda: coeff_check(Fraction(1, 2), 2.5), BadParameters, "m = 2.5 is not an integer"),
-    (lambda: vanishing_hypothesis(HALF, 2.5), BadParameters, "m = 2.5 is not an integer"),
-    (lambda: bracket_bound_holds(HALF, 2.5), BadParameters, "m = 2.5 is not an integer"),
-    (lambda: vanishing_hypothesis(0.5, 2), BadParameters,
-     "coefficient 0.5 is not an integer or a Fraction"),
-    (lambda: is_standard(0.5), BadParameters,
-     "coefficient 0.5 is not an integer or a Fraction"),
     (lambda: hj_contract([2.5, 3]), BadParameters,
      "continued-fraction entries must be integers"),
     (lambda: hj_contract(["3", 3]), BadParameters,
@@ -265,14 +258,18 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
      "Cartier index 0 is not an integer >= 1"),
     (lambda: NonNormalGerm((GERM,), Trichotomy.LC_CENTER_CASE, cartier_index=0.5),
      BadParameters, "Cartier index 0.5 is not an integer >= 1"),
+    (lambda: ResidueTable(0.5, 1, 3), BadParameters,
+     "p = 0.5, n = 1 and m_max = 3 must be integers"),
+    (lambda: ResidueTable(1, 3, 2.5), BadParameters,
+     "p = 1, n = 3 and m_max = 2.5 must be integers"),
 ], ids=["label float", "label str", "label below 1 first", "attach float",
         "attach str", "branch float", "branch str", "side float",
         "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
         "failure_m float", "coeff_check float", "coeff_check m float",
-        "vanishing m float", "bracket m float", "vanishing float", "is_standard float",
         "hj_contract float", "hj_contract str", "glue coefficient float",
         "glue m float", "germ class gamma float", "germ class index float",
-        "germ class index str", "germ class index 0", "non-normal index float"])
+        "germ class index str", "germ class index 0", "non-normal index float",
+        "residue table slope float", "residue table m_max float"])
 def test_a_value_that_is_not_exact_is_refused_by_a_germ_error(make, error, message):
     with pytest.raises(Exception) as info:
         make()

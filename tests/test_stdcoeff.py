@@ -11,8 +11,7 @@ from germcalc.dualgraph import ResolutionGraph, boundary_coefficients
 from germcalc.errors import BadParameters
 from germcalc.germs import CyclicQuotientGerm, classify_lc_germ, resolution_graph
 from germcalc.rational import parse_rat
-from germcalc.stdcoeff import (bracket_bound_holds, coeff_check, is_standard,
-                               vanishing_hypothesis)
+from germcalc.stdcoeff import coeff_check
 
 HALF = Fraction(1, 2)
 
@@ -24,12 +23,9 @@ HALF = Fraction(1, 2)
     (Fraction(2, 3), True),
     (Fraction(99, 100), True),
     (Fraction(97, 100), False),
-    (Fraction(0), False),
-    (Fraction(-1, 2), False),
-    (Fraction(7, 5), False),
 ])
 def test_is_standard_examples(c, expected):
-    assert is_standard(c) is expected
+    assert coeff_check(c, 2).standard is expected
 
 
 def test_is_standard_against_denominator_enumeration():
@@ -37,7 +33,7 @@ def test_is_standard_against_denominator_enumeration():
     for q in range(1, 101):
         for p in range(1, q + 1):
             c = Fraction(p, q)
-            assert is_standard(c) == (c in listed)
+            assert coeff_check(c, 2).standard == (c in listed)
 
 
 @pytest.mark.parametrize("c, m, expected", [
@@ -46,14 +42,14 @@ def test_is_standard_against_denominator_enumeration():
     (Fraction(1), 7, True),
 ])
 def test_vanishing_hypothesis_examples(c, m, expected):
-    assert vanishing_hypothesis(c, m) is expected
+    assert coeff_check(c, m).hypothesis_ok is expected
 
 
 def test_vanishing_hypothesis_rejects_bad_parameters():
     with pytest.raises(BadParameters):
-        vanishing_hypothesis(HALF, 1)
+        coeff_check(HALF, 1)
     with pytest.raises(BadParameters):
-        vanishing_hypothesis(Fraction(0), 2)
+        coeff_check(Fraction(0), 2)
 
 
 @pytest.mark.parametrize("c, m, expected", [
@@ -63,21 +59,20 @@ def test_vanishing_hypothesis_rejects_bad_parameters():
     (Fraction(1, 3), 2, False),
 ])
 def test_bracket_bound_examples(c, m, expected):
-    assert bracket_bound_holds(c, m) is expected
+    assert coeff_check(c, m).bracket_ok is expected
 
 
 @given(st.integers(2, 60), st.integers(2, 60))
 def test_standard_coefficients_pass_both_checks(k, m):
-    c = Fraction(k - 1, k)
-    assert vanishing_hypothesis(c, m)
-    assert bracket_bound_holds(c, m)
+    rec = coeff_check(Fraction(k - 1, k), m)
+    assert rec.standard and rec.hypothesis_ok and rec.bracket_ok
 
 
 @given(st.integers(2, 24), st.data())
 def test_near_one_interval_passes_bracket_bound(m, data):
     c = data.draw(st.fractions(min_value=1 - Fraction(1, m), max_value=1,
                                max_denominator=48))
-    assert bracket_bound_holds(c, m)
+    assert coeff_check(c, m).bracket_ok
 
 
 def test_bracket_bound_counterexample_found_by_search():
@@ -86,9 +81,8 @@ def test_bracket_bound_counterexample_found_by_search():
         for den in range(2, 13):
             for num in range(1, den):
                 c = Fraction(num, den)
-                if vanishing_hypothesis(c, m):
-                    continue
-                if not bracket_bound_holds(c, m):
+                rec = coeff_check(c, m)
+                if not rec.hypothesis_ok and not rec.bracket_ok:
                     found = (c, m)
                     break
             if found:
@@ -103,17 +97,24 @@ def test_coeff_check_record():
     assert (rec.standard, rec.hypothesis_ok, rec.bracket_ok) == (False, False, True)
 
 
-def outcome(f, *args):
-    """f's value with its type, or the type and text of what it raises."""
+def checked(c, m):
+    rec = coeff_check(c, m)
+    return rec.c, rec.m, rec.standard, rec.hypothesis_ok, rec.bracket_ok
+
+
+def fraction_checked(c, m):
+    return (c, m, fraction_is_standard(c), fraction_vanishing_hypothesis(c, m),
+            fraction_bracket_bound_holds(c, m))
+
+
+def outcome(c, m, f):
+    """f's fields for (c, m) with the type of each, or the type and text
+    of what it raises."""
     try:
-        value = f(*args)
+        value = f(c, m)
     except Exception as exc:
         return "raises", type(exc), str(exc)
-    return "returns", type(value), value
-
-
-CHECKS = [(vanishing_hypothesis, fraction_vanishing_hypothesis),
-          (bracket_bound_holds, fraction_bracket_bound_holds)]
+    return "returns", [type(v) for v in value], value
 
 
 def test_the_integer_checks_are_the_fraction_checks_on_every_small_coefficient():
@@ -121,10 +122,8 @@ def test_the_integer_checks_are_the_fraction_checks_on_every_small_coefficient()
     for q in range(1, 61):
         for p in range(-1, q + 2):
             c = Fraction(p, q)
-            assert outcome(is_standard, c) == outcome(fraction_is_standard, c)
             for m in range(41):
-                for check, reference in CHECKS:
-                    assert outcome(check, c, m) == outcome(reference, c, m), (c, m)
+                assert outcome(c, m, checked) == outcome(c, m, fraction_checked), (c, m)
 
 
 @st.composite
@@ -143,9 +142,7 @@ def big_coefficients(draw):
 @given(big_coefficients())
 def test_the_integer_checks_are_the_fraction_checks_on_big_numbers(case):
     c, m = case
-    assert outcome(is_standard, c) == outcome(fraction_is_standard, c)
-    for check, reference in CHECKS:
-        assert outcome(check, c, m) == outcome(reference, c, m)
+    assert outcome(c, m, checked) == outcome(c, m, fraction_checked)
 
 
 def plt_modification(n, d):
