@@ -12,7 +12,9 @@ reach the residue table. Many glued files are pairs of q = 1
 components with a conductor each and equal slopes, so that ``glue``
 reaches the restriction. ``residue`` runs with ``--m-max 6``, with the
 default 24, and with a length drawn for each file from the seed in
-1..300, so the table is compared at many lengths. The argument calls
+1..300, so the table is compared at many lengths. ``report`` also
+runs with ``--verbose`` before the subcommand, and after the file, where
+argparse refuses it. The argument calls
 are ``failure-m --coeffs`` and ``stdcoeff --c --m``, with valid,
 malformed and out-of-range values. Most have denominators of at most
 50. A few percent have big ones: ``stdcoeff`` with 20- to 60-digit
@@ -56,15 +58,21 @@ from pathlib import Path
 # from the run's seed in 1..DRAWN_M_MAX_TOP.
 DRAWN = "drawn"
 DRAWN_M_MAX_TOP = 300
+# The word of a variant replaced by the germ file's path.
+FILE = "FILE"
 VARIANTS = (
-    ("report",),
-    ("classify",),
-    ("discrepancy",),
-    ("residue", "--m-max", "6"),
-    ("residue", "--m-max", DRAWN),
-    ("residue",),
-    ("glue",),
-    ("glue", "--m", "3"),
+    ("report", FILE),
+    ("classify", FILE),
+    ("discrepancy", FILE),
+    ("residue", FILE, "--m-max", "6"),
+    ("residue", FILE, "--m-max", DRAWN),
+    ("residue", FILE),
+    ("glue", FILE),
+    ("glue", FILE, "--m", "3"),
+    # the flag before the subcommand, and after the file, where argparse
+    # refuses it (exit 2)
+    ("--verbose", "report", FILE),
+    ("report", FILE, "--verbose"),
 )
 ARGUMENT_COMMANDS = ("failure-m", "stdcoeff")
 RATS = ["1", "1", "1/2", "1/2", "0", "1/3", "2/3", "3/4", "1/5", "7/8", "3/2",
@@ -304,14 +312,15 @@ def worker(src: str, directory: str) -> None:
     argument call of its ``arguments.json`` with the tree at ``src``; one
     JSON line [input, variant, exit code, stdout sha256] per run, where
     the input is the file path or the numbered argument words. A
-    ``DRAWN`` word takes the file's value in ``drawn.json``."""
+    ``FILE`` word takes the file's path, and a ``DRAWN`` word the file's
+    value in ``drawn.json``."""
     sys.path.insert(0, src)
     from germcalc import cli
     drawn = json.loads((Path(directory) / "drawn.json").read_text())
     for path in sorted(str(p) for p in (Path(directory) / "germs").iterdir()):
+        values = {FILE: path, DRAWN: drawn[Path(path).name]}
         for variant in VARIANTS:
-            argv = [variant[0], path,
-                    *(drawn[Path(path).name] if word == DRAWN else word for word in variant[1:])]
+            argv = [values.get(word, word) for word in variant]
             print(json.dumps([path, " ".join(variant), *_run(cli, argv)]))
     calls = json.loads((Path(directory) / "arguments.json").read_text())
     for k, words in enumerate(calls):

@@ -20,17 +20,20 @@ components' records, so each value of a report is built once. A report
 that stdout cannot take ends in exit 1, with nothing on stderr; a
 --verbose summary that stderr cannot take, or a process started without
 stderr, drops the summary and keeps the exit status.
+The usual call, ``[--verbose] COMMAND FILE`` for a file subcommand, is
+read directly; any other argument list goes to an argparse parser, built
+and imported only then, which writes help, usage and every refusal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from ._record import FrozenRecord
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
@@ -435,20 +438,28 @@ def _verbose_summary(payload: dict) -> str:
     return "  ".join(parts) if parts else "ok"
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose refusals end as a ParseError, so main
-    prints the error object and exits 2 as for any parse failure. The
-    usage line and the reason still go to stderr; --help exits 0."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise ParseError(f"{self.prog}: {message}")
+# The file subcommands and the defaults of their options.
+_FILE_DEFAULTS = {"classify": {}, "discrepancy": {}, "report": {},
+                  "residue": {"m_max": DEFAULT_M_MAX}, "glue": {"m": 2}}
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args keeps no state in it."""
+def _build_parser():
+    """The one parser of the process; parse_args keeps no state in it.
+    argparse is imported here, so a call that _parse_args reads never
+    loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose refusals end as a ParseError, so main
+        prints the error object and exits 2 as for any parse failure. The
+        usage line and the reason still go to stderr; --help exits 0."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise ParseError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="germcalc",
         description="Exact invariants of log surface germs from germ files.")
@@ -465,11 +476,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residue", help="restriction degree table for m = 1..M")
     p.add_argument("file", help="germ file path, or - for stdin")
-    p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    p.add_argument("--m-max", type=int, default=_FILE_DEFAULTS["residue"]["m_max"])
 
     p = sub.add_parser("glue", help="conductor gluing analysis")
     p.add_argument("file", help="germ file path, or - for stdin")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=_FILE_DEFAULTS["glue"]["m"])
 
     p = sub.add_parser("failure-m", help="least m with a rounding deficit")
     p.add_argument("--coeffs", required=True,
@@ -481,7 +492,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
+def _parse_args(argv):
+    """The namespace _build_parser().parse_args(argv) gives, argv being
+    sys.argv[1:] when None. ``[--verbose] COMMAND FILE``, for a file
+    subcommand and a FILE that is "-" or does not start with "-", is
+    read here: argparse takes such a FILE as the subcommand's positional
+    and fills the options' defaults. Any other argv goes to the parser,
+    which writes help, usage and refusals."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verbose = len(argv) == 3 and argv[0] == "--verbose"
+    if len(argv) == 2 + verbose:
+        command, file = argv[-2:]
+        defaults = _FILE_DEFAULTS.get(command)
+        if (defaults is not None and isinstance(file, str)
+                and (file == "-" or not file.startswith("-"))):
+            return SimpleNamespace(verbose=verbose, command=command, file=file,
+                                   **defaults)
+    return _build_parser().parse_args(argv)
+
+
+def _dispatch(args) -> dict:
     if args.command == "failure-m":
         coeffs = [_rat(part) for part in args.coeffs.split(",")]
         out = {"coeffs": [format_rat(c) for c in coeffs], "m": find_failure_m(coeffs)}
@@ -597,7 +627,7 @@ def _to_devnull(fd: int) -> None:
 def main(argv=None) -> int:
     code = 0
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         payload = _dispatch(args)
         text = _dumps(payload)
     except ParseError as exc:

@@ -166,7 +166,9 @@ class NonNormalGerm(FrozenRecord):
     """One or two plt components glued along their conductors, or an
     lc-center germ. ``class_group`` reports rank 1 against torsion for
     the plt cases; ``cartier_index`` is reported for the lc-center case
-    (it always divides 2)."""
+    only. classify_nonnormal gives it the lcm of the components' indices,
+    which divides 2 when every component is an lc center, but not when
+    an lc-center component is glued to a plt one."""
 
     _fields = ("components", "trichotomy", "class_group", "cartier_index")
 
@@ -185,6 +187,11 @@ class NonNormalGerm(FrozenRecord):
             raise BadParameters("an lc-center germ has no class group")
         if not 1 <= len(components) <= 2:
             raise BadParameters("a non-normal germ has 1 or 2 components")
+        if not isinstance(trichotomy, Trichotomy):
+            # a str equal to a member passes == but none of the is tests
+            raise BadParameters(f"trichotomy {trichotomy!r} is not a Trichotomy")
+        if cartier_index is not None and trichotomy is not Trichotomy.LC_CENTER_CASE:
+            raise BadParameters("a plt non-normal germ has no Cartier index")
         self._set(components, trichotomy, class_group, cartier_index)
 
 

@@ -89,10 +89,12 @@ class ResidueTable(FrozenRecord):
     _fields = ("p", "n", "m_max")
 
     def __init__(self, p: int, n: int, m_max: int):
-        if not (isinstance(p, int) and isinstance(n, int) and isinstance(m_max, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, n, m_max)):
             raise BadParameters(f"p = {p!r}, n = {n!r} and m_max = {m_max!r} must be integers")
         if n < 1 or not 0 <= p <= n:
             raise BadParameters(f"slope {p}/{n} outside [0, 1]")
+        if m_max < 0:
+            raise BadParameters(f"m_max = {m_max} must be >= 0")
         self._set(p, n, m_max)
 
 

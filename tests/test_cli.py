@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -650,11 +652,14 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
         assert built.count("germcalc") == 1
         assert cli._build_parser() is cli._build_parser()
         assert built.count("germcalc") == 1
-        fresh = []
+        fresh, builds = [], []
         for argv in calls:
             cli._build_parser.cache_clear()
+            before = built.count("germcalc")
             fresh.append(_outcome(argv, capsys))
-        assert built.count("germcalc") == 1 + len(calls)
+            builds.append(built.count("germcalc") - before)
+        # the refusal builds the parser; the two direct forms build none
+        assert builds == [1, 0, 0]
     finally:
         cli._build_parser.cache_clear()
     assert shared == fresh
@@ -662,6 +667,75 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert shared[1][0] == 0 and shared[1][2] == ""
     assert shared[2][0] == 0 and shared[2][1] == shared[1][1]
     assert "case=TWO_COMPONENT_PLT" in shared[2][2]
+
+
+# argv words for the direct reader: every subcommand, the flag and an
+# abbreviation of it, help, "--", stdin, a FILE that argparse reads as a
+# positional although it starts with "-" (a negative number), options of
+# the file subcommands with and without values, and a germ file
+ARGV_WORDS = st.sampled_from([
+    "classify", "discrepancy", "report", "residue", "glue", "failure-m", "stdcoeff",
+    "--verbose", "--verb", "-h", "--help", "--", "-", "-5", "", " x", "-x y",
+    "--m-max", "--m-max=6", "--m", "--m=3", "--m-m", "3", "--coeffs=1/2,1/3",
+    str(FIXTURES / "plt_chain.json")])
+WORDS = ARGV_WORDS | st.text(max_size=6)
+# any list of words, and lists of the direct form's shape
+ARGVS = st.lists(WORDS, max_size=4) | st.builds(
+    lambda flag, command, file: [*flag, command, file],
+    st.sampled_from([[], ["--verbose"]]), ARGV_WORDS, WORDS)
+
+
+def _captured(argv, parse):
+    """(exit code, stdout, stderr) of main(argv) with cli._parse_args
+    set to parse, and a glued germ file on stdin. --help's SystemExit
+    gives its code, and an error that main lets through its type and
+    text: a FILE that open() cannot encode, such as one with a NUL or a
+    lone surrogate, raises ValueError."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(GLUED.encode()))
+    with (mock.patch.object(cli, "_parse_args", parse), mock.patch.object(sys, "stdin", stdin),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        except ValueError as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(ARGVS)
+@example(["--verbose", "residue", "-"])
+@example(["glue", str(FIXTURES / "glued_pair.json")])
+@example(["report", "-5"])
+def test_the_direct_reader_agrees_with_argparse(argv):
+    # the direct form is the one _parse_args reads with no parser
+    with mock.patch.object(cli, "_build_parser", side_effect=LookupError):
+        try:
+            direct = cli._parse_args(argv)
+        except LookupError:
+            direct = None
+    if direct is not None:
+        assert type(direct) is SimpleNamespace
+        assert vars(direct) == vars(cli._build_parser().parse_args(argv))
+    forced = _captured(argv, lambda words: cli._build_parser().parse_args(words))
+    assert _captured(argv, cli._parse_args) == forced
+
+
+def test_the_direct_form_loads_no_argparse():
+    script = """if True:
+        import contextlib, io, sys
+        from germcalc.cli import main
+        for argv in (["report", sys.argv[1]], ["residue", sys.argv[1], "--m-max", "3"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            print(sorted({"argparse", "gettext"} & set(sys.modules)))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(FIXTURES / "plt_chain.json")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60, check=True)
+    assert proc.stdout == "[]\n['argparse', 'gettext']\n"
 
 
 @pytest.mark.parametrize("name, solves", [

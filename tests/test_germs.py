@@ -552,6 +552,30 @@ def test_an_inconsistent_non_normal_record_is_refused(components, trichotomy, kw
     assert str(info.value) == message
 
 
+PLT_GERM = CyclicQuotientGerm(3, 1, 1, HALF)
+
+
+# each passes every older check: these run last
+@pytest.mark.parametrize("components, trichotomy, kwargs, message", [
+    ((PLT_GERM,), "TWO_COMPONENT_PLT", {},
+     "trichotomy 'TWO_COMPONENT_PLT' is not a Trichotomy"),
+    ((PLT_GERM,), "ONE_COMPONENT_PLT", {"class_group": ClassGroup.TORSION},
+     "trichotomy 'ONE_COMPONENT_PLT' is not a Trichotomy"),
+    ((PLT_GERM,), Trichotomy.ONE_COMPONENT_PLT,
+     {"class_group": ClassGroup.TORSION, "cartier_index": 5},
+     "a plt non-normal germ has no Cartier index"),
+    ((PLT_GERM, PLT_GERM), Trichotomy.TWO_COMPONENT_PLT,
+     {"class_group": ClassGroup.RANK_ONE, "cartier_index": 1},
+     "a plt non-normal germ has no Cartier index"),
+], ids=["str two-component", "str one-component", "one-component index",
+        "two-component index"])
+def test_a_non_normal_record_the_classifier_never_makes_is_refused(components, trichotomy,
+                                                                   kwargs, message):
+    with pytest.raises(BadParameters) as info:
+        NonNormalGerm(components, trichotomy, **kwargs)
+    assert str(info.value) == message
+
+
 @given(st.integers(1, 24), st.data())
 def test_model_and_graph_routes_agree(n, data):
     # the solved lcm of denominators must reproduce the closed-form

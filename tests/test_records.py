@@ -262,6 +262,12 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
      "p = 0.5, n = 1 and m_max = 3 must be integers"),
     (lambda: ResidueTable(1, 3, 2.5), BadParameters,
      "p = 1, n = 3 and m_max = 2.5 must be integers"),
+    (lambda: ResidueTable(True, 2, 3), BadParameters,
+     "p = True, n = 2 and m_max = 3 must be integers"),
+    (lambda: ResidueTable(1, True, 3), BadParameters,
+     "p = 1, n = True and m_max = 3 must be integers"),
+    (lambda: ResidueTable(1, 2, False), BadParameters,
+     "p = 1, n = 2 and m_max = False must be integers"),
 ], ids=["label float", "label str", "label below 1 first", "attach float",
         "attach str", "branch float", "branch str", "side float",
         "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
@@ -269,12 +275,23 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
         "hj_contract float", "hj_contract str", "glue coefficient float",
         "glue m float", "germ class gamma float", "germ class index float",
         "germ class index str", "germ class index 0", "non-normal index float",
-        "residue table slope float", "residue table m_max float"])
+        "residue table slope float", "residue table m_max float",
+        "residue table slope bool", "residue table order bool",
+        "residue table m_max bool"])
 def test_a_value_that_is_not_exact_is_refused_by_a_germ_error(make, error, message):
     with pytest.raises(Exception) as info:
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_a_residue_table_of_negative_length_is_refused():
+    with pytest.raises(BadParameters, match=r"^m_max = -5 must be >= 0$"):
+        ResidueTable(1, 2, -5)
+    # the slope is checked first
+    with pytest.raises(BadParameters, match=r"^slope 3/2 outside \[0, 1\]$"):
+        ResidueTable(3, 2, -5)
+    assert ResidueTable(1, 2, 0).m_max == 0
 
 
 def _counting(monkeypatch, module, name):
