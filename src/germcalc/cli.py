@@ -400,7 +400,8 @@ def _read_input(path: str) -> str:
     """The text of the file at path, or of stdin for "-": its bytes as
     strict UTF-8 with universal newlines, as a file opened in text mode
     reads, so both sources give the same text and the same errors under
-    any locale."""
+    any locale. A path that open() refuses (one with a NUL, or one that
+    the file system encoding cannot take) is a ParseError too."""
     try:
         if path == "-":
             if sys.stdin is None:
@@ -411,10 +412,10 @@ def _read_input(path: str) -> str:
             with open(path, "rb") as handle:
                 data = handle.read()
         text = data.decode("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise ParseError(f"input is not UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

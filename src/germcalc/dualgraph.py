@@ -167,7 +167,7 @@ class ResolutionGraph(FrozenRecord):
             if n == 0:
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
-            elif not isinstance(br.attach, int) or not 0 <= br.attach < n:
+            elif type(br.attach) is not int or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach!r} out of range")
         self._set(labels, edges, branches)
 
@@ -184,8 +184,8 @@ class ResolutionGraph(FrozenRecord):
         k = len(self.selfints)
         if not k:
             raise ValidationError(f"fork attach index {attach} on an empty graph")
-        if not 0 <= attach < k:
-            raise ValidationError(f"fork attach index {attach} out of range 0..{k - 1}")
+        if type(attach) is not int or not 0 <= attach < k:
+            raise ValidationError(f"fork attach index {attach!r} out of range 0..{k - 1}")
         return ResolutionGraph(self.selfints + (selfint,),
                                self.edges | {(attach, k)},
                                self.branches)

@@ -69,7 +69,7 @@ class CyclicQuotientGerm(FrozenRecord):
                  side_coeff: Fraction = Fraction(0)):
         conductor_coeff = as_fraction(conductor_coeff, BadParameters, "conductor coefficient")
         side_coeff = as_fraction(side_coeff, BadParameters, "side coefficient")
-        if not isinstance(n, int) or not isinstance(q, int):
+        if type(n) is not int or type(q) is not int:
             raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
         if n < 1:
             raise BadParameters(f"order n = {n} must be >= 1")
@@ -123,7 +123,7 @@ LC_CENTER_TAGS = frozenset({GermTag.CYCLIC_NONPLT, GermTag.DIHEDRAL_31,
 
 
 def _check_index(cartier_index) -> None:
-    if not isinstance(cartier_index, int) or cartier_index < 1:
+    if type(cartier_index) is not int or cartier_index < 1:
         raise BadParameters(f"Cartier index {cartier_index!r} is not an integer >= 1")
 
 
@@ -164,27 +164,23 @@ class ClassGroup(str, Enum):
 
 class NonNormalGerm(FrozenRecord):
     """One or two plt components glued along their conductors, or an
-    lc-center germ. ``class_group`` reports rank 1 against torsion for
-    the plt cases; ``cartier_index`` is reported for the lc-center case
-    only. classify_nonnormal gives it the lcm of the components' indices,
-    which divides 2 when every component is an lc center, but not when
-    an lc-center component is glued to a plt one."""
+    lc-center germ. ``class_group``, read off the trichotomy, is rank 1
+    or torsion for the plt cases; ``cartier_index`` is reported for the
+    lc-center case only. classify_nonnormal gives it the lcm of the
+    components' indices, which divides 2 when every component is an lc
+    center, but not when an lc-center component is glued to a plt one."""
 
-    _fields = ("components", "trichotomy", "class_group", "cartier_index")
+    _fields = ("components", "trichotomy", "cartier_index")
 
     def __init__(self, components: tuple[CyclicQuotientGerm, ...], trichotomy: Trichotomy,
-                 class_group: ClassGroup | None = None, cartier_index: int | None = None):
+                 cartier_index: int | None = None):
         components = tuple(components)
-        if trichotomy is Trichotomy.TWO_COMPONENT_PLT:
-            if len(components) != 2 or class_group is not ClassGroup.RANK_ONE:
-                raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")
-        if trichotomy is Trichotomy.ONE_COMPONENT_PLT:
-            if len(components) != 1 or class_group is not ClassGroup.TORSION:
-                raise BadParameters("one-component plt germ must have 1 component, torsion class group")
+        if trichotomy is Trichotomy.TWO_COMPONENT_PLT and len(components) != 2:
+            raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")
+        if trichotomy is Trichotomy.ONE_COMPONENT_PLT and len(components) != 1:
+            raise BadParameters("one-component plt germ must have 1 component, torsion class group")
         if cartier_index is not None:
             _check_index(cartier_index)
-        if trichotomy is Trichotomy.LC_CENTER_CASE and class_group is not None:
-            raise BadParameters("an lc-center germ has no class group")
         if not 1 <= len(components) <= 2:
             raise BadParameters("a non-normal germ has 1 or 2 components")
         if not isinstance(trichotomy, Trichotomy):
@@ -192,7 +188,13 @@ class NonNormalGerm(FrozenRecord):
             raise BadParameters(f"trichotomy {trichotomy!r} is not a Trichotomy")
         if cartier_index is not None and trichotomy is not Trichotomy.LC_CENTER_CASE:
             raise BadParameters("a plt non-normal germ has no Cartier index")
-        self._set(components, trichotomy, class_group, cartier_index)
+        self._set(components, trichotomy, cartier_index)
+
+    @property
+    def class_group(self) -> ClassGroup | None:
+        """RANK_ONE for two plt components, TORSION for one, None for an lc center."""
+        return {Trichotomy.TWO_COMPONENT_PLT: ClassGroup.RANK_ONE,
+                Trichotomy.ONE_COMPONENT_PLT: ClassGroup.TORSION}.get(self.trichotomy)
 
 
 def hj_expand(n: int, q: int) -> list[int]:
@@ -204,7 +206,7 @@ def hj_expand(n: int, q: int) -> list[int]:
     would pass the limit, so n/(n-1), which has n - 1 entries, costs at
     most VERTEX_LIMIT steps whatever n is.
     """
-    if not isinstance(n, int) or not isinstance(q, int):
+    if type(n) is not int or type(q) is not int:
         raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
     if n < 1:
         raise BadParameters(f"order n = {n} must be >= 1")
@@ -399,7 +401,5 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
         if not check_slc_glue(*components):
             d1, d2 = different_coeff(components[0]), different_coeff(components[1])
             raise GlueMismatch(f"conductor differents disagree: {d1} vs {d2}")
-        return NonNormalGerm(components, Trichotomy.TWO_COMPONENT_PLT,
-                             class_group=ClassGroup.RANK_ONE)
-    return NonNormalGerm(components, Trichotomy.ONE_COMPONENT_PLT,
-                         class_group=ClassGroup.TORSION)
+        return NonNormalGerm(components, Trichotomy.TWO_COMPONENT_PLT)
+    return NonNormalGerm(components, Trichotomy.ONE_COMPONENT_PLT)

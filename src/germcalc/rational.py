@@ -61,10 +61,10 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def as_fraction(x, error: type[GermError], what: str) -> Fraction:
-    """x, an int or a Fraction, as a Fraction; ``error`` refuses a float, a str or any other type."""
+    """x, an int or a Fraction, as a Fraction; ``error`` refuses a bool and any other type."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return Fraction(x)
     raise error(f"{what} {x!r} is not an integer or a Fraction")
 

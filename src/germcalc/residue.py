@@ -30,21 +30,18 @@ FAILURE_COEFF_LIMIT = 64
 
 
 class ResidueReport(FrozenRecord):
-    """Exponent comparison for one power m.
-
-    ``deficit`` is the target capacity minus the image capacity; the
-    restriction is surjective exactly when it vanishes.
-    """
+    """Exponent comparison for one power m. The last two fields are
+    computed: the ``deficit`` target - (m - source), the target capacity
+    minus the image capacity, must not be negative, and ``surjective``
+    is whether it is 0."""
 
     _fields = ("m", "source_exponent", "target_exponent", "surjective", "deficit")
 
-    def __init__(self, m: int, source_exponent: int, target_exponent: int,
-                 surjective: bool, deficit: int):
+    def __init__(self, m: int, source_exponent: int, target_exponent: int):
+        deficit = target_exponent - (m - source_exponent)
         if deficit < 0:
             raise BadParameters("negative deficit")
-        if surjective != (deficit == 0):
-            raise BadParameters("surjectivity flag contradicts deficit")
-        self._set(m, source_exponent, target_exponent, surjective, deficit)
+        self._set(m, source_exponent, target_exponent, deficit == 0, deficit)
 
 
 def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
@@ -75,8 +72,8 @@ def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
     if m < 1:
         raise BadParameters("m must be >= 1")
     gamma = germ.gamma
-    source, target, deficit = restriction_exponents(m, gamma.numerator, gamma.denominator)
-    return ResidueReport(m, source, target, deficit == 0, deficit)
+    source, target, _ = restriction_exponents(m, gamma.numerator, gamma.denominator)
+    return ResidueReport(m, source, target)
 
 
 class ResidueTable(FrozenRecord):
@@ -89,7 +86,7 @@ class ResidueTable(FrozenRecord):
     _fields = ("p", "n", "m_max")
 
     def __init__(self, p: int, n: int, m_max: int):
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, n, m_max)):
+        if not all(type(x) is int for x in (p, n, m_max)):
             raise BadParameters(f"p = {p!r}, n = {n!r} and m_max = {m_max!r} must be integers")
         if n < 1 or not 0 <= p <= n:
             raise BadParameters(f"slope {p}/{n} outside [0, 1]")
@@ -182,7 +179,7 @@ def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
     by the CLI.
     """
     c = as_fraction(c, BadParameters, "coefficient")
-    if not isinstance(m, int) or not isinstance(n, int):
+    if type(m) is not int or type(n) is not int:
         raise BadParameters(f"m = {m!r} and n = {n!r} must be integers")
     if m < 1 or n < 1:
         raise BadParameters("m and n must be >= 1")

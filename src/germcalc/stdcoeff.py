@@ -21,17 +21,8 @@ from .rational import as_fraction
 
 
 class CoeffCheck(FrozenRecord):
-    """One coefficient against one power: membership and both bounds."""
-
-    _fields = ("c", "m", "standard", "hypothesis_ok", "bracket_ok")
-
-    def __init__(self, c: Fraction, m: int, standard: bool, hypothesis_ok: bool,
-                 bracket_ok: bool):
-        self._set(c, m, standard, hypothesis_ok, bracket_ok)
-
-
-def coeff_check(c: Fraction, m: int) -> CoeffCheck:
-    """The three checks on the terms of c = a/b in lowest terms.
+    """One coefficient against one power: membership and both bounds,
+    computed on the terms of c = a/b in lowest terms.
 
     Refuses a c that is not an int or a Fraction, an m that is not an
     int, m < 2 and then c outside (0, 1]: b > 0, so 0 < c <= 1 is
@@ -40,14 +31,23 @@ def coeff_check(c: Fraction, m: int) -> CoeffCheck:
     a m >= b (m - 1); and the bracket bound, scaled by b, is
     0 <= floor(m a / b) b - (m - 1) a <= a.
     """
-    q = as_fraction(c, BadParameters, "coefficient")
-    if not isinstance(m, int):
-        raise BadParameters(f"m = {m!r} is not an integer")
-    if m < 2:
-        raise BadParameters("m must be >= 2")
-    a, b = q.numerator, q.denominator
-    if not 0 < a <= b:
-        raise BadParameters(f"coefficient {q} outside (0, 1]")
-    standard = a == b or 0 < a == b - 1
-    return CoeffCheck(c, m, standard, standard or a * m >= b * (m - 1),
-                      0 <= (m * a // b) * b - (m - 1) * a <= a)
+
+    _fields = ("c", "m", "standard", "hypothesis_ok", "bracket_ok")
+
+    def __init__(self, c: Fraction, m: int):
+        q = as_fraction(c, BadParameters, "coefficient")
+        if type(m) is not int:
+            raise BadParameters(f"m = {m!r} is not an integer")
+        if m < 2:
+            raise BadParameters("m must be >= 2")
+        a, b = q.numerator, q.denominator
+        if not 0 < a <= b:
+            raise BadParameters(f"coefficient {q} outside (0, 1]")
+        standard = a == b or 0 < a == b - 1
+        self._set(c, m, standard, standard or a * m >= b * (m - 1),
+                  0 <= (m * a // b) * b - (m - 1) * a <= a)
+
+
+def coeff_check(c: Fraction, m: int) -> CoeffCheck:
+    """CoeffCheck(c, m): the three checks of c against m."""
+    return CoeffCheck(c, m)

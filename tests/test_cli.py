@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from residue_oracle import fraction_table
@@ -256,12 +256,14 @@ GERM_DOCUMENTS = st.one_of(JSON_VALUES, *(
 
 def assert_one_json_object(argv):
     """main(argv) returns 0, 1 or 2, raises nothing, and prints one JSON
-    object."""
+    object, which holds "error" exactly when the code is not 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    obj = json.loads(out.getvalue())
+    assert isinstance(obj, dict)
+    assert ("error" in obj) == (code != 0)
 
 
 # Option values as argv words: integers and text that is not one, each
@@ -292,6 +294,81 @@ def test_generated_arguments_end_in_one_json_object(coeffs, c, m, joined):
     assert_one_json_object(["failure-m", *option("--coeffs", coeffs, joined)])
     assert_one_json_object(["stdcoeff", *option("--c", c, joined),
                             *option("--m", m, joined)])
+
+
+# every file subcommand, with and without its option; FILE goes second
+FILE_COMMANDS = [["report"], ["classify"], ["discrepancy"], ["residue"],
+                 ["residue", "--m-max", "3"], ["glue"], ["glue", "--m", "3"]]
+
+
+def assert_every_file_command_ends_in_one_json_object(file):
+    for command, *options in FILE_COMMANDS:
+        # "-" reads stdin: a glued germ file
+        stdin = io.TextIOWrapper(io.BytesIO(GLUED.encode()))
+        with mock.patch.object(sys, "stdin", stdin):
+            assert_one_json_object([command, file, *options])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("a\x00b")
+@example("\ud800")
+@example("")
+@example(".")
+@example("-")
+def test_any_file_word_ends_in_one_json_object(tmp_path_factory, word):
+    # any other word that starts with "-" is an option to argparse, and
+    # "-h" prints the help
+    assume(word == "-" or not word.startswith("-"))
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.getbasetemp())
+    try:
+        assert_every_file_command_ends_in_one_json_object(word)
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("word, reason", [("a\x00b", "embedded null byte"),
+                                          ("\ud800", "surrogates not allowed")])
+def test_a_file_word_that_open_refuses_is_a_parse_failure(capsys, word, reason):
+    assert main(["report", word]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"cannot read {word}: ")
+    assert error["message"].endswith(reason)
+
+
+FIXTURE_BYTES = [path.read_bytes() for path in sorted(FIXTURES.glob("*.json"))]
+# bytes to insert: JSON syntax, digits, a sign, a slash, an escape, a
+# byte that is not UTF-8, or any
+INSERTS = st.sampled_from([b"0", b"9", b"-", b'"', b",", b":", b"[", b"]", b"{", b"}",
+                           b"/", b"1/2", b"\\u0000", b"\xff"]) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's bytes with one to four bit flips, cuts or inserts."""
+    data = bytearray(draw(st.sampled_from(FIXTURE_BYTES)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if how == "flip" and at < len(data):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif how == "cut":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            data[at:at] = draw(INSERTS)
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary() | mutated_fixtures())
+@example(b"")
+@example(b"\xff")
+def test_any_input_bytes_end_in_one_json_object(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "input.bytes"
+    path.write_bytes(data)
+    assert_every_file_command_ends_in_one_json_object(str(path))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -688,9 +765,7 @@ ARGVS = st.lists(WORDS, max_size=4) | st.builds(
 def _captured(argv, parse):
     """(exit code, stdout, stderr) of main(argv) with cli._parse_args
     set to parse, and a glued germ file on stdin. --help's SystemExit
-    gives its code, and an error that main lets through its type and
-    text: a FILE that open() cannot encode, such as one with a NUL or a
-    lone surrogate, raises ValueError."""
+    gives its code."""
     out, err = io.StringIO(), io.StringIO()
     stdin = io.TextIOWrapper(io.BytesIO(GLUED.encode()))
     with (mock.patch.object(cli, "_parse_args", parse), mock.patch.object(sys, "stdin", stdin),
@@ -699,8 +774,6 @@ def _captured(argv, parse):
             code = main(argv)
         except SystemExit as exc:
             code = f"exit {exc.code}"
-        except ValueError as exc:
-            code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
 
 

@@ -516,6 +516,21 @@ def test_classify_nonnormal_lc_center_case():
     assert nn.cartier_index is not None and 2 % nn.cartier_index == 0
 
 
+@pytest.mark.parametrize("components, trichotomy, group", [
+    ([CyclicQuotientGerm(2, 1, 1, Fraction(3, 4)), CyclicQuotientGerm(4, 1, 1, HALF)],
+     Trichotomy.TWO_COMPONENT_PLT, ClassGroup.RANK_ONE),
+    ([CyclicQuotientGerm(3, 1, 1, HALF)], Trichotomy.ONE_COMPONENT_PLT, ClassGroup.TORSION),
+    ([CyclicQuotientGerm(3, 2, 1, 1)], Trichotomy.LC_CENTER_CASE, None),
+], ids=["two plt", "one plt", "lc center"])
+def test_the_class_group_is_read_off_the_trichotomy(components, trichotomy, group):
+    nn = classify_nonnormal(components, True)
+    assert (nn.trichotomy, nn.class_group) == (trichotomy, group)
+    index = nn.cartier_index
+    assert NonNormalGerm(components, trichotomy, index).class_group is group
+    # a value computed from the trichotomy, not a field
+    assert "class_group" not in repr(nn) and "class_group" not in vars(nn)
+
+
 def test_classify_nonnormal_needs_glue_data():
     with pytest.raises(GlueMismatch):
         classify_nonnormal([CyclicQuotientGerm(3, 1, 1, HALF)], False)
@@ -532,19 +547,15 @@ LC_GERM = CyclicQuotientGerm(3, 2, 1, 1)
 LC = Trichotomy.LC_CENTER_CASE
 
 
-# the last two also fail an lc-center check, but an earlier check's
+# the last two also fail the component count, but an earlier check's
 # message wins: the plt and Cartier-index checks run first
 @pytest.mark.parametrize("components, trichotomy, kwargs, message", [
-    ((LC_GERM,), LC, {"class_group": ClassGroup.TORSION, "cartier_index": 2},
-     "an lc-center germ has no class group"),
     ((LC_GERM,) * 3, LC, {"cartier_index": 2}, "a non-normal germ has 1 or 2 components"),
     ((), LC, {}, "a non-normal germ has 1 or 2 components"),
     ((), Trichotomy.ONE_COMPONENT_PLT, {},
      "one-component plt germ must have 1 component, torsion class group"),
-    ((), LC, {"class_group": ClassGroup.TORSION, "cartier_index": 0.5},
-     "Cartier index 0.5 is not an integer >= 1"),
-], ids=["class group", "three components", "no component", "plt check first",
-        "index check first"])
+    ((), LC, {"cartier_index": 0.5}, "Cartier index 0.5 is not an integer >= 1"),
+], ids=["three components", "no component", "plt check first", "index check first"])
 def test_an_inconsistent_non_normal_record_is_refused(components, trichotomy, kwargs,
                                                        message):
     with pytest.raises(BadParameters) as info:
@@ -559,13 +570,11 @@ PLT_GERM = CyclicQuotientGerm(3, 1, 1, HALF)
 @pytest.mark.parametrize("components, trichotomy, kwargs, message", [
     ((PLT_GERM,), "TWO_COMPONENT_PLT", {},
      "trichotomy 'TWO_COMPONENT_PLT' is not a Trichotomy"),
-    ((PLT_GERM,), "ONE_COMPONENT_PLT", {"class_group": ClassGroup.TORSION},
+    ((PLT_GERM,), "ONE_COMPONENT_PLT", {},
      "trichotomy 'ONE_COMPONENT_PLT' is not a Trichotomy"),
-    ((PLT_GERM,), Trichotomy.ONE_COMPONENT_PLT,
-     {"class_group": ClassGroup.TORSION, "cartier_index": 5},
+    ((PLT_GERM,), Trichotomy.ONE_COMPONENT_PLT, {"cartier_index": 5},
      "a plt non-normal germ has no Cartier index"),
-    ((PLT_GERM, PLT_GERM), Trichotomy.TWO_COMPONENT_PLT,
-     {"class_group": ClassGroup.RANK_ONE, "cartier_index": 1},
+    ((PLT_GERM, PLT_GERM), Trichotomy.TWO_COMPONENT_PLT, {"cartier_index": 1},
      "a plt non-normal germ has no Cartier index"),
 ], ids=["str two-component", "str one-component", "one-component index",
         "two-component index"])

@@ -30,10 +30,11 @@ HALF = Fraction(1, 2)
 GERM = CyclicQuotientGerm(5, 2, Fraction(1), HALF)
 GRAPH = ResolutionGraph((2, 2), frozenset({(0, 1)}), (BoundaryBranch(0, Fraction(1)),))
 
-# class, its field names in order, the positional arguments of one
-# record, those of a record that differs from it in one field, and how
-# many arguments may be left out for their defaults (the tail of the
-# first record's)
+# class, its constructor's parameter names in order, the positional
+# arguments of one record, those of a record that differs from it in one
+# argument, and how many arguments may be left out for their defaults
+# (the tail of the first record's). Each argument is stored as the field
+# of its name.
 RECORDS = [
     (BoundaryBranch, "attach coeff", (0, HALF), (1, HALF), 0),
     (ResolutionGraph, "selfints edges branches", ((2, 2), frozenset({(0, 1)}), ()),
@@ -42,24 +43,35 @@ RECORDS = [
      (5, 2, Fraction(1), Fraction(0)), (5, 3, Fraction(1), Fraction(0)), 2),
     (GermClass, "tag cartier_index gamma violation",
      (GermTag.DIHEDRAL_31, 2, None, None), (GermTag.DIHEDRAL_31, 1, None, None), 2),
-    (NonNormalGerm, "components trichotomy class_group cartier_index",
-     ((GERM,), Trichotomy.LC_CENTER_CASE, None, None),
-     ((GERM, GERM), Trichotomy.LC_CENTER_CASE, None, None), 2),
-    (ResidueReport, "m source_exponent target_exponent surjective deficit",
-     (3, 1, 2, True, 0), (4, 1, 2, True, 0), 0),
+    (NonNormalGerm, "components trichotomy cartier_index",
+     ((GERM,), Trichotomy.LC_CENTER_CASE, None),
+     ((GERM, GERM), Trichotomy.LC_CENTER_CASE, None), 1),
+    (ResidueReport, "m source_exponent target_exponent", (3, 1, 2), (3, 1, 3), 0),
     (ResidueTable, "p n m_max", (1, 10, 24), (1, 10, 6), 0),
-    (CoeffCheck, "c m standard hypothesis_ok bracket_ok",
-     (HALF, 2, True, True, True), (HALF, 3, True, True, True), 0),
+    (CoeffCheck, "c m", (HALF, 2), (HALF, 3), 0),
     (GermFile, "kind germ graph parts glue_ok payload",
      ("glued", None, None, (), True, None), ("glued", None, None, (), False, None), 5),
 ]
 IDS = [case[0].__name__ for case in RECORDS]
+# the fields that __init__ computes from its arguments, stored after
+# them, with their values in the first record of RECORDS
+DERIVED = {
+    ResidueReport: {"surjective": True, "deficit": 0},
+    CoeffCheck: {"standard": True, "hypothesis_ok": True, "bracket_ok": True},
+}
 
 
 @pytest.fixture(params=RECORDS, ids=IDS)
 def case(request):
-    cls, fields, args, other, defaults = request.param
-    return cls, tuple(fields.split()), args, other, defaults
+    cls, params, args, other, defaults = request.param
+    return cls, tuple(params.split()), args, other, defaults
+
+
+def stored(cls, params, args):
+    """The field names of the first record of cls and their values: its
+    arguments, then what __init__ computes from them."""
+    derived = DERIVED.get(cls, {})
+    return params + tuple(derived), args + tuple(derived.values())
 
 
 def _subclasses(cls):
@@ -77,13 +89,14 @@ def test_every_record_class_of_the_package_is_listed():
 
 
 def test_construction_stores_exactly_the_fields(case):
-    # the fields, each once, besides what __init__ derives or caches
-    cls, fields, args, _, _ = case
+    # the arguments, each once, besides what __init__ derives or caches
+    cls, params, args, _, _ = case
     rec = cls(*args)
     cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
-    derived = {"_adj", "_tree"} if cls is ResolutionGraph else set()
-    assert set(vars(rec)) - cached - derived == set(fields)
-    assert [vars(rec)[name] for name in fields] == list(args)
+    derived = {"_adj", "_tree"} if cls is ResolutionGraph else set(DERIVED.get(cls, ()))
+    assert set(vars(rec)) - cached - derived == set(params)
+    assert [vars(rec)[name] for name in params] == list(args)
+    assert cls._fields == stored(cls, params, args)[0]
 
 
 def test_records_with_equal_fields_are_equal_and_hash_equal(case):
@@ -115,8 +128,9 @@ def test_a_subclass_record_is_not_equal_to_its_base():
 
 
 def test_records_refuse_assignment_and_deletion(case):
-    cls, fields, args, _, _ = case
+    cls, params, args, _, _ = case
     rec = cls(*args)
+    fields, _ = stored(cls, params, args)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(rec, name, 1)
@@ -127,9 +141,9 @@ def test_records_refuse_assignment_and_deletion(case):
 
 
 def test_the_repr_names_every_field(case):
-    cls, fields, args, _, _ = case
+    cls, params, args, _, _ = case
     rec = cls(*args)
-    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, args))
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(*stored(cls, params, args)))
     assert repr(rec) == f"{cls.__qualname__}({shown})"
 
 
@@ -138,11 +152,35 @@ def test_the_repr_of_a_branch():
 
 
 def test_positional_keyword_and_default_construction_agree(case):
-    cls, fields, args, _, defaults = case
+    cls, params, args, _, defaults = case
     rec = cls(*args)
-    assert tuple(getattr(rec, name) for name in fields) == args
-    assert cls(**dict(zip(fields, args))) == rec
+    fields, values = stored(cls, params, args)
+    assert tuple(getattr(rec, name) for name in fields) == values
+    assert cls(**dict(zip(params, args))) == rec
     assert cls(*args[:len(args) - defaults]) == rec
+
+
+# the records that the constructors took, field by field, before they
+# computed the last fields: each contradicts itself, and none can be built
+@pytest.mark.parametrize("make", [
+    lambda: CoeffCheck(HALF, 2, False, False, False),
+    lambda: ResidueReport(3, 1, 1, True, 0),
+    lambda: NonNormalGerm((GERM,), Trichotomy.ONE_COMPONENT_PLT, ClassGroup.RANK_ONE, None),
+], ids=["CoeffCheck", "ResidueReport", "NonNormalGerm"])
+def test_a_computed_field_is_no_argument(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_a_record_computes_its_last_fields():
+    assert CoeffCheck(HALF, 2).standard is True
+    assert CoeffCheck(HALF, 2) == coeff_check(HALF, 2)
+    low = CoeffCheck(Fraction(1, 3), 2)
+    assert (low.standard, low.hypothesis_ok, low.bracket_ok) == (False, False, False)
+    report = ResidueReport(4, 1, 4)
+    assert (report.surjective, report.deficit) == (False, 1)
+    with pytest.raises(BadParameters, match=r"^negative deficit$"):
+        ResidueReport(3, 1, 1)
 
 
 def test_construction_normalises_and_checks_its_fields():
@@ -151,8 +189,7 @@ def test_construction_normalises_and_checks_its_fields():
     assert graph.edges == frozenset({(0, 1)}) and type(graph.branches) is tuple
     germ = CyclicQuotientGerm(n=5, q=2, side_coeff=HALF)
     assert germ == GERM and type(germ.conductor_coeff) is Fraction
-    assert NonNormalGerm([GERM], Trichotomy.ONE_COMPONENT_PLT,
-                         ClassGroup.TORSION).components == (GERM,)
+    assert NonNormalGerm([GERM], Trichotomy.ONE_COMPONENT_PLT).components == (GERM,)
     with pytest.raises(BadParameters):
         CyclicQuotientGerm(5, 5)
     with pytest.raises(ValidationError):
@@ -268,6 +305,29 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
      "p = 1, n = True and m_max = 3 must be integers"),
     (lambda: ResidueTable(1, 2, False), BadParameters,
      "p = 1, n = 2 and m_max = False must be integers"),
+    (lambda: CyclicQuotientGerm(3, True), BadParameters,
+     "order n = 3 and weight q = True must be integers"),
+    (lambda: hj_expand(True, 1), BadParameters,
+     "order n = True and weight q = 1 must be integers"),
+    (lambda: GermClass(GermTag.PLT_CHAIN, True, HALF), BadParameters,
+     "Cartier index True is not an integer >= 1"),
+    (lambda: NonNormalGerm((GERM,), Trichotomy.LC_CENTER_CASE, cartier_index=True),
+     BadParameters, "Cartier index True is not an integer >= 1"),
+    (lambda: ResolutionGraph((2, 2), [(0, 1)], [BoundaryBranch(True, Fraction(1))]),
+     ValidationError, "branch attach index True out of range"),
+    (lambda: BoundaryBranch(0, True), ValidationError,
+     "branch coefficient True is not an integer or a Fraction"),
+    (lambda: coeff_check(True, 2), BadParameters,
+     "coefficient True is not an integer or a Fraction"),
+    (lambda: coeff_check(HALF, True), BadParameters, "m = True is not an integer"),
+    (lambda: glued_restriction_coeff(2, True, HALF), BadParameters,
+     "m = 2 and n = True must be integers"),
+    (lambda: ResolutionGraph.chain([2, 2]).with_fork(True, 2), ValidationError,
+     "fork attach index True out of range 0..1"),
+    (lambda: ResolutionGraph.chain([2, 2]).with_fork("1", 2), ValidationError,
+     "fork attach index '1' out of range 0..1"),
+    (lambda: ResolutionGraph.chain([2, 2]).with_fork(0.5, 2), ValidationError,
+     "fork attach index 0.5 out of range 0..1"),
 ], ids=["label float", "label str", "label below 1 first", "attach float",
         "attach str", "branch float", "branch str", "side float",
         "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
@@ -277,12 +337,22 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
         "germ class index str", "germ class index 0", "non-normal index float",
         "residue table slope float", "residue table m_max float",
         "residue table slope bool", "residue table order bool",
-        "residue table m_max bool"])
+        "residue table m_max bool", "weight bool", "hj_expand bool",
+        "germ class index bool", "non-normal index bool", "attach bool",
+        "branch bool", "coeff_check bool", "coeff_check m bool", "glue n bool",
+        "fork attach bool", "fork attach str", "fork attach float"])
 def test_a_value_that_is_not_exact_is_refused_by_a_germ_error(make, error, message):
     with pytest.raises(Exception) as info:
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_a_bool_label_is_stored_as_an_int():
+    # operator.index reads each label, so True is stored as the int 1
+    graph = ResolutionGraph.chain([True, 2], [(1, 1)])
+    assert graph.selfints == (1, 2) and type(graph.selfints[0]) is int
+    assert type(graph.with_fork(0, True).selfints[2]) is int
 
 
 def test_a_residue_table_of_negative_length_is_refused():
