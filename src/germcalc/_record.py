@@ -7,10 +7,22 @@ The base stores the fields: ``_set`` is the only code that writes one.
 The base also gives the rest of what a frozen dataclass would: equality
 and hashing by the field tuple, a ``Name(field=value, ...)`` repr, and
 assignment and deletion that raise AttributeError. Instances keep their
-``__dict__``, so a ``functools.cached_property`` stores its value there
-once. This module imports nothing, so building records loads none of
-``dataclasses``, ``inspect`` or ``ast``.
+``__dict__``, so ``memoized``, a ``functools.cached_property`` that takes
+no lock, stores an analysis there on its first read; one that raises
+stores nothing. Records load none of ``dataclasses``, ``inspect`` or ``ast``.
 """
+
+from functools import cached_property
+
+
+class memoized(cached_property):
+    """A cached_property that takes no lock (its ``__get__`` locks before 3.12)."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 class FrozenRecord:

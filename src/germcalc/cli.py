@@ -31,11 +31,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, memoized
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
                         solved_numerators)
@@ -80,7 +80,7 @@ class GermFile(FrozenRecord):
             raise NotApplicable(f"no single dual graph for kind {self.kind!r}")
         return self.graph if self.germ is None else resolution_graph(self.germ)
 
-    @cached_property
+    @memoized
     def discrepancy(self) -> dict:
         """The lc class, the discrepancies and the Cartier index."""
         g = self._resolved
@@ -90,14 +90,14 @@ class GermFile(FrozenRecord):
                 "discrepancies": [format_ratio(-x, den) for x in numerators],
                 "cartier_index": cartier_index(g)}
 
-    @cached_property
+    @memoized
     def classification(self) -> GermClass:
         """The taxonomy class; a germ's is shared with the germ object."""
         if self.germ is not None:
             return germ_class(self.germ)
         return classify_lc_germ(self._resolved)
 
-    @cached_property
+    @memoized
     def modification(self) -> dict | None:
         """Coefficient bookkeeping for the extraction that makes the
         rounded multiple of the log canonical divisor numerically well
@@ -111,11 +111,11 @@ class GermFile(FrozenRecord):
         """
         cls = self.classification
         if cls.tag is GermTag.PLT_CHAIN:
-            # the conductor-end curve has discrepancy gamma - 1 and enters
-            # the boundary at 1 - gamma, the different; each is formatted
-            # from its own value, so gamma = 1 gives "0" twice, not "-0"
-            return {"extracted_coeff": format_rat(1 - cls.gamma),
-                    "extracted_discrepancy": format_rat(cls.gamma - 1),
+            # the conductor-end curve has discrepancy gamma - 1 and enters the
+            # boundary at 1 - gamma, the different; gamma = 1 gives "0" twice
+            p, d = cls.gamma.numerator, cls.gamma.denominator
+            return {"extracted_coeff": format_ratio(d - p, d),
+                    "extracted_discrepancy": format_ratio(p - d, d),
                     "perturbed": False}
         if cls.tag in LC_CENTER_TAGS:
             numerators, den = solved_numerators(self._resolved)
@@ -332,8 +332,9 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
     if len(comps) == 2:
         if comps[0].q != comps[1].q:
             flags.add("q-mismatch")
-        cs = [1 - c.side_coeff for c in comps]
-        if m != 2 or any(c >= Fraction(1, 2) for c in cs):
+        cs = [Fraction(g.side_coeff.denominator - g.side_coeff.numerator, g.side_coeff.denominator)
+              for g in comps]
+        if m != 2 or any(2 * c.numerator >= c.denominator for c in cs):
             flags.add("extrapolated")
         coeffs = None
         # the restriction formula is the 1/n(1,1) model's, and its two
@@ -384,10 +385,11 @@ def _cmd_report(gf: GermFile, m_max: int) -> dict:
                    modification=gf.modification)
         if gf.modification and gf.modification["perturbed"]:
             out["flags"].append("perturbed")
-    if gf.kind == "cyclic_quotient" and gf.germ.conductor_coeff == 1:
-        out["different"] = format_rat(different_coeff(gf.germ))
-    else:
-        out["different"] = None if gamma is None else format_rat(1 - gamma)
+    slope, germ = gamma, gf.germ
+    if germ is not None and germ.conductor_coeff.numerator == germ.conductor_coeff.denominator:
+        slope = germ.gamma  # different_coeff(germ) is 1 - germ.gamma
+    out["different"] = (None if slope is None
+                        else format_ratio(slope.denominator - slope.numerator, slope.denominator))
     if gamma is None:
         out["residue_table"] = None
         out["flags"].append("residue-not-applicable")

@@ -26,17 +26,17 @@ From that data we compute, in exact arithmetic:
   the gcd of D and every X_j, with the branch denominators.
 
 The elimination, the log canonical class and the Cartier index are each
-computed once per graph object and cached on it; the graph is frozen, so
-no cache ever goes stale. None of them builds a Fraction per vertex;
-only ``boundary_coefficients`` does, from the record, on each call, and
-the graph keeps no such tuple. Every invariant is defined on
-contractible graphs only, as the exceptional curves of a resolution
-always are (Mumford 1961, Grauert 1962); on any other graph it raises
-NotApplicable. A graph that is not contractible, or not log canonical,
-caches no class or index and raises again on every call. Before the
-elimination runs, the Hadamard bound of the graph (the product of
-c_v + deg_v, times L) must stay within HADAMARD_BIT_LIMIT bits, so the
-size of every number it makes is bounded before any work.
+computed once per graph object and stored on it by ``_record.memoized``;
+the graph is frozen, so no cache goes stale. None of them builds a
+Fraction or does Fraction arithmetic; ``boundary_coefficients`` builds
+one per vertex on each call. Every invariant is defined on contractible
+graphs only, as the exceptional curves of a resolution always are
+(Mumford 1961, Grauert 1962); on any other graph it raises NotApplicable.
+A graph that is not contractible, or not log canonical, stores no class
+or index and raises again on every call. Before the elimination runs,
+the Hadamard bound of the graph (the product of c_v + deg_v, times L)
+must stay within HADAMARD_BIT_LIMIT bits, so the size of every number it
+makes is bounded before any work.
 
 All exceptional curves are assumed rational and the graph a tree. One
 breadth-first search from vertex 0, run by the constructor, checks the
@@ -50,11 +50,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, memoized
 from .errors import LimitExceeded, NotApplicable, ValidationError
 from .rational import as_fraction
 
@@ -194,29 +193,30 @@ class ResolutionGraph(FrozenRecord):
     def n_vertices(self) -> int:
         return len(self.selfints)
 
-    @cached_property
+    @memoized
     def _elimination(self):
         """The graph's one run of _eliminate, shared by every invariant."""
         return _eliminate(self)
 
-    @cached_property
+    @memoized
     def _lc_class(self) -> LcClass:
         """log_canonical_class, read once off the largest numerator."""
         if self.n_vertices:
             numerators, den = solved_numerators(self)
             top = max(numerators)
         else:
-            # the virtual curve; with no branch its -1 decides nothing
-            den, top = 1, sum((br.coeff for br in self.branches), Fraction(0)) - 1
+            # the virtual curve: the branch coefficients' sum less 1, over their lcm
+            den = lcm(1, *(br.coeff.denominator for br in self.branches))
+            top = sum([den // b.coeff.denominator * b.coeff.numerator for b in self.branches]) - den
         if top > den:
             return LcClass.NOT_LC
         if top == den:
             return LcClass.LC_CENTER
-        if any(br.coeff == 1 for br in self.branches):
+        if any(br.coeff.numerator == br.coeff.denominator for br in self.branches):
             return LcClass.PLT
         return LcClass.KLT
 
-    @cached_property
+    @memoized
     def _cartier_index(self) -> int:
         """cartier_index, taken once: the least m with every m X_v / D an
         integer is D over the gcd of D and all X_v."""

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, memoized
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
@@ -85,12 +84,13 @@ class CyclicQuotientGerm(FrozenRecord):
             raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
         self._set(n, q, conductor_coeff, side_coeff)
 
-    @cached_property
+    @memoized
     def gamma(self) -> Fraction:
-        """The invariant-generator slope (1 - side)/n, computed once."""
-        return (1 - self.side_coeff) / self.n
+        """The invariant-generator slope (1 - side)/n: (d - p)/(d n) for side p/d."""
+        p, d = self.side_coeff.numerator, self.side_coeff.denominator
+        return Fraction(d - p, d * self.n)
 
-    @cached_property
+    @memoized
     def _graph(self) -> ResolutionGraph:
         """resolution_graph, built once per germ object."""
         chain = hj_expand(self.n, self.q)
@@ -99,11 +99,11 @@ class CyclicQuotientGerm(FrozenRecord):
         right = k - 1 if k else None
         # __init__ keeps the conductor coefficient in (0, 1]
         branches = [(left, self.conductor_coeff)]
-        if self.side_coeff != 0:
+        if self.side_coeff.numerator:
             branches.append((right, self.side_coeff))
         return ResolutionGraph.chain(chain, branches)
 
-    @cached_property
+    @memoized
     def _class(self) -> GermClass:
         """germ_class, classified once per germ object."""
         return classify_lc_germ(self._graph)
@@ -355,18 +355,18 @@ def different_coeff(germ: CyclicQuotientGerm) -> Fraction:
     For the model with conductor (y=0) and side coefficient 1 - c on
     (x=0), restricting to the conductor gives the correction
 
-        (1 - 1/n + (1 - c)/n) [s] = (1 - c/n) [s] = (n - c)/n [s].
+        (1 - 1/n + (1 - c)/n) [s] = (1 - c/n) [s] = (1 - gamma) [s].
     """
-    if germ.conductor_coeff != 1:
+    if germ.conductor_coeff.numerator != germ.conductor_coeff.denominator:
         raise NotApplicable("different along a branch of coefficient != 1")
-    return 1 - germ.gamma
+    return Fraction(germ.gamma.denominator - germ.gamma.numerator, germ.gamma.denominator)
 
 
 def check_slc_glue(g1: CyclicQuotientGerm, g2: CyclicQuotientGerm) -> bool:
     """True iff the two conductors carry equal differents, i.e.
     (1 - side_1)/n_1 = (1 - side_2)/n_2."""
     for g in (g1, g2):
-        if g.conductor_coeff != 1:
+        if g.conductor_coeff.numerator != g.conductor_coeff.denominator:
             raise NotApplicable("glue check requires conductor coefficient 1")
     return g1.gamma == g2.gamma
 
@@ -384,7 +384,7 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     if not 1 <= len(components) <= 2:
         raise BadParameters("a non-normal germ has 1 or 2 components")
     for comp in components:
-        if comp.conductor_coeff != 1:
+        if comp.conductor_coeff.numerator != comp.conductor_coeff.denominator:
             raise NotApplicable("every component needs a marked conductor branch")
     if not glue_ok:
         raise GlueMismatch("no conductor gluing isomorphism/involution provided")

@@ -16,10 +16,10 @@ from coeff_oracle import (fraction_branch_coeff, fraction_class_gamma,
 
 import germcalc
 from germcalc import cli, dualgraph, germs
-from germcalc._record import FrozenRecord
+from germcalc._record import FrozenRecord, memoized
 from germcalc.cli import GermFile
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
-from germcalc.errors import BadParameters, ValidationError
+from germcalc.errors import BadParameters, NotApplicable, ValidationError
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy, hj_contract, hj_expand)
 from germcalc.residue import (ResidueReport, ResidueTable, find_failure_m,
@@ -392,3 +392,76 @@ def test_a_cached_property_is_computed_once(monkeypatch, make, prop, module, fun
     assert len(calls) == 1
     # the cached value is no field: it leaves equality and the repr alone
     assert rec == make() and prop not in repr(rec)
+
+
+# the per-object analyses, each stored by memoized on its first read
+ANALYSES = {
+    GermFile: ("discrepancy", "classification", "modification"),
+    CyclicQuotientGerm: ("gamma", "_graph", "_class"),
+    ResolutionGraph: ("_elimination", "_lc_class", "_cartier_index"),
+}
+
+
+def test_every_analysis_is_memoized():
+    for cls, names in ANALYSES.items():
+        cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
+        assert cached == set(names)
+        for name in names:
+            assert type(vars(cls)[name]) is memoized
+            # read on the class, the descriptor is itself
+            assert getattr(cls, name) is vars(cls)[name]
+
+
+def _counted(monkeypatch, cls, name):
+    """The calls of the function behind cls's memoized analysis name."""
+    calls = []
+    descriptor = vars(cls)[name]
+    original = descriptor.func
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(descriptor, "func", counting)
+    return calls
+
+
+class _Refused:
+    def __enter__(self):
+        raise AssertionError("memoized took the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, names in ANALYSES.items()
+                                       for name in names])
+def test_a_memoized_analysis_takes_no_lock_and_runs_once(monkeypatch, cls, name):
+    # cached_property keeps an RLock in .lock before Python 3.12 and takes
+    # it on each first read; memoized never touches one
+    monkeypatch.setattr(vars(cls)[name], "lock", _Refused(), raising=False)
+    calls = _counted(monkeypatch, cls, name)
+    rec = {GermFile: lambda: cli.parse_germ_file(
+               '{"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "1/2"}'),
+           CyclicQuotientGerm: lambda: CyclicQuotientGerm(5, 2, 1, HALF),
+           ResolutionGraph: lambda: ResolutionGraph.chain([2, 2], [(0, 1)])}[cls]()
+    first = getattr(rec, name)
+    assert getattr(rec, name) is first and vars(rec)[name] is first
+    assert calls == [rec]
+
+
+@pytest.mark.parametrize("make, cls, name", [
+    # no coefficient-1 branch: the germ is klt, so classify is not applicable
+    (lambda: GermFile("dual_graph", graph=ResolutionGraph.chain([2, 2], [(0, HALF)])),
+     GermFile, "classification"),
+    # b = 3/2 > 1 on the one curve: not log canonical, so no Cartier index
+    (lambda: ResolutionGraph.chain([2], [(0, 1)] * 3), ResolutionGraph, "_cartier_index"),
+], ids=["GermFile.classification", "ResolutionGraph._cartier_index"])
+def test_an_analysis_that_raises_stores_nothing_and_raises_again(monkeypatch, make, cls, name):
+    calls = _counted(monkeypatch, cls, name)
+    rec = make()
+    for read in (1, 2):
+        with pytest.raises(NotApplicable):
+            getattr(rec, name)
+        assert name not in vars(rec)
+        assert len(calls) == read
