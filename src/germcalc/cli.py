@@ -33,6 +33,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from operator import neg
 from types import SimpleNamespace
 
 from ._record import FrozenRecord, memoized
@@ -44,7 +45,7 @@ from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     check_slc_glue, classify_lc_germ, classify_nonnormal,
                     different_coeff, germ_class, resolution_graph)
-from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, parse_rat
+from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
 from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
                       restriction_exponents)
 from .stdcoeff import coeff_check
@@ -82,12 +83,13 @@ class GermFile(FrozenRecord):
 
     @memoized
     def discrepancy(self) -> dict:
-        """The lc class, the discrepancies and the Cartier index."""
+        """The lc class, the discrepancies and the Cartier index. Each
+        distinct reduced denominator of the discrepancies is written once."""
         g = self._resolved
         lc = log_canonical_class(g)
         numerators, den = solved_numerators(g)
         return {"lc_class": lc.value,
-                "discrepancies": [format_ratio(-x, den) for x in numerators],
+                "discrepancies": format_ratios(map(neg, numerators), den),
                 "cartier_index": cartier_index(g)}
 
     @memoized
@@ -538,6 +540,13 @@ def _dispatch(args) -> dict:
     return _cmd_report(gf, DEFAULT_M_MAX)
 
 
+# A list of at least _JOIN_MIN items, all of one type here, is written by
+# one join of its items' texts. On a shorter list the scan of its types
+# costs more than the join saves.
+_JOIN_MIN = 16
+_JOINED = {frozenset({str}): _quote, frozenset({int}): int.__repr__}
+
+
 def _emit(obj, pad: str, append) -> None:
     """Append the indent-2 JSON text of obj, on a line indented by pad,
     to a list of parts through its append method."""
@@ -559,6 +568,12 @@ def _emit(obj, pad: str, append) -> None:
     elif kind is list:
         inner = pad + "  "
         comma = "," + inner
+        write = _JOINED.get(frozenset(map(type, obj))) if len(obj) >= _JOIN_MIN else None
+        if write is not None:
+            append("[" + inner)
+            append(comma.join(map(write, obj)))
+            append(pad + "]")
+            return
         sep = "[" + inner
         for value in obj:
             append(sep)
@@ -604,11 +619,12 @@ def _dumps(payload: dict) -> str:
     one value that is not JSON it takes is a ``residue.ResidueTable``,
     written as json would write its list of row dicts, each row straight
     from ``restriction_exponents``. The dispatch is on the exact type:
-    any other type, a subclass included, raises TypeError. A list's str
-    and int items, the bulk of a long report list, are written in the
-    list's own loop by the same exact-type rule, with no call per item;
-    its other items (bool, None, dict, list, ``ResidueTable``, or a type
-    to refuse) go through the dispatch.
+    any other type, a subclass included, raises TypeError. A list of at
+    least _JOIN_MIN items that are all exactly str or all exactly int,
+    the bulk of a long report, is written by one join. Any other list
+    writes its str and int items in its own loop by the same exact-type
+    rule, with no call per item; its other items (bool, None, dict,
+    list, ``ResidueTable``, or a type to refuse) go through the dispatch.
     """
     parts: list[str] = []
     try:

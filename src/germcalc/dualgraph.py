@@ -12,12 +12,13 @@ From that data we compute, in exact arithmetic:
   calculus): each vertex v carries A_v, the determinant of -M on the
   subtree below v, B_v, the product of its children's A, and S_v, its
   right-hand side scaled by B_v and by the lcm L of the branch
-  denominators. The graph is contractible (M negative definite) iff
-  every A_v is positive, and the elimination stops at the first A_v
-  that is not. Otherwise back-substitution, by the vertex equations
-  along paths and by Cramer's rule below a fork, gives the unique
-  coefficients b_j making K + sum b_j E_j + (branches) intersect every
-  exceptional curve trivially. The result is one integer record: the
+  denominators; folding a vertex into a parent with B = 1, as before
+  its first fold, takes two products fewer. The graph is contractible
+  (M negative definite) iff every A_v is positive, and the elimination
+  stops at the first A_v that is not. Otherwise back-substitution, by
+  the vertex equations along paths and by Cramer's rule below a fork,
+  gives the unique coefficients b_j making K + sum b_j E_j + (branches)
+  intersect every exceptional curve trivially. The result is one integer record: the
   numerators X_j over the common denominator D = A_root * L > 0, with
   b_j = X_j / D. The discrepancy of E_j is -b_j,
 * the log canonical class of the germ (klt / plt / lc center / not lc),
@@ -36,7 +37,8 @@ A graph that is not contractible, or not log canonical, stores no class
 or index and raises again on every call. Before the elimination runs,
 the Hadamard bound of the graph (the product of c_v + deg_v, times L)
 must stay within HADAMARD_BIT_LIMIT bits, so the size of every number it
-makes is bounded before any work.
+makes is bounded before any work. The sum of the factors' bit lengths
+screens it: only a sum past the limit has the exact product built.
 
 All exceptional curves are assumed rational and the graph a tree. One
 breadth-first search from vertex 0, run by the constructor, checks the
@@ -51,7 +53,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import add, index
 
 from ._record import FrozenRecord, memoized
 from .errors import LimitExceeded, NotApplicable, ValidationError
@@ -253,11 +255,13 @@ def _eliminate(g: ResolutionGraph):
 
         A_p, S_p, B_p = A_p A_w - B_w B_p, S_p A_w + S_w B_p, B_p A_w,
 
-    with no gcd: the numbers stay the size of subtree determinants
-    (times L for S). The pivots of a symmetric elimination without row
-    swaps, in any vertex order, are ratios of consecutive principal
-    minors, so M is negative definite iff every A_v is positive; the
-    first A_v <= 0 ends the elimination with None.
+    which at B_p = 1, as before p's first fold, is A_p A_w - B_w,
+    S_p A_w + S_w, A_w, two products fewer. There is no gcd: the numbers
+    stay the size of subtree determinants (times L for S). The pivots
+    of a symmetric elimination without row swaps, in any vertex order,
+    are ratios of consecutive principal minors, so M is negative
+    definite iff every A_v is positive; the first A_v <= 0 ends the
+    elimination with None.
 
     Otherwise back-substitution from the root gives X_v = b_v A_root L
     (A_root L clears every denominator of the solution), with
@@ -282,20 +286,24 @@ def _eliminate(g: ResolutionGraph):
     inequality every subtree determinant is at most the product of
     c_v + deg_v over the subtree, so that product over all curves, times
     L, bounds the size of the numbers the elimination would make before
-    it makes them. The product is built exactly, and as soon as it
-    passes HADAMARD_BIT_LIMIT bits LimitExceeded is raised.
+    it makes them. A product has at most the summed bit lengths of its
+    factors, so a sum within HADAMARD_BIT_LIMIT passes at once. Past it,
+    the product is built exactly, and as soon as it passes
+    HADAMARD_BIT_LIMIT bits LimitExceeded is raised.
     """
     n = g.n_vertices
     if n == 0:
         return (), 1
     adj, labels = g._adj, g.selfints
     scale = lcm(1, *(br.coeff.denominator for br in g.branches))
-    bound = scale
-    for c, nbrs in zip(labels, adj):
-        bound *= c + len(nbrs)
-        if bound.bit_length() > HADAMARD_BIT_LIMIT:
-            raise LimitExceeded(f"the Hadamard bound of the curves exceeds the "
-                                f"limit of {HADAMARD_BIT_LIMIT} bits")
+    factors = list(map(add, labels, map(len, adj)))
+    if sum(map(int.bit_length, factors), scale.bit_length()) > HADAMARD_BIT_LIMIT:
+        bound = scale
+        for f in factors:
+            bound *= f
+            if bound.bit_length() > HADAMARD_BIT_LIMIT:
+                raise LimitExceeded(f"the Hadamard bound of the curves exceeds the "
+                                    f"limit of {HADAMARD_BIT_LIMIT} bits")
     order, parent = g._tree
     A = list(labels)
     B = [1] * n
@@ -309,8 +317,11 @@ def _eliminate(g: ResolutionGraph):
             return None
         if v:
             p = parent[v]
-            A[p], S[p], B[p] = (A[p] * a - B[v] * B[p],
-                                S[p] * a + S[v] * B[p], B[p] * a)
+            b = B[p]
+            if b == 1:
+                A[p], S[p], B[p] = A[p] * a - B[v], S[p] * a + S[v], a
+            else:
+                A[p], S[p], B[p] = A[p] * a - B[v] * b, S[p] * a + S[v] * b, b * a
     root = A[0]
     X = [0] * n
     X[0] = -S[0]

@@ -26,6 +26,10 @@ One table maps (prongs, far coefficients) to the shape:
     (0, ()), (0, (c,))   plt chain, c < 1, with gamma = (1 - c)/n
                          for the arm's Hirzebruch-Jung string of n/q
 
+A plt chain's gamma is read off the elimination as 1 - b at the
+conductor's curve, the same number; hj_contract stays public, off the
+runtime path.
+
 Every arm curve has self-intersection label >= 2, except that the far
 end may drop to 1 in the dihedral 32 and 33 shapes. The empty graph is
 an empty arm, whose string gives n = 1. A graph that fits no shape is
@@ -281,7 +285,9 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     coefficient-1 branch into arm, prongs and far coefficients as the
     module docstring says, and look the shape up in SHAPES. A graph that
     fits no shape is UNCLASSIFIED, with the rule the walk broke. A graph
-    with no coefficient-1 branch raises NotApplicable."""
+    with no coefficient-1 branch raises NotApplicable. A plt chain's
+    gamma is 1 - b at the arm's first curve, read off the graph's
+    elimination; hj_contract, a public export, is not called."""
     adj = g._adj
     # a coefficient in (0, 1] is 1 exactly when its terms are equal
     i = next((i for i, br in enumerate(g.branches)
@@ -328,10 +334,13 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
                 "arm, allowed only at the far end of a dihedral 32 or 33 shape")
     if tag is not GermTag.PLT_CHAIN:
         return tag, None, None
-    n, _q = hj_contract(g.selfints[v] for v in arm)
-    # gamma = (1 - p/d)/n for the far coefficient p/d, or 1/n with none
+    if arm:
+        # classify_lc_germ's log_canonical_class has stored the elimination
+        numerators, den = g._elimination
+        return tag, Fraction(den - numerators[arm[0]], den), None
+    # the empty graph: gamma = 1 - p/d for the far coefficient p/d, or 1 with none
     p, d = far[0] if far else (0, 1)
-    return tag, Fraction(d - p, d * n), None
+    return tag, Fraction(d - p, d), None
 
 
 def classify_lc_germ(g: ResolutionGraph) -> GermClass:

@@ -18,7 +18,8 @@ from .errors import GermError, LimitExceeded
 DIGITS_EXCEEDED = ("a number in the result has more digits than the "
                    "interpreter's integer-to-text conversion limit")
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII: \d alone would match any Unicode decimal digit, which int() reads
+_RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -58,6 +59,23 @@ def format_ratio(num: int, den: int) -> str:
         return f"{num // g}/{den // g}"
     except ValueError as exc:
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
+
+
+def format_ratios(numerators, den: int) -> list[str]:
+    """``[format_ratio(x, den) for x in numerators]``, with the text of
+    each distinct reduced denominator made once, however many numerators
+    share it. Raises LimitExceeded as format_ratio does."""
+    texts, out = {den: ""}, []
+    try:
+        for x in numerators:
+            g = gcd(x, den)
+            text = texts.get(g)
+            if text is None:
+                text = texts[g] = f"/{den // g}"
+            out.append(f"{x // g}{text}")
+    except ValueError as exc:
+        raise LimitExceeded(DIGITS_EXCEEDED) from exc
+    return out
 
 
 def as_fraction(x, error: type[GermError], what: str) -> Fraction:

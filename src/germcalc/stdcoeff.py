@@ -7,8 +7,13 @@ any coefficient in [1 - 1/m, 1]; under it the bracket bound
     0 <= floor(m c) - (m - 1) c <= c
 
 holds, which is what lets the rounded multiple be rewritten as a
-boundary at most the original one. Outside the hypothesis the bound can
-fail, and the test suite pins a failing pair found by search.
+boundary at most the original one. Since floor(m c) - (m - 1) c is
+c - {m c}, the bound says {m c} <= c, and the hypothesis is sharp:
+
+* the bound holds for every m >= 2 exactly when c is standard;
+* for any other c it first fails at m = floor(1/(1 - c)) + 1, the
+  first m with c < 1 - 1/m, where the hypothesis first fails;
+* at m = 2 it holds exactly when c >= 1/2.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ class CoeffCheck(FrozenRecord):
     int, m < 2 and then c outside (0, 1]: b > 0, so 0 < c <= 1 is
     0 < a <= b. Then 1 - c = (b - a)/b is in lowest terms too, so c is
     standard iff a = b or 0 < a = b - 1; the hypothesis c >= 1 - 1/m is
-    a m >= b (m - 1); and the bracket bound, scaled by b, is
-    0 <= floor(m a / b) b - (m - 1) a <= a.
+    a m >= b (m - 1); and the bracket bound {m c} <= c, scaled by b, is
+    m a mod b <= a.
     """
 
     _fields = ("c", "m", "standard", "hypothesis_ok", "bracket_ok")
@@ -45,7 +50,7 @@ class CoeffCheck(FrozenRecord):
             raise BadParameters(f"coefficient {q} outside (0, 1]")
         standard = a == b or 0 < a == b - 1
         self._set(c, m, standard, standard or a * m >= b * (m - 1),
-                  0 <= (m * a // b) * b - (m - 1) * a <= a)
+                  m * a % b <= a)
 
 
 def coeff_check(c: Fraction, m: int) -> CoeffCheck:

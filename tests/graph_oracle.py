@@ -9,14 +9,17 @@ and a breadth-first search over a ``seen`` set. ``reference_decompose``
 walks the arm with a list of the vertices ahead at every step, and
 looks the shape up in its own copy of the shape table, keyed by
 ``Fraction`` far coefficients as the table was before its lookup went
-over integer pairs. Both are slow and serve only as oracles for
-``germcalc.dualgraph`` and ``germcalc.germs``.
+over integer pairs. It takes a plt chain's gamma, (1 - c)/n, from its
+own continued fraction of the arm, where germcalc reads gamma off the
+elimination, so the two routes to gamma share no code. Both are slow
+and serve only as oracles for ``germcalc.dualgraph`` and
+``germcalc.germs``.
 """
 
 from fractions import Fraction
 
 from germcalc.errors import ValidationError
-from germcalc.germs import GermTag, hj_contract
+from germcalc.germs import GermTag
 
 HALF = Fraction(1, 2)
 # (prongs, far coefficients) -> (tag, whether the far end may carry label 1)
@@ -26,6 +29,14 @@ REFERENCE_SHAPES = {
     (1, (HALF,)): (GermTag.DIHEDRAL_32, True),
     (2, ()): (GermTag.DIHEDRAL_31, False),
 }
+
+
+def continued_fraction(chain) -> tuple[int, int]:
+    """(n, q) with n/q = c_1 - 1/(c_2 - ... - 1/c_k); (1, 0) for the empty chain."""
+    num, den = 1, 0
+    for c in reversed(chain):
+        num, den = c * num - den, num
+    return num, den
 
 
 def reference_adjacency(n: int, edges) -> list[list[int]]:
@@ -129,5 +140,5 @@ def reference_decompose(g):
                 "arm, allowed only at the far end of a dihedral 32 or 33 shape")
     if tag is not GermTag.PLT_CHAIN:
         return tag, None, None
-    n, _q = hj_contract(g.selfints[v] for v in arm)
+    n, _q = continued_fraction([g.selfints[v] for v in arm])
     return tag, (1 - sum(far, Fraction(0))) / n, None

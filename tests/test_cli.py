@@ -974,6 +974,9 @@ UNGLUED = {"flags": ["extrapolated", "glue-mismatch", "restriction-unavailable"]
       "branches": [[1, "1"], [1, "1/3"]]}, ["report"], 0,
      {"case": "UNCLASSIFIED", "modification": None,
       "flags": ["residue-not-applicable"]}),
+    # a decimal digit that is not ASCII
+    ({"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "\u0663/4"}, ["report"], 1,
+     _error("ValidationError", "not a rational literal: '\u0663/4'")),
 ])
 def test_record_and_argument_faults_keep_their_messages(tmp_path, capsys, record,
                                                         argv, code, fields):
@@ -1085,19 +1088,22 @@ def test_the_report_writer_gives_the_text_of_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
-# long lists, as a report's discrepancies and curve lists are, whose
-# str and int items the list loop writes itself and whose other items
-# it hands to the dispatch
+# long lists, as a report's discrepancies and curve lists are: one of
+# only str or only int items is one join, and any other writes its str
+# and int items in its loop and hands its other items to the dispatch
 LONG_LISTS = st.lists(
     st.none() | st.booleans() | st.integers(-10**400, 10**400) | TEXT
     | st.lists(st.integers() | TEXT | st.booleans(), max_size=3)
     | st.dictionaries(TEXT, st.integers() | st.none(), max_size=3),
-    max_size=300)
+    max_size=300) | st.lists(st.integers(-10**400, 10**400), max_size=300) | st.lists(
+        TEXT, max_size=300)
 
 
 @settings(max_examples=200, deadline=None)
 @given(LONG_LISTS)
 @example([True, 1, "1", None, [], {}, False, 0])
+@example([1] * 20 + [True])
+@example(["x"] * 16)
 def test_the_report_writer_gives_the_text_of_json_dumps_on_long_lists(items):
     assert cli._dumps(items) == json.dumps(items, sort_keys=True, indent=2)
     assert cli._dumps({"l": [items]}) == json.dumps({"l": [items]}, sort_keys=True,
@@ -1109,12 +1115,14 @@ def test_an_integer_past_the_digit_limit_deep_in_a_long_list_is_limit_exceeded()
     with pytest.raises(LimitExceeded) as info:
         cli._dumps({"discrepancies": items})
     assert str(info.value) == DIGITS_EXCEEDED
+    with pytest.raises(LimitExceeded):
+        cli._dumps({"chain": [2] * 20 + [10**sys.get_int_max_str_digits()]})
 
 
 @pytest.mark.parametrize("value", [
     1.5, (1, 2), {1, 2}, {1: "int key"}, {"nested": [Fraction(1, 2)]},
     germs.GermTag.PLT_CHAIN, ["x", 1, germs.GermTag.PLT_CHAIN], [1, "x", (1, 2)],
-    [1, 2, 2.0]])
+    [1, 2, 2.0], [germs.GermTag.PLT_CHAIN] * 20])
 def test_the_report_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._dumps(value)

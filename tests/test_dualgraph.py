@@ -435,6 +435,9 @@ LIMIT = HADAMARD_BIT_LIMIT
     (ResolutionGraph.chain([2**(LIMIT - 2)], [(0, Fraction(1, 4))]), False),
     (ResolutionGraph.chain([2**(LIMIT - 1) - 2, 1]), True),
     (ResolutionGraph.chain([2**(LIMIT - 1) - 1, 1]), False),
+    # factors 3 and 4 whose bit lengths sum to about 66,000, past LIMIT,
+    # in a product of about 44,000 bits, within it
+    (ResolutionGraph.chain([2] * 22_000), True),
 ])
 def test_the_size_bound_is_the_exact_hadamard_product(g, passes):
     if passes:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germcalc.errors import LimitExceeded
-from germcalc.rational import format_rat, format_ratio, parse_rat
+from germcalc.rational import format_rat, format_ratio, format_ratios, parse_rat
 from residue_oracle import ceil_scale
 
 
@@ -61,11 +61,20 @@ def test_format_ratio_is_format_rat_of_the_fraction(num, den):
     assert format_ratio(num, den) == format_rat(Fraction(num, den))
 
 
+@given(st.lists(st.integers(-10**6, 10**6) | st.integers(), max_size=40),
+       st.sampled_from([1, 2, 12, 720, 10**30 * 6]) | st.integers(min_value=1))
+def test_format_ratios_is_format_ratio_of_each(nums, den):
+    # small numerators over a den of many divisors share reduced denominators
+    assert format_ratios(iter(nums), den) == [format_ratio(x, den) for x in nums]
+
+
 @pytest.mark.parametrize("num, den", [(10**5000, 3), (-1, 10**5000), (3 * 10**5000, 3)],
                          ids=["numerator", "denominator", "integer"])
 def test_format_past_the_digit_limit_is_limit_exceeded(num, den):
     with pytest.raises(LimitExceeded):
         format_ratio(num, den)
+    with pytest.raises(LimitExceeded):
+        format_ratios([0, num], den)
     with pytest.raises(LimitExceeded):
         format_rat(Fraction(num, den))
 
@@ -80,7 +89,9 @@ def test_parse_rat_accepts_canonical_forms(text, value):
     assert parse_rat(text) == value
 
 
-@pytest.mark.parametrize("text", ["1.5", "", "a/b", "1/0", "1/-2", "1//2", "+-3"])
+@pytest.mark.parametrize("text", ["1.5", "", "a/b", "1/0", "1/-2", "1//2", "+-3",
+                                  # digits that are decimal but not ASCII
+                                  "\u0663/4", "\u0661", "1/1\u0660"])
 def test_parse_rat_rejects_noncanonical_forms(text):
     with pytest.raises(ValueError):
         parse_rat(text)

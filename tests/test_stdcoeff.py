@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from coeff_oracle import (fraction_bracket_bound_holds, fraction_is_standard,
@@ -90,6 +91,56 @@ def test_bracket_bound_counterexample_found_by_search():
         if found:
             break
     assert found == (Fraction(1, 3), 2)
+
+
+def test_the_bracket_bound_is_sharp_on_every_small_coefficient():
+    # every c = a/b in lowest terms with b < 80, against every m in 2..3b+1
+    for b in range(1, 80):
+        for a in range(1, b + 1):
+            if gcd(a, b) != 1:
+                continue
+            c = Fraction(a, b)
+            recs = [coeff_check(c, m) for m in range(2, 3 * b + 2)]
+            standard = recs[0].standard
+            # the bound holds for every m exactly when c is standard
+            assert all(rec.bracket_ok for rec in recs) is standard, c
+            if not standard:
+                # floor(1/(1 - c)) + 1, the first m with c < 1 - 1/m
+                first = b // (b - a) + 1
+                assert c < 1 - Fraction(1, first) and (first == 2 or c >= 1 - Fraction(1, first - 1))
+                assert [rec.m for rec in recs if not rec.bracket_ok][0] == first, c
+                assert [rec.m for rec in recs if not rec.hypothesis_ok][0] == first, c
+            # at m = 2 the bound holds exactly when c >= 1/2
+            assert recs[0].bracket_ok is (2 * a >= b), c
+
+
+@st.composite
+def big_fractions(draw):
+    """c in (0, 1] with a denominator of up to 41 digits: anywhere, or
+    within 10^6 of 1 in the numerator, so that the first m at which a
+    non-standard c fails is large."""
+    b = draw(st.integers(1, 10**40))
+    if draw(st.booleans()):
+        return Fraction(draw(st.integers(1, b)), b)
+    return Fraction(b - draw(st.integers(0, min(b - 1, 10**6))), b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(big_fractions(), st.integers(2, 10**30), st.data())
+def test_the_bracket_bound_is_sharp_on_big_terms(c, m, data):
+    a, b = c.numerator, c.denominator
+    assert coeff_check(c, 2).bracket_ok is (2 * a >= b)
+    if coeff_check(c, m).standard:
+        assert coeff_check(c, m).bracket_ok
+        return
+    first = b // (b - a) + 1
+    for rec in (coeff_check(c, first), coeff_check(c, data.draw(st.integers(first, 10**40)))):
+        assert not rec.hypothesis_ok
+    assert not coeff_check(c, first).bracket_ok
+    if first > 2:
+        # below the first failing m the hypothesis holds, and so does the bound
+        rec = coeff_check(c, data.draw(st.integers(2, first - 1)))
+        assert rec.hypothesis_ok and rec.bracket_ok
 
 
 def test_coeff_check_record():
