@@ -13,7 +13,7 @@ from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
 from .germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                     NonNormalGerm, Trichotomy, check_slc_glue,
                     classify_lc_germ, classify_nonnormal, different_coeff,
-                    hj_contract, hj_expand, resolution_graph)
+                    hj_expand, resolution_graph)
 from .rational import format_rat, parse_rat
 from .residue import (ResidueReport, find_failure_m, glued_restriction_coeff,
                       multibranch_deficit, single_branch_report)
@@ -31,7 +31,7 @@ __all__ = [
     "cartier_index", "check_slc_glue", "classify_lc_germ",
     "classify_nonnormal", "coeff_check", "different_coeff",
     "find_failure_m", "format_rat",
-    "glued_restriction_coeff", "hj_contract", "hj_expand",
+    "glued_restriction_coeff", "hj_expand",
     "is_contractible", "log_canonical_class",
     "multibranch_deficit",
     "parse_rat", "resolution_graph",

@@ -40,8 +40,8 @@ from ._record import FrozenRecord, memoized
 from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
                         solved_numerators)
-from .errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
-                     NotApplicable, ParseError, ValidationError)
+from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
+                     ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     check_slc_glue, classify_lc_germ, classify_nonnormal,
                     different_coeff, germ_class, resolution_graph)
@@ -338,20 +338,16 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
               for g in comps]
         if m != 2 or any(2 * c.numerator >= c.denominator for c in cs):
             flags.add("extrapolated")
-        coeffs = None
         # the restriction formula is the 1/n(1,1) model's, and its two
-        # sides meet only where the slopes agree
-        if glue_consistent and comps[0].q == comps[1].q == 1:
-            try:
-                coeffs = [glued_restriction_coeff(m, comp.n, c) for comp, c in zip(comps, cs)]
-            except BadParameters:
-                # a side of 0 or 1 leaves its c outside (0, 1)
-                pass
-        if coeffs is None:
-            flags.add("restriction-unavailable")
-        else:
+        # sides meet only where the slopes agree; a side of 0 or 1 leaves
+        # its c outside (0, 1), where the formula has no value
+        if (glue_consistent and comps[0].q == comps[1].q == 1
+                and all(0 < c.numerator < c.denominator for c in cs)):
+            coeffs = [glued_restriction_coeff(m, comp.n, c) for comp, c in zip(comps, cs)]
             restriction = {"m": m, "coefficients": [format_rat(c) for c in coeffs],
                            "equal": coeffs[0] == coeffs[1]}
+        else:
+            flags.add("restriction-unavailable")
     classification = None
     try:
         classification = _nonnormal_dict(gf)
@@ -365,7 +361,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
             "flags": sorted(flags)}
 
 
-def _cmd_report(gf: GermFile, m_max: int) -> dict:
+def _cmd_report(gf: GermFile, m_max: int = DEFAULT_M_MAX) -> dict:
     if gf.kind == "glued":
         out = _cmd_glue(gf, 2)
         out["components_detail"] = [
@@ -443,9 +439,16 @@ def _verbose_summary(payload: dict) -> str:
     return "  ".join(parts) if parts else "ok"
 
 
-# The file subcommands and the defaults of their options.
-_FILE_DEFAULTS = {"classify": {}, "discrepancy": {}, "report": {},
-                  "residue": {"m_max": DEFAULT_M_MAX}, "glue": {"m": 2}}
+# Each file subcommand: its handler, its help text, and its int options
+# (dest -> default), which the handler takes as keyword arguments.
+_FILE_COMMANDS = {
+    "classify": (_cmd_classify, "taxonomy tag and derived invariants", {}),
+    "discrepancy": (_cmd_discrepancy, "solved discrepancies and Cartier index", {}),
+    "report": (_cmd_report, "every applicable analysis", {}),
+    "residue": (_cmd_residue, "restriction degree table for m = 1..M",
+                {"m_max": DEFAULT_M_MAX}),
+    "glue": (_cmd_glue, "conductor gluing analysis", {"m": 2}),
+}
 
 
 @cache
@@ -472,20 +475,11 @@ def _build_parser():
                         help="human-readable summary on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-            ("classify", "taxonomy tag and derived invariants"),
-            ("discrepancy", "solved discrepancies and Cartier index"),
-            ("report", "every applicable analysis")):
+    for name, (_, helptext, options) in _FILE_COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file", help="germ file path, or - for stdin")
-
-    p = sub.add_parser("residue", help="restriction degree table for m = 1..M")
-    p.add_argument("file", help="germ file path, or - for stdin")
-    p.add_argument("--m-max", type=int, default=_FILE_DEFAULTS["residue"]["m_max"])
-
-    p = sub.add_parser("glue", help="conductor gluing analysis")
-    p.add_argument("file", help="germ file path, or - for stdin")
-    p.add_argument("--m", type=int, default=_FILE_DEFAULTS["glue"]["m"])
+        for dest, default in options.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=int, default=default)
 
     p = sub.add_parser("failure-m", help="least m with a rounding deficit")
     p.add_argument("--coeffs", required=True,
@@ -508,11 +502,11 @@ def _parse_args(argv):
     verbose = len(argv) == 3 and argv[0] == "--verbose"
     if len(argv) == 2 + verbose:
         command, file = argv[-2:]
-        defaults = _FILE_DEFAULTS.get(command)
-        if (defaults is not None and isinstance(file, str)
+        entry = _FILE_COMMANDS.get(command)
+        if (entry is not None and isinstance(file, str)
                 and (file == "-" or not file.startswith("-"))):
             return SimpleNamespace(verbose=verbose, command=command, file=file,
-                                   **defaults)
+                                   **entry[2])
     return _build_parser().parse_args(argv)
 
 
@@ -528,16 +522,9 @@ def _dispatch(args) -> dict:
         return {"c": format_rat(rec.c), "m": rec.m, "standard": rec.standard,
                 "hypothesis_ok": rec.hypothesis_ok, "bracket_ok": rec.bracket_ok}
 
+    handler, _, options = _FILE_COMMANDS[args.command]
     gf = parse_germ_file(_read_input(args.file))
-    if args.command == "classify":
-        return _cmd_classify(gf)
-    if args.command == "discrepancy":
-        return _cmd_discrepancy(gf)
-    if args.command == "residue":
-        return _cmd_residue(gf, args.m_max)
-    if args.command == "glue":
-        return _cmd_glue(gf, args.m)
-    return _cmd_report(gf, DEFAULT_M_MAX)
+    return handler(gf, **{dest: getattr(args, dest) for dest in options})
 
 
 # A list of at least _JOIN_MIN items, all of one type here, is written by

@@ -27,8 +27,7 @@ One table maps (prongs, far coefficients) to the shape:
                          for the arm's Hirzebruch-Jung string of n/q
 
 A plt chain's gamma is read off the elimination as 1 - b at the
-conductor's curve, the same number; hj_contract stays public, off the
-runtime path.
+conductor's curve, the same number.
 
 Every arm curve has self-intersection label >= 2, except that the far
 end may drop to 1 in the dihedral 32 and 33 shapes. The empty graph is
@@ -48,7 +47,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
 
 from ._record import FrozenRecord, memoized
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
@@ -122,8 +120,16 @@ class GermTag(str, Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
-LC_CENTER_TAGS = frozenset({GermTag.CYCLIC_NONPLT, GermTag.DIHEDRAL_31,
-                            GermTag.DIHEDRAL_32, GermTag.DIHEDRAL_33})
+# (prongs, sorted (numerator, denominator) pairs of the far coefficients)
+# -> (tag, whether the far end may carry label 1)
+SHAPES = {
+    (0, ((1, 1),)): (GermTag.CYCLIC_NONPLT, False),
+    (0, ((1, 2), (1, 2))): (GermTag.DIHEDRAL_33, True),
+    (1, ((1, 2),)): (GermTag.DIHEDRAL_32, True),
+    (2, ()): (GermTag.DIHEDRAL_31, False),
+}
+# the tags of the lc-center shapes; every other tag is plt or UNCLASSIFIED
+LC_CENTER_TAGS = frozenset(tag for tag, _ in SHAPES.values())
 
 
 def _check_index(cartier_index) -> None:
@@ -234,23 +240,6 @@ def hj_expand(n: int, q: int) -> list[int]:
     return out
 
 
-def hj_contract(chain) -> tuple[int, int]:
-    """Inverse of hj_expand: evaluate the string back to (n, q). Each
-    entry is read with operator.index, so a float or a str is refused."""
-    try:
-        chain = list(map(index, chain))
-    except TypeError:
-        raise BadParameters("continued-fraction entries must be integers") from None
-    if any(c < 2 for c in chain):
-        raise BadParameters("continued-fraction entries must be >= 2")
-    if not chain:
-        return (1, 1)
-    num, den = chain[-1], 1
-    for c in reversed(chain[:-1]):
-        num, den = c * num - den, num
-    return (num, den)
-
-
 def resolution_graph(germ: CyclicQuotientGerm) -> ResolutionGraph:
     """Decorated dual graph of the germ.
 
@@ -270,16 +259,6 @@ def germ_class(germ: CyclicQuotientGerm) -> GermClass:
     return germ._class
 
 
-# (prongs, sorted (numerator, denominator) pairs of the far coefficients)
-# -> (tag, whether the far end may carry label 1)
-SHAPES = {
-    (0, ((1, 1),)): (GermTag.CYCLIC_NONPLT, False),
-    (0, ((1, 2), (1, 2))): (GermTag.DIHEDRAL_33, True),
-    (1, ((1, 2),)): (GermTag.DIHEDRAL_32, True),
-    (2, ()): (GermTag.DIHEDRAL_31, False),
-}
-
-
 def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None]:
     """(tag, gamma, violation) of the graph: walk it from the first
     coefficient-1 branch into arm, prongs and far coefficients as the
@@ -287,7 +266,7 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     fits no shape is UNCLASSIFIED, with the rule the walk broke. A graph
     with no coefficient-1 branch raises NotApplicable. A plt chain's
     gamma is 1 - b at the arm's first curve, read off the graph's
-    elimination; hj_contract, a public export, is not called."""
+    elimination."""
     adj = g._adj
     # a coefficient in (0, 1] is 1 exactly when its terms are equal
     i = next((i for i, br in enumerate(g.branches)
@@ -398,14 +377,13 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     if not glue_ok:
         raise GlueMismatch("no conductor gluing isomorphism/involution provided")
 
+    # a component with a conductor classifies as CYCLIC_NONPLT at side 1
+    # and as PLT_CHAIN below it, so every component is one of the two
     classes = [germ_class(c) for c in components]
     if any(cl.tag in LC_CENTER_TAGS for cl in classes):
         index = lcm(*(cl.cartier_index for cl in classes))
         return NonNormalGerm(components, Trichotomy.LC_CENTER_CASE,
                              cartier_index=index)
-    for cl in classes:
-        if cl.tag is not GermTag.PLT_CHAIN:
-            raise NotApplicable(f"component outside the germ taxonomy: {cl.violation}")
     if len(components) == 2:
         if not check_slc_glue(*components):
             d1, d2 = different_coeff(components[0]), different_coeff(components[1])

@@ -18,8 +18,9 @@ from .errors import GermError, LimitExceeded
 DIGITS_EXCEEDED = ("a number in the result has more digits than the "
                    "interpreter's integer-to-text conversion limit")
 
-# ASCII: \d alone would match any Unicode decimal digit, which int() reads
-_RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
+# ASCII: \d alone would match any Unicode decimal digit, which int() reads,
+# and \s, like str.strip, any Unicode space; padding is [ \t\n\r\f\v] only
+_RAT_RE = re.compile(r"\s*(-?\d+)(?:/([1-9]\d*))?\s*", re.ASCII)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -28,7 +29,7 @@ def parse_rat(text: str) -> Fraction:
     Decimal notation is rejected on purpose: the file format never goes
     through binary floats.
     """
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))

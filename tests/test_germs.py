@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import intersection_matrix
+from graph_oracle import continued_fraction
 from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                                 boundary_coefficients, is_contractible,
                                 log_canonical_class, LcClass)
@@ -14,7 +15,7 @@ from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
                             NonNormalGerm, Trichotomy, check_slc_glue, classify_lc_germ,
                             classify_nonnormal, different_coeff, germ_class,
-                            hj_contract, hj_expand, resolution_graph)
+                            hj_expand, resolution_graph)
 
 HALF = Fraction(1, 2)
 
@@ -32,13 +33,16 @@ def test_hj_expand_examples(n, q, chain):
     assert hj_expand(n, q) == chain
 
 
+# the examples of the deleted hj_contract, held to the test oracle that
+# evaluates a string in its place; the empty string gives 1/0, the
+# start of the oracle's recursion
 @pytest.mark.parametrize("chain, nq", [
-    ([], (1, 1)),
+    ([], (1, 0)),
     ([2, 2, 2], (4, 3)),
     ([3, 2], (5, 2)),
 ])
 def test_hj_contract_examples(chain, nq):
-    assert hj_contract(chain) == nq
+    assert continued_fraction(chain) == nq
 
 
 @pytest.mark.parametrize("n, q", [(4, 2), (6, 3), (5, 0), (5, 5), (1, 2)])
@@ -56,18 +60,14 @@ def test_hj_expand_stops_at_the_vertex_limit():
         hj_expand(10**8 + 1, 10**8)
 
 
-def test_hj_contract_rejects_small_entries():
-    with pytest.raises(BadParameters):
-        hj_contract([2, 1, 2])
-
-
 @given(st.integers(1, 60), st.data())
 def test_hj_roundtrip(n, data):
     qs = [q for q in range(1, n + 1) if gcd(n, q) == 1 and (q < n or n == 1)]
     q = data.draw(st.sampled_from(qs))
     chain = hj_expand(n, q)
     assert all(c >= 2 for c in chain)
-    assert hj_contract(chain) == (n, q)
+    # q % n is q, or 0 for the smooth case n = q = 1
+    assert continued_fraction(chain) == (n, q % n)
 
 
 # ---------------------------------------------------------- resolution graphs
@@ -529,6 +529,19 @@ def test_the_class_group_is_read_off_the_trichotomy(components, trichotomy, grou
     assert NonNormalGerm(components, trichotomy, index).class_group is group
     # a value computed from the trichotomy, not a field
     assert "class_group" not in repr(nn) and "class_group" not in vars(nn)
+
+
+@pytest.mark.parametrize("side", [Fraction(0), Fraction(1, 3), HALF, Fraction(2, 3),
+                                  Fraction(99, 100), Fraction(1)])
+def test_a_component_with_a_conductor_is_a_plt_chain_or_a_cyclic_lc_center(side):
+    # so classify_nonnormal meets no other tag among its components
+    for n in range(1, 41):
+        for q in range(1, n + 1):
+            if gcd(n, q) != 1 or (q == n and n > 1):
+                continue
+            cls = germ_class(CyclicQuotientGerm(n, q, 1, side))
+            assert (cls.tag is GermTag.PLT_CHAIN) is (side < 1)
+            assert (cls.tag is GermTag.CYCLIC_NONPLT) is (side == 1)
 
 
 def test_classify_nonnormal_needs_glue_data():

@@ -84,6 +84,9 @@ def test_format_past_the_digit_limit_is_limit_exceeded(num, den):
     ("-7/2", Fraction(-7, 2)),
     ("5", Fraction(5)),
     ("0", Fraction(0)),
+    # ASCII whitespace around the literal is padding
+    (" 1/2\n", Fraction(1, 2)),
+    ("\t-7/2\r\f\v", Fraction(-7, 2)),
 ])
 def test_parse_rat_accepts_canonical_forms(text, value):
     assert parse_rat(text) == value
@@ -91,7 +94,9 @@ def test_parse_rat_accepts_canonical_forms(text, value):
 
 @pytest.mark.parametrize("text", ["1.5", "", "a/b", "1/0", "1/-2", "1//2", "+-3",
                                   # digits that are decimal but not ASCII
-                                  "\u0663/4", "\u0661", "1/1\u0660"])
+                                  "\u0663/4", "\u0661", "1/1\u0660",
+                                  # padding that is whitespace to str.strip but not ASCII
+                                  "\u00a01/2", "1/2\u2003", "\u20281/2", "\x1c1/2"])
 def test_parse_rat_rejects_noncanonical_forms(text):
     with pytest.raises(ValueError):
         parse_rat(text)

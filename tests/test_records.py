@@ -21,7 +21,7 @@ from germcalc.cli import GermFile
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
 from germcalc.errors import BadParameters, NotApplicable, ValidationError
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
-                            NonNormalGerm, Trichotomy, hj_contract, hj_expand)
+                            NonNormalGerm, Trichotomy, hj_expand)
 from germcalc.residue import (ResidueReport, ResidueTable, find_failure_m,
                               glued_restriction_coeff)
 from germcalc.stdcoeff import CoeffCheck, coeff_check
@@ -277,10 +277,6 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
     (lambda: coeff_check(0.5, 2), BadParameters,
      "coefficient 0.5 is not an integer or a Fraction"),
     (lambda: coeff_check(Fraction(1, 2), 2.5), BadParameters, "m = 2.5 is not an integer"),
-    (lambda: hj_contract([2.5, 3]), BadParameters,
-     "continued-fraction entries must be integers"),
-    (lambda: hj_contract(["3", 3]), BadParameters,
-     "continued-fraction entries must be integers"),
     (lambda: glued_restriction_coeff(2, 3, 0.5), BadParameters,
      "coefficient 0.5 is not an integer or a Fraction"),
     (lambda: glued_restriction_coeff(2.5, 3, HALF), BadParameters,
@@ -332,7 +328,7 @@ def test_a_germ_class_refuses_what_the_fraction_check_refused(tag):
         "attach str", "branch float", "branch str", "side float",
         "conductor Decimal", "order float", "hj_expand float", "hj_expand Fraction",
         "failure_m float", "coeff_check float", "coeff_check m float",
-        "hj_contract float", "hj_contract str", "glue coefficient float",
+        "glue coefficient float",
         "glue m float", "germ class gamma float", "germ class index float",
         "germ class index str", "germ class index 0", "non-normal index float",
         "residue table slope float", "residue table m_max float",
