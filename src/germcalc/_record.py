@@ -2,8 +2,9 @@
 
 A record class names its fields in ``_fields`` and writes its own
 ``__init__``, which checks the values first, when the class has checks,
-and then passes them, in ``_fields`` order, to one ``self._set(...)``.
-The base stores the fields: ``_set`` is the only code that writes one.
+and then passes each of them by its field name to one
+``self._set(name=value, ...)``. The base stores the fields, with one
+``__dict__.update``: ``_set`` is the only code that writes one.
 The base also gives the rest of what a frozen dataclass would: equality
 and hashing by the field tuple, a ``Name(field=value, ...)`` repr, and
 assignment and deletion that raise AttributeError. Instances keep their
@@ -28,8 +29,8 @@ class memoized(cached_property):
 class FrozenRecord:
     _fields: tuple[str, ...] = ()
 
-    def _set(self, *values) -> None:
-        self.__dict__.update(zip(self._fields, values))
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -72,7 +72,8 @@ class GermFile(FrozenRecord):
     def __init__(self, kind: str, germ: CyclicQuotientGerm | None = None,
                  graph: ResolutionGraph | None = None, parts: tuple[GermFile, ...] = (),
                  glue_ok: bool = True, payload: dict | None = None):
-        self._set(kind, germ, graph, parts, glue_ok, payload)
+        self._set(kind=kind, germ=germ, graph=graph, parts=parts, glue_ok=glue_ok,
+                  payload=payload)
 
     @property
     def _resolved(self) -> ResolutionGraph:

@@ -85,7 +85,7 @@ class BoundaryBranch(FrozenRecord):
         # the denominator is positive: 0 < coeff <= 1 on the integers
         if not 0 < coeff.numerator <= coeff.denominator:
             raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
-        self._set(attach, coeff)
+        self._set(attach=attach, coeff=coeff)
 
 
 def check_label(c: int) -> int:
@@ -170,7 +170,7 @@ class ResolutionGraph(FrozenRecord):
                     raise ValidationError("branch attach index on an empty graph")
             elif type(br.attach) is not int or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach!r} out of range")
-        self._set(labels, edges, branches)
+        self._set(selfints=labels, edges=edges, branches=branches)
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":

@@ -54,6 +54,7 @@ from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .rational import as_fraction
 
+
 class CyclicQuotientGerm(FrozenRecord):
     """Parameters of the quotient model.
 
@@ -84,7 +85,7 @@ class CyclicQuotientGerm(FrozenRecord):
             raise BadParameters(f"conductor coefficient {conductor_coeff} outside (0, 1]")
         if not 0 <= side_coeff.numerator <= side_coeff.denominator:
             raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
-        self._set(n, q, conductor_coeff, side_coeff)
+        self._set(n=n, q=q, conductor_coeff=conductor_coeff, side_coeff=side_coeff)
 
     @memoized
     def gamma(self) -> Fraction:
@@ -140,9 +141,9 @@ def _check_index(cartier_index) -> None:
 class GermClass(FrozenRecord):
     """Taxonomy tag with the derived invariants.
 
-    ``gamma`` is present exactly for plt chains. ``violation`` names the
-    rule of the shape decomposition that failed when the tag is
-    UNCLASSIFIED.
+    ``gamma`` is present exactly for plt chains, stored as a Fraction
+    even when given as an int. ``violation`` names the rule of the
+    shape decomposition that failed when the tag is UNCLASSIFIED.
     """
 
     _fields = ("tag", "cartier_index", "gamma", "violation")
@@ -150,15 +151,16 @@ class GermClass(FrozenRecord):
     def __init__(self, tag: GermTag, cartier_index: int, gamma: Fraction | None = None,
                  violation: str | None = None):
         if gamma is not None:
-            as_fraction(gamma, BadParameters, "gamma")
+            gamma = as_fraction(gamma, BadParameters, "gamma")
         if tag is GermTag.PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
         _check_index(cartier_index)
-        if tag in LC_CENTER_TAGS and 2 % cartier_index != 0:
+        # the index test first: it is cheaper than hashing the tag
+        if 2 % cartier_index != 0 and tag in LC_CENTER_TAGS:
             raise BadParameters(
                 f"lc-center germ with Cartier index {cartier_index} not dividing 2")
-        self._set(tag, cartier_index, gamma, violation)
+        self._set(tag=tag, cartier_index=cartier_index, gamma=gamma, violation=violation)
 
 
 class Trichotomy(str, Enum):
@@ -198,7 +200,7 @@ class NonNormalGerm(FrozenRecord):
             raise BadParameters(f"trichotomy {trichotomy!r} is not a Trichotomy")
         if cartier_index is not None and trichotomy is not Trichotomy.LC_CENTER_CASE:
             raise BadParameters("a plt non-normal germ has no Cartier index")
-        self._set(components, trichotomy, cartier_index)
+        self._set(components=components, trichotomy=trichotomy, cartier_index=cartier_index)
 
     @property
     def class_group(self) -> ClassGroup | None:
@@ -266,38 +268,52 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     fits no shape is UNCLASSIFIED, with the rule the walk broke. A graph
     with no coefficient-1 branch raises NotApplicable. A plt chain's
     gamma is 1 - b at the arm's first curve, read off the graph's
-    elimination."""
-    adj = g._adj
+    elimination. The walk is plain loops: a classification that fits a
+    shape creates no generator."""
+    branches, labels = g.branches, g.selfints
     # a coefficient in (0, 1] is 1 exactly when its terms are equal
-    i = next((i for i, br in enumerate(g.branches)
-              if br.coeff.numerator == br.coeff.denominator), None)
-    if i is None:
+    for i, br in enumerate(branches):
+        if br.coeff.numerator == br.coeff.denominator:
+            break
+    else:
         raise NotApplicable("no coefficient-1 branch through the point")
-    rest = g.branches[:i] + g.branches[i + 1:]
+    rest = branches[:i] + branches[i + 1:]
     # each coefficient as its (numerator, denominator) pair, so that the
     # lookup hashes and compares integers only
-    far = tuple(sorted([(br.coeff.numerator, br.coeff.denominator) for br in rest]))
-    arm, ahead = [], []
-    if g.n_vertices:
-        attached = {br.attach for br in rest}
-        v, prev = g.branches[i].attach, -1
+    far, attached = [], set()
+    for other in rest:
+        far.append((other.coeff.numerator, other.coeff.denominator))
+        attached.add(other.attach)
+    far = tuple(sorted(far))
+    arm, ahead = [], ()
+    if labels:
+        adj = g._adj
+        v = br.attach
         arm = [v]
-        # step on while v has exactly one neighbour besides prev, which
-        # in a tree is v's only neighbour at the start and one of two after
-        while v not in attached and len(adj[v]) == (1 if prev < 0 else 2):
-            w = adj[v][0]
-            if w == prev:
-                w = adj[v][1]
-            arm.append(w)
-            prev, v = v, w
-        ahead = [w for w in adj[v] if w != prev]
-        if any(len(adj[w]) != 1 or g.selfints[w] != 2 or w in attached
-               for w in ahead):
-            why = ("the graph goes on past it" if any(len(adj[w]) != 1 for w in ahead)
-                   else "it carries a branch" if attached.intersection(ahead)
-                   else "its label is not 2")
-            return (GermTag.UNCLASSIFIED, None,
-                    f"a curve beyond the far end is not a bare -2 prong: {why}")
+        ahead = adj[v]
+        # the first step, when v is a leaf with no other branch
+        if v not in attached and len(ahead) == 1:
+            prev, v = v, ahead[0]
+            arm.append(v)
+            ahead = adj[v]
+            # step on while v has exactly one neighbour besides prev
+            while v not in attached and len(ahead) == 2:
+                w = ahead[0]
+                if w == prev:
+                    w = ahead[1]
+                arm.append(w)
+                prev, v = v, w
+                ahead = adj[v]
+            # in a tree prev is v's neighbour once: the rest lie ahead
+            ahead = list(ahead)
+            ahead.remove(prev)
+        for w in ahead:
+            if len(adj[w]) != 1 or labels[w] != 2 or w in attached:
+                why = ("the graph goes on past it" if any(len(adj[w]) != 1 for w in ahead)
+                       else "it carries a branch" if attached.intersection(ahead)
+                       else "its label is not 2")
+                return (GermTag.UNCLASSIFIED, None,
+                        f"a curve beyond the far end is not a bare -2 prong: {why}")
     prongs = len(ahead)
     if prongs == 0 and len(far) <= 1 and (1, 1) not in far:
         tag, unit_end = GermTag.PLT_CHAIN, False
@@ -308,7 +324,8 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
             return (GermTag.UNCLASSIFIED, None,
                     f"no shape or plt chain has prong count {prongs} and far "
                     f"coefficients [{listed}]")
-    if not all(g.selfints[v] >= 2 for v in (arm[:-1] if unit_end else arm)):
+    # labels are ints >= 1, so a label below 2 is a 1
+    if 1 in map(labels.__getitem__, arm[:-1] if unit_end else arm):
         return (GermTag.UNCLASSIFIED, None, "self-intersection label 1 on the "
                 "arm, allowed only at the far end of a dihedral 32 or 33 shape")
     if tag is not GermTag.PLT_CHAIN:

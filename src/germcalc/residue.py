@@ -41,7 +41,8 @@ class ResidueReport(FrozenRecord):
         deficit = target_exponent - (m - source_exponent)
         if deficit < 0:
             raise BadParameters("negative deficit")
-        self._set(m, source_exponent, target_exponent, deficit == 0, deficit)
+        self._set(m=m, source_exponent=source_exponent, target_exponent=target_exponent,
+                  surjective=deficit == 0, deficit=deficit)
 
 
 def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
@@ -92,7 +93,7 @@ class ResidueTable(FrozenRecord):
             raise BadParameters(f"slope {p}/{n} outside [0, 1]")
         if m_max < 0:
             raise BadParameters(f"m_max = {m_max} must be >= 0")
-        self._set(p, n, m_max)
+        self._set(p=p, n=n, m_max=m_max)
 
 
 def multibranch_deficit(m: int, coeffs) -> int:

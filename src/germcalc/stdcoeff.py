@@ -27,7 +27,8 @@ from .rational import as_fraction
 
 class CoeffCheck(FrozenRecord):
     """One coefficient against one power: membership and both bounds,
-    computed on the terms of c = a/b in lowest terms.
+    computed on the terms of c = a/b in lowest terms. c is stored as a
+    Fraction, an int c too.
 
     Refuses a c that is not an int or a Fraction, an m that is not an
     int, m < 2 and then c outside (0, 1]: b > 0, so 0 < c <= 1 is
@@ -49,8 +50,8 @@ class CoeffCheck(FrozenRecord):
         if not 0 < a <= b:
             raise BadParameters(f"coefficient {q} outside (0, 1]")
         standard = a == b or 0 < a == b - 1
-        self._set(c, m, standard, standard or a * m >= b * (m - 1),
-                  m * a % b <= a)
+        self._set(c=q, m=m, standard=standard,
+                  hypothesis_ok=standard or a * m >= b * (m - 1), bracket_ok=m * a % b <= a)
 
 
 def coeff_check(c: Fraction, m: int) -> CoeffCheck:

@@ -82,7 +82,9 @@ def fraction_quotient_coeffs(n: int, q: int, conductor_coeff, side_coeff):
 
 
 def fraction_class_gamma(tag: GermTag, cartier_index: int, gamma):
-    """GermClass's gamma, kept as given, or its BadParameters."""
+    """GermClass's gamma as a Fraction, None kept, or its BadParameters."""
+    if gamma is not None:
+        gamma = Fraction(gamma)
     if tag is GermTag.PLT_CHAIN:
         if gamma is None or not 0 < gamma <= 1:
             raise BadParameters("plt chain requires gamma in (0, 1]")

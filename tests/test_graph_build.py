@@ -2,7 +2,8 @@
 ``germs._decompose`` against their reference copies in
 ``graph_oracle``: the same fields, repr and hash, or the same exception
 type and message, on every edge collection drawn; and the same
-(tag, gamma, violation) on the random trees of ``test_dualgraph``.
+(tag, gamma, violation) on the random trees of ``test_dualgraph`` and
+on every small tree of a fixed grid.
 
 Edge indices are drawn as integers, the type the constructor takes. A
 non-integer index in range (0.5, say) is refused in the edge walk by a
@@ -10,6 +11,7 @@ ValidationError naming the edge, where the reference raised the
 TypeError of indexing a list; it has its own test below."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from graph_oracle import reference_decompose, reference_graph
 from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
 from germcalc.errors import GermError, ValidationError
-from germcalc.germs import _decompose, classify_lc_germ
+from germcalc.germs import GermTag, _decompose, classify_lc_germ
 from test_dualgraph import random_trees, record_trees, recurrence_trees
+from test_germs import LABEL_ONE, NOT_A_PRONG
 
 HALF = Fraction(1, 2)
 
@@ -195,3 +198,48 @@ def test_the_arm_walk_matches_the_reference_decomposition(g):
         # not divide 2: no class to compare
         return
     assert (cls.tag, cls.gamma, cls.violation) == expected
+
+
+def grid_graphs():
+    """Every tree of at most 4 curves, one parent array (parent[i] < i)
+    at a time, with labels 1..3 and a coefficient-1 branch on any curve
+    (at the point when there is none), after either no other branch, one
+    of 1/3, 1/2, 2/3 or 1 on any curve, or two of 1/2 on one curve. The
+    other branches come first, so the walk must look past them for the
+    coefficient-1 branch."""
+    for n in range(5):
+        curves = range(n) if n else [None]
+        extras = [()]
+        extras += [(BoundaryBranch(a, c),) for a in curves
+                   for c in (Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1))]
+        extras += [(BoundaryBranch(a, HALF),) * 2 for a in curves]
+        ones = [BoundaryBranch(a, Fraction(1)) for a in curves]
+        for parents in product(*map(range, range(1, n))):
+            edges = frozenset(zip(parents, range(1, n)))
+            for labels in product((1, 2, 3), repeat=n):
+                for one in ones:
+                    for extra in extras:
+                        yield ResolutionGraph(labels, edges, extra + (one,))
+
+
+def test_the_arm_walk_matches_the_reference_decomposition_on_a_grid():
+    classes = set()
+    count = 0
+    for g in grid_graphs():
+        count += 1
+        expected = reference_decompose(g)
+        assert _decompose(g) == expected, g
+        try:
+            cls = classify_lc_germ(g)
+        except GermError:
+            continue
+        assert (cls.tag, cls.gamma, cls.violation) == expected, g
+        classes.add(cls.violation or cls.tag)
+    assert count == 43638
+    # the grid reaches every tag and every rule of the walk through
+    # classify_lc_germ
+    rules = [NOT_A_PRONG + "the graph goes on past it", NOT_A_PRONG + "it carries a branch",
+             NOT_A_PRONG + "its label is not 2", "no shape or plt chain has", LABEL_ONE]
+    assert set(GermTag) - {GermTag.UNCLASSIFIED} <= classes
+    for rule in rules:
+        assert any(type(c) is str and c.startswith(rule) for c in classes), rule

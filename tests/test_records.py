@@ -196,6 +196,15 @@ def test_construction_normalises_and_checks_its_fields():
         BoundaryBranch(0, 2)
 
 
+def test_an_int_number_is_stored_as_a_fraction():
+    # as_fraction's value is the one stored, as in BoundaryBranch and
+    # CyclicQuotientGerm: every number is a Fraction
+    gamma = GermClass(GermTag.PLT_CHAIN, 1, 1).gamma
+    assert gamma == 1 and type(gamma) is Fraction
+    c = coeff_check(1, 2).c
+    assert c == 1 and type(c) is Fraction
+
+
 # values at and around 0 and 1, then each one as a Fraction, as an int
 # when it is one, and as text for the records that take text
 EDGES = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 10**30), Fraction(0),
