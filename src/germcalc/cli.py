@@ -43,8 +43,8 @@ from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
-                    check_slc_glue, classify_lc_germ, classify_nonnormal,
-                    different_coeff, germ_class, resolution_graph)
+                    classify_lc_germ, classify_nonnormal, different_coeff,
+                    resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
 from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
                       restriction_exponents)
@@ -54,32 +54,29 @@ DEFAULT_M_MAX = 24
 # Largest --m-max accepted by residue: one table row per m.
 M_MAX_LIMIT = 10_000
 
-KINDS = ("cyclic_quotient", "dual_graph", "glued")
-
-
 class GermFile(FrozenRecord):
-    """One input: the kind tag, the domain objects, the canonical JSON
+    """One input: the domain object of its kind, the canonical JSON
     payload used for echoing, and the analyses every subcommand reads.
-    A glued file's ``parts`` are its components' cyclic-quotient
-    records, and its payload lists theirs.
+    A cyclic file holds its ``germ``, a dual-graph file its ``graph``,
+    and a glued file its components' cyclic-quotient records as
+    ``parts``; the payload lists theirs and holds the ``glue_ok`` flag.
 
     Each analysis is computed on first read and kept; one that raises
     keeps nothing and raises again on the next read.
     """
 
-    _fields = ("kind", "germ", "graph", "parts", "glue_ok", "payload")
+    _fields = ("germ", "graph", "parts", "payload")
 
-    def __init__(self, kind: str, germ: CyclicQuotientGerm | None = None,
+    def __init__(self, germ: CyclicQuotientGerm | None = None,
                  graph: ResolutionGraph | None = None, parts: tuple[GermFile, ...] = (),
-                 glue_ok: bool = True, payload: dict | None = None):
-        self._set(kind=kind, germ=germ, graph=graph, parts=parts, glue_ok=glue_ok,
-                  payload=payload)
+                 payload: dict | None = None):
+        self._set(germ=germ, graph=graph, parts=parts, payload=payload)
 
     @property
     def _resolved(self) -> ResolutionGraph:
         """The dual graph, built from the germ for a cyclic file."""
-        if self.kind == "glued":
-            raise NotApplicable(f"no single dual graph for kind {self.kind!r}")
+        if self.parts:
+            raise NotApplicable("no single dual graph for kind 'glued'")
         return self.graph if self.germ is None else resolution_graph(self.germ)
 
     @memoized
@@ -97,7 +94,7 @@ class GermFile(FrozenRecord):
     def classification(self) -> GermClass:
         """The taxonomy class; a germ's is shared with the germ object."""
         if self.germ is not None:
-            return germ_class(self.germ)
+            return self.germ.classification
         return classify_lc_germ(self._resolved)
 
     @memoized
@@ -162,25 +159,24 @@ def _int_field(obj: dict, key: str) -> int:
     return val
 
 
-def _germ_from_dict(obj: dict) -> CyclicQuotientGerm:
+def _germ_file(obj: dict) -> GermFile:
+    """A cyclic-quotient file, or one component of a glued file."""
     if not isinstance(obj, dict):
         raise ValidationError(f"germ record must be an object, got {obj!r}")
     if obj.get("kind", "cyclic_quotient") != "cyclic_quotient":
         raise ValidationError("glued components must be cyclic_quotient records")
     _check_keys(obj, {"kind", "n", "q", "conductor", "side"}, "germ")
-    return CyclicQuotientGerm(_int_field(obj, "n"), _int_field(obj, "q"),
+    germ = CyclicQuotientGerm(_int_field(obj, "n"), _int_field(obj, "q"),
                               _rat_field(obj, "conductor", "1"),
                               _rat_field(obj, "side", "0"))
-
-
-def _germ_file(germ: CyclicQuotientGerm) -> GermFile:
-    return GermFile("cyclic_quotient", germ=germ, payload={
+    return GermFile(germ=germ, payload={
         "kind": "cyclic_quotient", "n": germ.n, "q": germ.q,
         "conductor": format_rat(germ.conductor_coeff),
         "side": format_rat(germ.side_coeff)})
 
 
-def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
+def _graph_file(obj: dict) -> GermFile:
+    """A dual-graph file."""
     _check_keys(obj, {"kind", "chain", "forks", "branches"}, "dual_graph")
     chain = obj.get("chain", [])
     forks = obj.get("forks", [])
@@ -225,19 +221,34 @@ def _graph_from_dict(obj: dict) -> tuple[ResolutionGraph, dict]:
         if not isinstance(raw, str):
             raise ValidationError(f"branch coefficient {raw!r} must be a rational string")
         coeff = _rat(raw)
-        if attach == 0:
-            if n:
-                raise ValidationError("attach index 0 is only valid on an empty graph")
-            brs.append(BoundaryBranch(None, coeff))
-        elif 1 <= attach <= n:
-            brs.append(BoundaryBranch(attach - 1, coeff))
-        else:
+        if attach == 0 and n:
+            raise ValidationError("attach index 0 is only valid on an empty graph")
+        if not 0 <= attach <= n:
             raise ValidationError(f"branch attach index {attach} out of range 0..{n}")
+        brs.append(BoundaryBranch(attach - 1 if attach else None, coeff))
         norm_branches.append([attach, format_rat(coeff)])
     # chain and forks are echoed as read: every entry is checked to be an int
-    payload = {"kind": "dual_graph", "chain": chain, "forks": forks,
-               "branches": norm_branches}
-    return ResolutionGraph(selfints, edges, brs), payload
+    return GermFile(graph=ResolutionGraph(selfints, edges, brs), payload={
+        "kind": "dual_graph", "chain": chain, "forks": forks, "branches": norm_branches})
+
+
+def _glued_file(obj: dict) -> GermFile:
+    """A glued file: its components are read as cyclic-quotient files."""
+    _check_keys(obj, {"kind", "glue_ok", "components"}, "glued")
+    comps_raw = obj.get("components")
+    if not isinstance(comps_raw, list) or not 1 <= len(comps_raw) <= 2:
+        raise ValidationError("'components' must list 1 or 2 germ records")
+    glue_ok = obj.get("glue_ok", True)
+    if not isinstance(glue_ok, bool):
+        raise ValidationError("'glue_ok' must be a boolean")
+    parts = tuple(map(_germ_file, comps_raw))
+    return GermFile(parts=parts, payload={
+        "kind": "glued", "glue_ok": glue_ok, "components": [part.payload for part in parts]})
+
+
+# each kind's reader, in the order the refusal of an unknown kind lists them
+_READERS = {"cyclic_quotient": _germ_file, "dual_graph": _graph_file, "glued": _glued_file}
+KINDS = tuple(_READERS)
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -259,22 +270,7 @@ def parse_germ_file(text: str) -> GermFile:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if kind == "cyclic_quotient":
-        return _germ_file(_germ_from_dict(raw))
-    if kind == "dual_graph":
-        graph, payload = _graph_from_dict(raw)
-        return GermFile(kind, graph=graph, payload=payload)
-    _check_keys(raw, {"kind", "glue_ok", "components"}, "glued")
-    comps_raw = raw.get("components")
-    if not isinstance(comps_raw, list) or not 1 <= len(comps_raw) <= 2:
-        raise ValidationError("'components' must list 1 or 2 germ records")
-    glue_ok = raw.get("glue_ok", True)
-    if not isinstance(glue_ok, bool):
-        raise ValidationError("'glue_ok' must be a boolean")
-    parts = tuple(_germ_file(_germ_from_dict(c)) for c in comps_raw)
-    payload = {"kind": "glued", "glue_ok": glue_ok,
-               "components": [part.payload for part in parts]}
-    return GermFile(kind, parts=parts, glue_ok=glue_ok, payload=payload)
+    return _READERS[kind](raw)
 
 
 def _class_dict(cls: GermClass) -> dict:
@@ -287,15 +283,15 @@ def _class_dict(cls: GermClass) -> dict:
 def _nonnormal_dict(gf: GermFile) -> dict:
     """The trichotomy fields of a glued file, as classify and glue print
     them."""
-    nn = classify_nonnormal([part.germ for part in gf.parts], gf.glue_ok)
+    nn = classify_nonnormal([part.germ for part in gf.parts], gf.payload["glue_ok"])
     return {"trichotomy": nn.trichotomy.value,
             "class_group": nn.class_group.value if nn.class_group else None,
             "cartier_index": nn.cartier_index,
-            "components": [part.payload for part in gf.parts]}
+            "components": gf.payload["components"]}
 
 
 def _cmd_classify(gf: GermFile) -> dict:
-    if gf.kind == "glued":
+    if gf.parts:
         out = _nonnormal_dict(gf)
         out["case"] = out["trichotomy"]
     else:
@@ -322,15 +318,16 @@ def _cmd_residue(gf: GermFile, m_max: int) -> dict:
 
 
 def _cmd_glue(gf: GermFile, m: int) -> dict:
-    if gf.kind != "glued":
+    if not gf.parts:
         raise NotApplicable("glue analysis needs a glued germ file")
     if m < 1:
         raise ValidationError(f"--m {m} must be >= 1")
     comps = [part.germ for part in gf.parts]
     flags: set[str] = set()
     differents = [format_rat(different_coeff(c)) for c in comps]
-    # different_coeff has refused a conductor != 1, so this raises nothing
-    glue_consistent = len(comps) == 1 or check_slc_glue(*comps)
+    # a different is 1 - gamma and its text is canonical, so equal texts
+    # are equal slopes
+    glue_consistent = differents[0] == differents[-1]
     restriction = None
     if len(comps) == 2:
         if comps[0].q != comps[1].q:
@@ -363,7 +360,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
 
 
 def _cmd_report(gf: GermFile, m_max: int = DEFAULT_M_MAX) -> dict:
-    if gf.kind == "glued":
+    if gf.parts:
         out = _cmd_glue(gf, 2)
         out["components_detail"] = [
             {"input": part.payload, **_class_dict(part.classification),

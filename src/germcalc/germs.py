@@ -71,14 +71,7 @@ class CyclicQuotientGerm(FrozenRecord):
                  side_coeff: Fraction = Fraction(0)):
         conductor_coeff = as_fraction(conductor_coeff, BadParameters, "conductor coefficient")
         side_coeff = as_fraction(side_coeff, BadParameters, "side coefficient")
-        if type(n) is not int or type(q) is not int:
-            raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
-        if n < 1:
-            raise BadParameters(f"order n = {n} must be >= 1")
-        if not 1 <= q <= n:
-            raise BadParameters(f"weight q = {q} outside [1, {n}]")
-        if gcd(n, q) != 1:
-            raise BadParameters(f"gcd({n}, {q}) != 1")
+        _check_order_weight(n, q)
         # each denominator is positive, so the ranges are checked on the
         # numerators against the denominators
         if not 0 < conductor_coeff.numerator <= conductor_coeff.denominator:
@@ -94,6 +87,12 @@ class CyclicQuotientGerm(FrozenRecord):
         return Fraction(d - p, d * self.n)
 
     @memoized
+    def classification(self) -> GermClass:
+        """classify_lc_germ of the germ's graph, once per germ object. A
+        classification that raises stores nothing and raises on every read."""
+        return classify_lc_germ(self._graph)
+
+    @memoized
     def _graph(self) -> ResolutionGraph:
         """resolution_graph, built once per germ object."""
         chain = hj_expand(self.n, self.q)
@@ -105,11 +104,6 @@ class CyclicQuotientGerm(FrozenRecord):
         if self.side_coeff.numerator:
             branches.append((right, self.side_coeff))
         return ResolutionGraph.chain(chain, branches)
-
-    @memoized
-    def _class(self) -> GermClass:
-        """germ_class, classified once per germ object."""
-        return classify_lc_germ(self._graph)
 
 
 class GermTag(str, Enum):
@@ -152,6 +146,10 @@ class GermClass(FrozenRecord):
                  violation: str | None = None):
         if gamma is not None:
             gamma = as_fraction(gamma, BadParameters, "gamma")
+        # GermTag has members, so it has no subclass: a str equal to a
+        # member's value passes == but no is test
+        if type(tag) is not GermTag:
+            raise BadParameters(f"tag {tag!r} is not a GermTag")
         if tag is GermTag.PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
@@ -209,27 +207,32 @@ class NonNormalGerm(FrozenRecord):
                 Trichotomy.ONE_COMPONENT_PLT: ClassGroup.TORSION}.get(self.trichotomy)
 
 
-def hj_expand(n: int, q: int) -> list[int]:
-    """Continued-fraction string [c_1, ..., c_k] with
-    n/q = c_1 - 1/(c_2 - 1/(... - 1/c_k)) and every c_i >= 2.
-
-    The smooth case n = 1 returns the empty string. A string longer
-    than VERTEX_LIMIT raises LimitExceeded as soon as its next entry
-    would pass the limit, so n/(n-1), which has n - 1 entries, costs at
-    most VERTEX_LIMIT steps whatever n is.
-    """
+def _check_order_weight(n, q) -> None:
+    """Refuse an order n and weight q that are not ints with n >= 1,
+    1 <= q <= n and gcd(n, q) = 1; q = n passes only at n = 1."""
     if type(n) is not int or type(q) is not int:
         raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
     if n < 1:
         raise BadParameters(f"order n = {n} must be >= 1")
-    if n == 1:
-        if q != 1:
-            raise BadParameters("n = 1 requires q = 1")
-        return []
-    if not 1 <= q < n:
-        raise BadParameters(f"weight q = {q} outside [1, {n - 1}]")
+    if not 1 <= q <= n:
+        raise BadParameters(f"weight q = {q} outside [1, {n}]")
     if gcd(n, q) != 1:
         raise BadParameters(f"gcd({n}, {q}) != 1")
+
+
+def hj_expand(n: int, q: int) -> list[int]:
+    """Continued-fraction string [c_1, ..., c_k] with
+    n/q = c_1 - 1/(c_2 - 1/(... - 1/c_k)) and every c_i >= 2.
+
+    Refuses the pairs CyclicQuotientGerm refuses, with its texts. The
+    smooth case n = 1 returns the empty string. A string longer
+    than VERTEX_LIMIT raises LimitExceeded as soon as its next entry
+    would pass the limit, so n/(n-1), which has n - 1 entries, costs at
+    most VERTEX_LIMIT steps whatever n is.
+    """
+    _check_order_weight(n, q)
+    if n == 1:
+        return []
     out = []
     n0, q0 = n, q
     while q > 0:
@@ -253,12 +256,6 @@ def resolution_graph(germ: CyclicQuotientGerm) -> ResolutionGraph:
     shared too.
     """
     return germ._graph
-
-
-def germ_class(germ: CyclicQuotientGerm) -> GermClass:
-    """classify_lc_germ of the germ's graph, once per germ object. A
-    classification that raises caches nothing and raises on every call."""
-    return germ._class
 
 
 def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None]:
@@ -396,7 +393,7 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
 
     # a component with a conductor classifies as CYCLIC_NONPLT at side 1
     # and as PLT_CHAIN below it, so every component is one of the two
-    classes = [germ_class(c) for c in components]
+    classes = [c.classification for c in components]
     if any(cl.tag in LC_CENTER_TAGS for cl in classes):
         index = lcm(*(cl.cartier_index for cl in classes))
         return NonNormalGerm(components, Trichotomy.LC_CENTER_CASE,

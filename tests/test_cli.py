@@ -42,7 +42,7 @@ def write(tmp_path, text, name="germ.json"):
 
 def test_parse_valid_cyclic_quotient():
     gf = parse_germ_file(PLT_GERM)
-    assert gf.kind == "cyclic_quotient"
+    assert gf.payload["kind"] == "cyclic_quotient"
     assert gf.germ.n == 5 and gf.germ.side_coeff == Fraction(1, 2)
 
 
@@ -53,7 +53,7 @@ def test_parse_rejects_non_coprime():
 
 def test_parse_valid_dual_graph():
     gf = parse_germ_file(GRAPH)
-    assert gf.kind == "dual_graph"
+    assert gf.payload["kind"] == "dual_graph"
     assert gf.graph == ResolutionGraph.chain([3, 2], [(0, 1), (1, Fraction(2, 3))])
 
 
@@ -486,7 +486,7 @@ def test_report_numeric_fields_reproducible(tmp_path, capsys):
         assert main(["report", write(tmp_path, text)]) == 0
         rep = json.loads(capsys.readouterr().out)
         gf = parse_germ_file(json.dumps(rep["input"]))
-        g = resolution_graph(gf.germ) if gf.kind == "cyclic_quotient" else gf.graph
+        g = resolution_graph(gf.germ) if gf.payload["kind"] == "cyclic_quotient" else gf.graph
         assert rep["discrepancies"] == [str(-b) for b in boundary_coefficients(g)]
         assert rep["cartier_index"] == cartier_index(g)
         cls = classify_lc_germ(g)

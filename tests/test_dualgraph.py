@@ -405,7 +405,7 @@ def test_the_integer_record_matches_the_dense_oracle(g):
         assert den > 0
         assert boundary_coefficients(g) == dense
         assert tuple(Fraction(x, den) for x in numerators) == dense
-    gf = GermFile("dual_graph", graph=g)
+    gf = GermFile(graph=g)
     if index is None:
         with pytest.raises(NotApplicable):
             gf.discrepancy

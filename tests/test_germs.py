@@ -12,9 +12,9 @@ from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                                 log_canonical_class, LcClass)
 from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
                              NotApplicable)
-from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermTag,
+from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy, check_slc_glue, classify_lc_germ,
-                            classify_nonnormal, different_coeff, germ_class,
+                            classify_nonnormal, different_coeff,
                             hj_expand, resolution_graph)
 
 HALF = Fraction(1, 2)
@@ -49,6 +49,22 @@ def test_hj_contract_examples(chain, nq):
 def test_hj_expand_rejects_bad_parameters(n, q):
     with pytest.raises(BadParameters):
         hj_expand(n, q)
+
+
+# one check of (n, q) serves both: a pair either refuses has the same text
+@pytest.mark.parametrize("n, q, message", [
+    (1, 2, "weight q = 2 outside [1, 1]"),
+    (5, 5, "gcd(5, 5) != 1"),
+    (4, 2, "gcd(4, 2) != 1"),
+    (5, 0, "weight q = 0 outside [1, 5]"),
+    (0, 1, "order n = 0 must be >= 1"),
+    (5, 2.0, "order n = 5 and weight q = 2.0 must be integers"),
+])
+def test_hj_expand_and_the_germ_refuse_a_pair_with_one_text(n, q, message):
+    for make in (hj_expand, CyclicQuotientGerm):
+        with pytest.raises(BadParameters) as info:
+            make(n, q)
+        assert str(info.value) == message
 
 
 def test_hj_expand_stops_at_the_vertex_limit():
@@ -359,8 +375,8 @@ def test_classification_invariant_under_relabelling(shape, data):
 
 def test_germ_class_is_cached_per_germ_object():
     germ = CyclicQuotientGerm(5, 2, 1, HALF)
-    cls = germ_class(germ)
-    assert germ_class(germ) is cls
+    cls = germ.classification
+    assert germ.classification is cls
     assert cls == classify_lc_germ(resolution_graph(germ))
 
 
@@ -368,8 +384,8 @@ def test_a_raising_germ_class_caches_nothing():
     germ = CyclicQuotientGerm(3, 1, HALF, 0)  # klt: no coefficient-1 branch
     for _ in range(2):
         with pytest.raises(NotApplicable, match="KLT, not plt or lc-center"):
-            germ_class(germ)
-    assert "_class" not in vars(germ)
+            germ.classification
+    assert "classification" not in vars(germ)
 
 
 @pytest.mark.parametrize("g", [
@@ -539,7 +555,7 @@ def test_a_component_with_a_conductor_is_a_plt_chain_or_a_cyclic_lc_center(side)
         for q in range(1, n + 1):
             if gcd(n, q) != 1 or (q == n and n > 1):
                 continue
-            cls = germ_class(CyclicQuotientGerm(n, q, 1, side))
+            cls = CyclicQuotientGerm(n, q, 1, side).classification
             assert (cls.tag is GermTag.PLT_CHAIN) is (side < 1)
             assert (cls.tag is GermTag.CYCLIC_NONPLT) is (side == 1)
 
@@ -595,6 +611,19 @@ def test_a_non_normal_record_the_classifier_never_makes_is_refused(components, t
                                                                    kwargs, message):
     with pytest.raises(BadParameters) as info:
         NonNormalGerm(components, trichotomy, **kwargs)
+    assert str(info.value) == message
+
+
+# a str equal to a member's value, a number and None: none is a GermTag,
+# so none can build a record, a plt chain without its gamma included
+@pytest.mark.parametrize("tag, index, message", [
+    ("PLT_CHAIN", 1, "tag 'PLT_CHAIN' is not a GermTag"),
+    (7, 1, "tag 7 is not a GermTag"),
+    (None, 3, "tag None is not a GermTag"),
+], ids=["str", "int", "None"])
+def test_a_germ_class_refuses_a_tag_that_is_no_germ_tag(tag, index, message):
+    with pytest.raises(BadParameters) as info:
+        GermClass(tag, index)
     assert str(info.value) == message
 
 

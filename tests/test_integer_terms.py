@@ -72,7 +72,7 @@ def test_the_different_and_the_conductor_tests_are_the_fraction_forms(germ):
 
 @given(germs())
 def test_the_report_different_and_modification_are_the_fraction_forms(germ):
-    gf = cli._germ_file(germ)
+    gf = cli.GermFile(germ=germ)
     out = cli._cmd_report(gf, 1)
     try:
         cls = gf.classification
@@ -91,7 +91,7 @@ def test_the_report_different_and_modification_are_the_fraction_forms(germ):
 
 def test_a_slope_of_1_has_no_negative_zero():
     # n = 1 with no side: gamma = 1, so both fields are 0
-    gf = cli._germ_file(CyclicQuotientGerm(1, 1))
+    gf = cli.GermFile(germ=CyclicQuotientGerm(1, 1))
     assert gf.classification.gamma == 1
     assert gf.modification == fraction_modification(Fraction(1)) == {
         "extracted_coeff": "0", "extracted_discrepancy": "0", "perturbed": False}

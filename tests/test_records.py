@@ -49,8 +49,8 @@ RECORDS = [
     (ResidueReport, "m source_exponent target_exponent", (3, 1, 2), (3, 1, 3), 0),
     (ResidueTable, "p n m_max", (1, 10, 24), (1, 10, 6), 0),
     (CoeffCheck, "c m", (HALF, 2), (HALF, 3), 0),
-    (GermFile, "kind germ graph parts glue_ok payload",
-     ("glued", None, None, (), True, None), ("glued", None, None, (), False, None), 5),
+    (GermFile, "germ graph parts payload",
+     (None, None, (), None), (GERM, None, (), None), 4),
 ]
 IDS = [case[0].__name__ for case in RECORDS]
 # the fields that __init__ computes from its arguments, stored after
@@ -385,7 +385,7 @@ def _counting(monkeypatch, module, name):
     (lambda: ResolutionGraph.chain([2, 2], [(0, 1)]), "_elimination",
      dualgraph, "_eliminate"),
     (lambda: CyclicQuotientGerm(5, 2, 1, HALF), "_graph", germs, "hj_expand"),
-    (lambda: GermFile("dual_graph", graph=ResolutionGraph.chain([2, 2], [(0, 1)])),
+    (lambda: GermFile(graph=ResolutionGraph.chain([2, 2], [(0, 1)])),
      "classification", cli, "classify_lc_germ"),
 ], ids=["ResolutionGraph", "CyclicQuotientGerm", "GermFile"])
 def test_a_cached_property_is_computed_once(monkeypatch, make, prop, module, function):
@@ -402,7 +402,7 @@ def test_a_cached_property_is_computed_once(monkeypatch, make, prop, module, fun
 # the per-object analyses, each stored by memoized on its first read
 ANALYSES = {
     GermFile: ("discrepancy", "classification", "modification"),
-    CyclicQuotientGerm: ("gamma", "_graph", "_class"),
+    CyclicQuotientGerm: ("gamma", "classification", "_graph"),
     ResolutionGraph: ("_elimination", "_lc_class", "_cartier_index"),
 }
 
@@ -457,7 +457,7 @@ def test_a_memoized_analysis_takes_no_lock_and_runs_once(monkeypatch, cls, name)
 
 @pytest.mark.parametrize("make, cls, name", [
     # no coefficient-1 branch: the germ is klt, so classify is not applicable
-    (lambda: GermFile("dual_graph", graph=ResolutionGraph.chain([2, 2], [(0, HALF)])),
+    (lambda: GermFile(graph=ResolutionGraph.chain([2, 2], [(0, HALF)])),
      GermFile, "classification"),
     # b = 3/2 > 1 on the one curve: not log canonical, so no Cartier index
     (lambda: ResolutionGraph.chain([2], [(0, 1)] * 3), ResolutionGraph, "_cartier_index"),

@@ -200,7 +200,7 @@ def plt_modification(n, d):
     """(extracted_discrepancy, extracted_coeff) of the order-n plt chain
     with boundary drop d, read from the report's modification fields."""
     germ = CyclicQuotientGerm(n, 1, 1, 1 - Fraction(d))
-    mod = GermFile("cyclic_quotient", germ=germ).modification
+    mod = GermFile(germ=germ).modification
     return parse_rat(mod["extracted_discrepancy"]), parse_rat(mod["extracted_coeff"])
 
 
