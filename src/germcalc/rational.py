@@ -17,6 +17,8 @@ from .errors import GermError, LimitExceeded
 
 DIGITS_EXCEEDED = ("a number in the result has more digits than the "
                    "interpreter's integer-to-text conversion limit")
+INPUT_DIGITS_EXCEEDED = ("a number in the input has more digits than the "
+                         "interpreter's text-to-integer conversion limit")
 
 # ASCII: \d alone would match any Unicode decimal digit, which int() reads,
 # and \s, like str.strip, any Unicode space; padding is [ \t\n\r\f\v] only
@@ -27,13 +29,18 @@ def parse_rat(text: str) -> Fraction:
     """Parse the canonical form ``a/b``, or ``a`` when the denominator is 1.
 
     Decimal notation is rejected on purpose: the file format never goes
-    through binary floats.
+    through binary floats. Raises LimitExceeded when a term has more
+    digits than the interpreter converts from text (4300 by default).
     """
     m = _RAT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError as exc:
+        # the pattern admits only digits, so only the digit limit raises
+        raise LimitExceeded(INPUT_DIGITS_EXCEEDED) from exc
     return Fraction(num, den)
 
 
@@ -65,15 +72,21 @@ def format_ratio(num: int, den: int) -> str:
 def format_ratios(numerators, den: int) -> list[str]:
     """``[format_ratio(x, den) for x in numerators]``, with the text of
     each distinct reduced denominator made once, however many numerators
-    share it. Raises LimitExceeded as format_ratio does."""
+    share it. A run of equal numerators, such as the b = 1 curves of an
+    lc-center arm, is reduced once: each numerator equal to the one
+    before it reuses that one's text. Raises LimitExceeded as
+    format_ratio does."""
     texts, out = {den: ""}, []
+    prev = text = None
     try:
         for x in numerators:
-            g = gcd(x, den)
-            text = texts.get(g)
-            if text is None:
-                text = texts[g] = f"/{den // g}"
-            out.append(f"{x // g}{text}")
+            if x != prev:
+                g = gcd(x, den)
+                tail = texts.get(g)
+                if tail is None:
+                    tail = texts[g] = f"/{den // g}"
+                prev, text = x, f"{x // g}{tail}"
+            out.append(text)
     except ValueError as exc:
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
     return out

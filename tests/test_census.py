@@ -6,7 +6,8 @@ every minimal plt or lc-center germ whose boundary coefficients are at
 least 1/2, one of the shapes of ``germs.SHAPES`` or a plt chain fits.
 The second holds ``log_canonical_class`` on trees with no boundary to
 the list of log canonical surface singularities of Kollár-Mori 1998,
-Theorem 4.7.
+Theorem 4.7. The third holds a plt chain's gamma, read off the
+elimination, to the closed form (1 - c)/n of its continued fraction.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from germcalc.dualgraph import (BoundaryBranch, LcClass, ResolutionGraph, is_con
                                 log_canonical_class)
 from germcalc.errors import NotApplicable
 from germcalc.germs import GermTag, classify_lc_germ
+from graph_oracle import continued_fraction
 
 
 def parent_arrays(k: int):
@@ -138,3 +140,29 @@ def test_log_canonical_class_of_boundary_free_trees_is_kollar_mori_4_7():
                 counts[expected] = counts.get(expected, 0) + 1
     assert total == 8_566
     assert counts == {LcClass.KLT: 2_634, LcClass.LC_CENTER: 148, LcClass.NOT_LC: 5_606}
+
+
+# the coefficient on the far end of a chain: 0 for no branch, or one below 1
+FAR_COEFFS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+
+
+def test_a_plt_chains_gamma_is_one_minus_its_far_coefficient_over_n():
+    # chains of 1..5 curves, labels 2..5, the coefficient-1 branch on
+    # curve 1 and a branch of coefficient c (0 for none) on the last: a
+    # chain whose string is n/q has gamma = (1 - c)/n, with n from the
+    # continued fraction alone
+    chains = 0
+    for k in range(1, 6):
+        edges = [(i, i + 1) for i in range(k - 1)]
+        for labels in product(range(2, 6), repeat=k):
+            n, _ = continued_fraction(labels)
+            for c in FAR_COEFFS:
+                branches = [BoundaryBranch(0, 1)]
+                if c:
+                    branches.append(BoundaryBranch(k - 1, c))
+                cls = classify_lc_germ(ResolutionGraph(labels, edges, branches))
+                if cls.tag is not GermTag.PLT_CHAIN:
+                    continue
+                chains += 1
+                assert cls.gamma == (1 - c) / n, (labels, c)
+    assert chains == 6_820

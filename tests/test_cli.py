@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from residue_oracle import fraction_table
 from germcalc import cli, dualgraph, germs
 from germcalc.cli import M_MAX_LIMIT, main, parse_germ_file
-from germcalc.dualgraph import HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph
+from germcalc.dualgraph import (HADAMARD_BIT_LIMIT, VERTEX_LIMIT, ResolutionGraph,
+                                boundary_coefficients, solved_numerators)
 from germcalc.errors import LimitExceeded, NotApplicable, ParseError, ValidationError
-from germcalc.rational import DIGITS_EXCEEDED, parse_rat
+from germcalc.rational import DIGITS_EXCEEDED, INPUT_DIGITS_EXCEEDED, format_rat, parse_rat
 from germcalc.residue import FAILURE_COEFF_LIMIT, ResidueTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -492,6 +493,34 @@ def test_report_numeric_fields_reproducible(tmp_path, capsys):
         cls = classify_lc_germ(g)
         assert rep["classification"]["gamma"] == str(cls.gamma)
         assert F(rep["different"]) == 1 - cls.gamma
+
+
+def lc_center_fork(tag, curves):
+    """A D31 or D32 fork of ``curves`` curves whose arm labels cycle 2, 2,
+    2, 3: every arm curve has b = 1, so the numerators repeat along it."""
+    arm = curves - (2 if tag == "DIHEDRAL_31" else 1)
+    chain = [(2, 2, 2, 3)[i % 4] for i in range(arm)]
+    if tag == "DIHEDRAL_31":
+        return {"kind": "dual_graph", "chain": chain,
+                "forks": [[arm, 2], [arm, 2]], "branches": [[1, "1"]]}
+    return {"kind": "dual_graph", "chain": chain,
+            "forks": [[arm, 2]], "branches": [[1, "1"], [arm, "1/2"]]}
+
+
+@pytest.mark.parametrize("tag", ["DIHEDRAL_31", "DIHEDRAL_32"])
+def test_a_long_lc_center_report_matches_the_fraction_route(tmp_path, capsys, tag):
+    # D has 192 digits; Fraction reduces each b on its own, sharing no
+    # code with the writer's run of equal numerators
+    text = json.dumps(lc_center_fork(tag, 1000))
+    g = parse_germ_file(text).graph
+    assert len(str(solved_numerators(g)[1])) == 192
+    assert main(["report", write(tmp_path, text)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["case"] == tag and rep["cartier_index"] == 2
+    bs = boundary_coefficients(g)
+    assert rep["discrepancies"] == [format_rat(-b) for b in bs]
+    assert rep["modification"]["extracted_curves"] == [
+        i + 1 for i, b in enumerate(bs) if b == 1]
 
 
 def test_verbose_summary_on_stderr(tmp_path, capsys, monkeypatch):
@@ -1051,6 +1080,24 @@ def test_the_largest_dihedral_31_fork_reports_its_class(tmp_path, capsys):
     assert report["classification"]["cartier_index"] == 2
     assert report["discrepancies"][-2:] == ["-1/2", "-1/2"]
     assert report["modification"]["kept_curves"] == [arm + 1, arm + 2]
+
+
+LONG_DEN = "1/" + "1" * 5000  # a canonical rational whose denominator has 5000 digits
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["report"], {"kind": "cyclic_quotient", "n": 5, "q": 2, "side": LONG_DEN}),
+    (["failure-m", "--coeffs", "1/2," + LONG_DEN], None),
+    (["stdcoeff", "--c", LONG_DEN, "--m", "2"], None),
+], ids=["side", "failure-m", "stdcoeff"])
+def test_a_rational_string_past_the_digit_limit_is_limit_exceeded(tmp_path, capsys,
+                                                                  argv, record):
+    # the error names the package's digit limit, not the interpreter's advice
+    if record is not None:
+        argv = [*argv, write(tmp_path, json.dumps(record))]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "LimitExceeded", "message": INPUT_DIGITS_EXCEEDED}
 
 
 def test_an_integer_past_the_digit_limit_is_limit_exceeded(capsys):

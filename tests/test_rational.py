@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germcalc.errors import LimitExceeded
-from germcalc.rational import format_rat, format_ratio, format_ratios, parse_rat
+from germcalc.rational import (INPUT_DIGITS_EXCEEDED, format_rat, format_ratio,
+                               format_ratios, parse_rat)
 from residue_oracle import ceil_scale
 
 
@@ -68,6 +69,37 @@ def test_format_ratios_is_format_ratio_of_each(nums, den):
     assert format_ratios(iter(nums), den) == [format_ratio(x, den) for x in nums]
 
 
+# values small, huge and negative, each repeated 1-30 times in a row: the
+# b = 1 arm of an lc-center germ is one long run of a D-sized numerator.
+# Runs take their magnitudes from a pool of a few, each with a sign, so
+# that neighbouring runs often share a magnitude or a value.
+MAGNITUDES = st.integers(0, 10**6) | st.integers(0) | st.integers(0, 10**60)
+
+
+@given(st.lists(MAGNITUDES, min_size=1, max_size=3).flatmap(
+           lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1]),
+                                           st.integers(1, 30)), max_size=12)),
+       st.sampled_from([1, 2, 12, 720, 10**30 * 6]) | st.integers(min_value=1))
+def test_format_ratios_on_runs_is_format_ratio_of_each(runs, den):
+    nums = [sign * x for x, sign, k in runs for _ in range(k)]
+    assert format_ratios(iter(nums), den) == [format_ratio(x, den) for x in nums]
+
+
+@pytest.mark.parametrize("nums", [[10**5000] * 3, [2, 2, 2, 10**5000, 10**5000]],
+                         ids=["first", "after-a-run"])
+def test_a_run_past_the_digit_limit_is_limit_exceeded(nums):
+    # a run is reduced on its first value, so that value still raises,
+    # whether it opens the list or follows a run that formats
+    with pytest.raises(LimitExceeded):
+        format_ratios(iter(nums), 3)
+
+
+def test_equal_numerators_over_other_denominators_keep_their_own_texts():
+    assert format_ratios([6, 6, 6], 4) == ["3/2"] * 3
+    assert format_ratios([6, 6, 6], 9) == ["2/3"] * 3
+    assert format_ratios([6, 6], 3) == ["2", "2"]
+
+
 @pytest.mark.parametrize("num, den", [(10**5000, 3), (-1, 10**5000), (3 * 10**5000, 3)],
                          ids=["numerator", "denominator", "integer"])
 def test_format_past_the_digit_limit_is_limit_exceeded(num, den):
@@ -100,3 +132,13 @@ def test_parse_rat_accepts_canonical_forms(text, value):
 def test_parse_rat_rejects_noncanonical_forms(text):
     with pytest.raises(ValueError):
         parse_rat(text)
+
+
+@pytest.mark.parametrize("text", ["1/" + "1" * 5000, "1" * 5000, "-" + "7" * 5000 + "/3"],
+                         ids=["denominator", "integer", "numerator"])
+def test_parse_rat_past_the_digit_limit_is_limit_exceeded(text):
+    # the literal is canonical; only int-from-text refuses it, and the
+    # message is the package's, not the interpreter's advice
+    with pytest.raises(LimitExceeded) as info:
+        parse_rat(text)
+    assert str(info.value) == INPUT_DIGITS_EXCEEDED
