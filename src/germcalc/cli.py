@@ -580,13 +580,13 @@ def _emit(obj, pad: str, append) -> None:
         # keys in sorted order
         inner = pad + "  "
         key = inner + '  "'
-        row = ("{" + key + 'deficit": %d,' + key + 'm": %d,' + key + 'source_exponent": %d,'
-               + key + 'surjective": %s,' + key + 'target_exponent": %d' + inner + "}")
+        row = ("{" + key + 'deficit": 0,' + key + 'm": %d,' + key + 'source_exponent": %d,'
+               + key + 'surjective": true,' + key + 'target_exponent": %d' + inner + "}")
         p, n, sep = obj.p, obj.n, "[" + inner
         for m in range(1, obj.m_max + 1):
-            source, target, deficit = restriction_exponents(m, p, n)
+            source, target = restriction_exponents(m, p, n)
             append(sep)
-            append(row % (deficit, m, source, "false" if deficit else "true", target))
+            append(row % (m, source, target))
             sep = "," + inner
         append(pad + "]" if obj.m_max >= 1 else "[]")
     else:
@@ -602,14 +602,16 @@ def _dumps(payload: dict) -> str:
     A payload is built fresh from dicts with str keys, lists, and str,
     int, bool and None leaves, so it holds no cycle and no float. The
     one value that is not JSON it takes is a ``residue.ResidueTable``,
-    written as json would write its list of row dicts, each row straight
-    from ``restriction_exponents``. The dispatch is on the exact type:
-    any other type, a subclass included, raises TypeError. A list of at
-    least _JOIN_MIN items that are all exactly str or all exactly int,
-    the bulk of a long report, is written by one join. Any other list
-    writes its str and int items in its own loop by the same exact-type
-    rule, with no call per item; its other items (bool, None, dict,
-    list, ``ResidueTable``, or a type to refuse) go through the dispatch.
+    written as json would write its list of row dicts: each row fills m
+    and ``restriction_exponents``' two exponents into one template, with
+    deficit 0 and surjective true as constants, since the exponents
+    always agree. The dispatch is on the exact type: any other type, a
+    subclass included, raises TypeError. A list of at least _JOIN_MIN
+    items that are all exactly str or all exactly int, the bulk of a
+    long report, is written by one join. Any other list writes its str
+    and int items in its own loop by the same exact-type rule, with no
+    call per item; its other items (bool, None, dict, list,
+    ``ResidueTable``, or a type to refuse) go through the dispatch.
     """
     parts: list[str] = []
     try:

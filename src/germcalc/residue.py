@@ -4,11 +4,13 @@ For a plt chain germ the restriction of the invariant generator of the
 m-th pluri-log-canonical sheaf to the conductor has pole order governed
 by ceil(m * gamma), while the target sheaf twists by floor(m * (1 -
 gamma)); the identity m - ceil(m g) = floor(m (1 - g)) makes the
-restriction surjective for every m. With several fractional branches
-through one point the floor of the sum can exceed the sum of floors,
-and the first m where it does is the obstruction this module hunts
-down. The glued computation records how the single-branch picture
-degrades when two components meet along their conductors.
+restriction surjective for every m, so the single-branch table is
+determined by gamma and each row is written from ceil(m g) alone. With
+several fractional branches through one point the floor of the sum can
+exceed the sum of floors, and the first m where it does is the
+obstruction this module hunts down. The glued computation records how
+the single-branch picture degrades when two components meet along their
+conductors.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class ResidueReport(FrozenRecord):
     """Exponent comparison for one power m. The last two fields are
     computed: the ``deficit`` target - (m - source), the target capacity
     minus the image capacity, must not be negative, and ``surjective``
-    is whether it is 0."""
+    is whether it is 0. The refusal checks exponents passed in by hand;
+    single_branch_report's always give deficit 0."""
 
     _fields = ("m", "source_exponent", "target_exponent", "surjective", "deficit")
 
@@ -45,43 +48,35 @@ class ResidueReport(FrozenRecord):
                   surjective=deficit == 0, deficit=deficit)
 
 
-def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int, int]:
-    """Source exponent ceil(m g), target exponent floor(m (1 - g)) and
-    their deficit in degree m >= 1, for the slope g = p/n with n >= 1.
+def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int]:
+    """Source exponent ceil(m g) and target exponent floor(m (1 - g)) in
+    degree m >= 1, for the slope g = p/n with n >= 1.
 
-    Both exponents are integer floor divisions. The deficit, target
-    capacity minus image capacity, is re-derived instead of assumed and
-    must not be negative.
+    The target is m minus the source: floor(m - x) = m - ceil(x) for
+    every rational x, so the two sides always agree.
     """
     source = -((-m * p) // n)
-    target = (m * (n - p)) // n
-    deficit = target - (m - source)
-    if deficit < 0:
-        raise BadParameters("negative deficit")
-    return source, target, deficit
+    return source, m - source
 
 
 def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
-    """Compare both sides of the restriction in degree m.
-
-    Source and target exponents are computed independently; their
-    agreement (m - source = target) is re-derived every call instead of
-    assumed.
-    """
+    """Both sides of the restriction in degree m, as a ResidueReport
+    whose deficit is 0 by restriction_exponents' identity."""
     if germ.conductor_coeff != 1:
         raise NotApplicable("restriction taken along a branch of coefficient != 1")
     if m < 1:
         raise BadParameters("m must be >= 1")
     gamma = germ.gamma
-    source, target, _ = restriction_exponents(m, gamma.numerator, gamma.denominator)
+    source, target = restriction_exponents(m, gamma.numerator, gamma.denominator)
     return ResidueReport(m, source, target)
 
 
 class ResidueTable(FrozenRecord):
     """single_branch_report's fields for m = 1..m_max at the slope
-    p/n in [0, 1], as one value: ``cli._dumps`` writes each row straight
-    from restriction_exponents, so no row is built. Any germ of that
-    slope gives the same exponents, so none is kept.
+    p/n in [0, 1], as one value: ``cli._dumps`` writes each row from
+    restriction_exponents, with deficit 0 and surjective true as
+    constants, so no row is built. Any germ of that slope gives the
+    same exponents, so none is kept.
     """
 
     _fields = ("p", "n", "m_max")

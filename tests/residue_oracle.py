@@ -9,14 +9,14 @@ restriction is surjective exactly when the deficit vanishes. The
 glued restriction coefficient is the Fraction formula that
 ``glued_restriction_coeff`` replaced by its integer form, and the
 comparison of its two sides is the one ``glue`` prints as ``equal``,
-with the refusals that leave it unavailable.
+with the refusals that leave it unavailable; the slopes of the two
+sides are compared here too, not by ``germcalc.germs``.
 """
 
 from fractions import Fraction
 from math import floor
 
 from germcalc.errors import BadParameters, GlueMismatch
-from germcalc.germs import check_slc_glue
 
 
 def ceil_scale(m: int, q) -> int:
@@ -54,13 +54,17 @@ def fraction_glued_restriction_coeff(m: int, n: int, c) -> Fraction:
 
 def fraction_glued_mcartier(m: int, g1, g2) -> bool:
     """Whether the two sides' Fraction glued restriction coefficients
-    agree. GlueMismatch refuses a pair outside the 1/n(1,1) model or
-    with unequal slopes, and BadParameters a side of 0 or 1: the pairs
-    that ``glue`` flags restriction-unavailable."""
+    agree. GlueMismatch refuses a pair outside the 1/n(1,1) model, with
+    a conductor coefficient other than 1, or with unequal slopes
+    (1 - side)/n, and BadParameters a side of 0 or 1: the pairs that
+    ``glue`` flags restriction-unavailable."""
     for g in (g1, g2):
         if g.q != 1:
             raise GlueMismatch("restriction formula needs the 1/n(1,1) model (q = 1)")
-    if not check_slc_glue(g1, g2):
+        if g.conductor_coeff != 1:
+            raise GlueMismatch("the glue needs conductor coefficient 1")
+    slope1, slope2 = ((1 - g.side_coeff) / g.n for g in (g1, g2))
+    if slope1 != slope2:
         raise GlueMismatch("differents disagree, the pair does not glue")
     return (fraction_glued_restriction_coeff(m, g1.n, 1 - g1.side_coeff)
             == fraction_glued_restriction_coeff(m, g2.n, 1 - g2.side_coeff))

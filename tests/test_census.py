@@ -74,16 +74,6 @@ def test_every_minimal_plt_or_lc_center_census_germ_fits_a_shape():
     assert (total, lc, minimal) == (36_459, 2_376, 828)
 
 
-def continuant(labels) -> int:
-    """The determinant of minus the intersection matrix of a chain of
-    curves with these labels: K(c_1, ..., c_k) = c_1 K(c_2, ..., c_k)
-    - K(c_3, ..., c_k), with K() = 1."""
-    det, prev = 1, 0
-    for c in reversed(labels):
-        det, prev = c * det - prev, det
-    return det
-
-
 def kollar_mori_class(labels, edges) -> LcClass:
     """The class of a contractible tree with no boundary and labels >= 2
     by Kollár-Mori 1998, Theorem 4.7. A chain is klt. A star with three
@@ -113,7 +103,7 @@ def kollar_mori_class(labels, edges) -> LcClass:
                 if not ahead:
                     break
                 prev, w = w, ahead[0]
-            total += Fraction(1, continuant(arm))
+            total += Fraction(1, continued_fraction(arm)[0])
         return (LcClass.KLT if total > 1 else LcClass.LC_CENTER if total == 1
                 else LcClass.NOT_LC)
     if len(forks) == 1 and len(adj[forks[0]]) == 4 and all(map(is_two_leaf, adj[forks[0]])):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_oracle import (fraction_glued_mcartier,
+from residue_oracle import (ceil_scale, fraction_glued_mcartier,
                             fraction_glued_restriction_coeff, fraction_table)
 from toric_oracle import image_pole_order, target_exponent, toric_different
 from germcalc import cli
@@ -76,6 +76,15 @@ def test_the_written_table_is_the_text_of_the_fraction_oracle(gamma, m_max):
     # written at two indents
     for wrap in (lambda t: t, lambda t: {"m_max": m_max, "report": {"residue_table": t}}):
         assert cli._dumps(wrap(table)) == json.dumps(wrap(rows), sort_keys=True, indent=2)
+
+
+@settings(max_examples=500)
+@given(m=st.integers(1, 10**30), n=st.integers(1, 10**40), p=st.integers())
+def test_the_exponents_are_the_ceiling_and_the_floor_on_big_terms(m, n, p):
+    # floor(m - x) = m - ceil(x) for every rational x, so the identity
+    # holds for a slope p/n outside [0, 1] too
+    slope = Fraction(p, n)
+    assert restriction_exponents(m, p, n) == (ceil_scale(m, slope), floor(m * (1 - slope)))
 
 
 @pytest.mark.parametrize("gamma", [Fraction(-1, 3), Fraction(4, 3)])
@@ -311,11 +320,11 @@ def test_the_toric_scan_is_the_restriction_side():
                 assert different_coeff(germ) == toric_different(n, s)
                 for m in range(1, 17):
                     pole = image_pole_order(m, n, q, s)
-                    source, target, deficit = restriction_exponents(m, p, d)
+                    source, target = restriction_exponents(m, p, d)
                     assert pole == m - source
                     assert target == target_exponent(m, n, s)
                     assert target == floor(m * different_coeff(germ))
-                    assert (pole == target) == (deficit == 0)
+                    assert pole == target
                     if 0 < s < 1:
                         assert pole == floor(glued_restriction_coeff(m, n, 1 - s))
 
