@@ -37,7 +37,7 @@ from operator import neg
 from types import SimpleNamespace
 
 from ._record import FrozenRecord, memoized
-from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
+from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, LcClass, ResolutionGraph,
                         cartier_index, check_label, log_canonical_class,
                         solved_numerators)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
@@ -45,7 +45,8 @@ from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     resolution_graph)
-from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
+from .rational import (DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat,
+                       within_digit_limit)
 from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
                       restriction_exponents)
 from .stdcoeff import coeff_check
@@ -86,6 +87,11 @@ class GermFile(FrozenRecord):
         g = self._resolved
         lc = log_canonical_class(g)
         numerators, den = solved_numerators(g)
+        if lc is LcClass.NOT_LC and within_digit_limit((den, *numerators)):
+            # cartier_index refuses the germ before any text is made for
+            # it; a number that may pass the limit meets the writer's
+            # LimitExceeded first
+            cartier_index(g)
         return {"lc_class": lc.value,
                 "discrepancies": format_ratios(map(neg, numerators), den),
                 "cartier_index": cartier_index(g)}
@@ -196,7 +202,8 @@ def _graph_file(obj: dict) -> GermFile:
     if len(chain) + len(forks) > VERTEX_LIMIT:
         raise LimitExceeded(f"{len(chain) + len(forks)} curves exceed the "
                             f"limit {VERTEX_LIMIT}")
-    edges = [(i, i + 1) for i in range(len(chain) - 1)]
+    # each curve's parent: the one before it on the chain, a fork's attach curve
+    parent = list(range(-1, len(chain) - 1))
     for entry in forks:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
@@ -206,7 +213,7 @@ def _graph_file(obj: dict) -> GermFile:
         if not 1 <= attach <= n:
             raise ValidationError(f"fork attach index {attach} out of range 1..{n}")
         selfints.append(check_label(selfint))
-        edges.append((attach - 1, n))
+        parent.append(attach - 1)
     n = len(selfints)
     if not isinstance(branches, list):
         raise ValidationError("'branches' must be a list of [attach, coeff] entries")
@@ -228,7 +235,7 @@ def _graph_file(obj: dict) -> GermFile:
         brs.append(BoundaryBranch(attach - 1 if attach else None, coeff))
         norm_branches.append([attach, format_rat(coeff)])
     # chain and forks are echoed as read: every entry is checked to be an int
-    return GermFile(graph=ResolutionGraph(selfints, edges, brs), payload={
+    return GermFile(graph=ResolutionGraph._rooted(selfints, parent, brs), payload={
         "kind": "dual_graph", "chain": chain, "forks": forks, "branches": norm_branches})
 
 

@@ -40,12 +40,15 @@ must stay within HADAMARD_BIT_LIMIT bits, so the size of every number it
 makes is bounded before any work. The sum of the factors' bit lengths
 screens it: only a sum past the limit has the exact product built.
 
-All exceptional curves are assumed rational and the graph a tree. One
-breadth-first search from vertex 0, run by the constructor, checks the
-tree at construction time, and the elimination runs leaf to root along its
-order, so each graph is traversed once. Branches meet their attachment
-curve transversally in one point each, which is a modeling assumption
-rather than checked input.
+All exceptional curves are assumed rational and the graph a tree. The
+constructor from an edge set checks the tree by one breadth-first search
+from vertex 0; a reader that knows its tree, the chain and the dual-graph
+file, passes a parent array instead, every parent before its children,
+and no search runs. Either way the graph stores a root-to-leaf order with
+its parents, and the elimination runs leaf to root along it, so each
+graph is traversed once. Branches meet their attachment curve
+transversally in one point each, which is a modeling assumption rather
+than checked input.
 """
 
 from __future__ import annotations
@@ -99,14 +102,29 @@ def check_label(c: int) -> int:
     return c
 
 
+def _labels(selfints) -> tuple[int, ...]:
+    """The labels as a tuple of ints, by ``index`` and one ``min``; only on
+    a fault does ``check_label`` name the first that is not an integer or
+    is below 1."""
+    labels = tuple(selfints)
+    try:
+        labels = tuple(map(index, labels))
+    except TypeError:
+        labels = tuple(map(check_label, labels))  # raises at the first fault
+    if labels and min(labels) < 1:
+        for c in labels:
+            check_label(c)
+    return labels
+
+
 class ResolutionGraph(FrozenRecord):
     """Tree of exceptional curves plus attached boundary branches.
 
     Construction is one linear pass. ``edges`` may be any iterable of
     index pairs (a list, a set, either orientation): each pair is put in
     (low, high) order into the frozenset field, in the order the
-    iterable gives them, duplicates merged. ``__init__`` then checks,
-    in this order, and raises ValidationError at the first fault:
+    iterable gives them, duplicates merged. ``__init__`` checks, in this
+    order, and raises ValidationError at the first fault:
 
     * the labels, by ``index`` and one ``min``; only on a fault does
       ``check_label`` name the first that is not an integer or is below 1;
@@ -117,25 +135,21 @@ class ResolutionGraph(FrozenRecord):
     * the tree: n - 1 edges, then a breadth-first search from vertex 0
       that reaches all n, kept in ``_tree`` as (order, parent), ((), ()) if empty;
     * each branch attach index, in order.
+
+    ``chain`` and the CLI's dual-graph reader build through ``_rooted``
+    from a parent array instead: the same record, with the index order
+    as ``_tree``'s order, and only the label and attach checks.
     """
 
     _fields = ("selfints", "edges", "branches")
 
     def __init__(self, selfints: tuple[int, ...], edges: frozenset[tuple[int, int]],
                  branches: tuple[BoundaryBranch, ...] = ()):
-        labels = tuple(selfints)
-        try:
-            labels = tuple(map(index, labels))
-        except TypeError:
-            labels = tuple(map(check_label, labels))  # raises at the first fault
+        labels = _labels(selfints)
         # j < i is the comparison min(i, j) makes, so a pair that cannot
         # be ordered raises min's TypeError
         edges = frozenset([(j, i) if j < i else (i, j) for i, j in edges])
-        branches = tuple(branches)
         n = len(labels)
-        if labels and min(labels) < 1:
-            for c in labels:
-                check_label(c)
         adj: list[list[int]] = [[] for _ in range(n)]
         for i, j in edges:
             # a pair is (low, high), so 0 <= i < j < n is every check
@@ -162,22 +176,48 @@ class ResolutionGraph(FrozenRecord):
             parent[0] = -1
         if len(order) != n:
             raise ValidationError("edge set is not a tree on the vertex set")
-        # tuples: read-only, and smaller than the lists
-        self.__dict__.update(_adj=tuple(map(tuple, adj)), _tree=(tuple(order), tuple(parent)))
+        self._finish(labels, edges, branches, adj, order, parent)
+
+    @classmethod
+    def _rooted(cls, selfints, parent, branches=()) -> "ResolutionGraph":
+        """The graph whose curve v > 0 meets curve ``parent[v]``, where
+        ``parent[0] == -1`` and ``0 <= parent[v] < v``: every parent comes
+        before its children, so the index order is a root-to-leaf order of
+        the tree and no search is run. The parent array is trusted, not
+        checked; the labels and the branch attach indices are checked as
+        ``__init__`` checks them."""
+        labels = _labels(selfints)
+        n = len(labels)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for v in range(1, n):
+            p = parent[v]
+            adj[p].append(v)
+            adj[v].append(p)
+        g = cls.__new__(cls)
+        g._finish(labels, frozenset(zip(parent[1:], range(1, n))), branches,
+                  adj, range(n), parent)
+        return g
+
+    def _finish(self, labels, edges, branches, adj, order, parent) -> None:
+        """Check each branch attach index, in order, and store the record
+        with its neighbour tuples and its tree."""
+        branches = tuple(branches)
+        n = len(labels)
         for br in branches:
             if n == 0:
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
             elif type(br.attach) is not int or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach!r} out of range")
+        # tuples: read-only, and smaller than the lists
+        self.__dict__.update(_adj=tuple(map(tuple, adj)), _tree=(tuple(order), tuple(parent)))
         self._set(selfints=labels, edges=edges, branches=branches)
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":
         """Build a path graph; branches as (attach, coeff) pairs."""
-        k = len(selfints)
-        return cls(selfints, zip(range(k - 1), range(1, k)),
-                   [BoundaryBranch(a, c) for a, c in branches])
+        branches = [BoundaryBranch(a, c) for a, c in branches]
+        return cls._rooted(selfints, range(-1, len(selfints) - 1), branches)
 
     def with_fork(self, attach: int, selfint: int) -> "ResolutionGraph":
         """Return the graph with one extra leaf curve joined to ``attach``,
@@ -225,6 +265,9 @@ class ResolutionGraph(FrozenRecord):
         if self._lc_class is LcClass.NOT_LC:
             raise NotApplicable("germ is not log canonical")
         numerators, den = solved_numerators(self)
+        if self._lc_class is LcClass.LC_CENTER:
+            # a b = 1 curve's numerator is D itself, which leaves gcd(D, ...) as it is
+            numerators = [x for x in numerators if x != den]
         return lcm(den // gcd(den, *numerators),
                    *(br.coeff.denominator for br in self.branches))
 
@@ -242,9 +285,9 @@ def _eliminate(g: ResolutionGraph):
 
     Returns the record ``(numerators, den)`` for a contractible graph,
     and None for any other. Vertices are taken in reverse order of
-    ``g._tree``, the BFS from vertex 0 that already checked at
-    construction that the graph is a tree, so each one is folded into
-    its parent alone and the tree makes no fill-in. Every vertex v
+    ``g._tree``, the root-to-leaf order from vertex 0 that construction
+    stored with the tree, so each one is folded into its parent alone and
+    the tree makes no fill-in. Every vertex v
     carries three integers: A_v, the determinant of -M on the subtree
     below v (v included); B_v, the product of A_w over the children w of
     v, which is the determinant of that subtree with v removed; and S_v,

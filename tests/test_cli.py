@@ -883,14 +883,16 @@ def test_one_classification_per_germ_in_a_report(capsys, monkeypatch, name, clas
 
 
 def test_a_parsed_dual_graph_is_built_once(monkeypatch):
+    # a graph built by the edge form or by the tree builder is stored
+    # by one call of _finish
     built = []
-    init = dualgraph.ResolutionGraph.__init__
+    finish = dualgraph.ResolutionGraph._finish
 
-    def counting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def counting(self, *args):
+        finish(self, *args)
         built.append(self)
 
-    monkeypatch.setattr(dualgraph.ResolutionGraph, "__init__", counting)
+    monkeypatch.setattr(dualgraph.ResolutionGraph, "_finish", counting)
     gf = parse_germ_file((FIXTURES / "dihedral_fork.json").read_text())
     assert built == [gf.graph]
     assert gf.graph.selfints == (2, 2, 2)
@@ -1121,6 +1123,47 @@ def test_an_integer_past_a_lowered_digit_limit_is_limit_exceeded(capsys):
         sys.set_int_max_str_digits(old)
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
+
+
+def caterpillar(k):
+    """A chain of k curves of label 3 with a -2 prong on every other one
+    and a coefficient-1 branch on the first: not log canonical."""
+    return {"kind": "dual_graph", "chain": [3] * k, "forks": [[i, 2] for i in range(1, k, 2)],
+            "branches": [[1, "1"]]}
+
+
+def test_a_germ_that_is_not_lc_is_refused_before_its_discrepancies_are_formatted(
+        tmp_path, capsys, monkeypatch):
+    def no_text(*args):
+        raise AssertionError("discrepancies formatted for a refused germ")
+
+    monkeypatch.setattr(cli, "format_ratios", no_text)
+    path = write(tmp_path, json.dumps(caterpillar(60)))
+    for command in ("report", "discrepancy"):
+        assert main([command, path]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "NotApplicable", "message": "germ is not log canonical"}
+
+
+def test_a_germ_that_is_not_lc_with_numbers_past_the_digit_limit_is_limit_exceeded(
+        tmp_path, capsys):
+    # 45 curves of label 10^100 and three coefficient-1 branches on the
+    # first, whose b passes 1: D and the numerators have 14,949 bits,
+    # past 4300 digits, so the formatting refuses them first; with no
+    # limit the germ is refused as not lc
+    record = {"kind": "dual_graph", "chain": [10**100] * 45, "branches": [[1, "1"]] * 3}
+    path = write(tmp_path, json.dumps(record))
+    old = sys.get_int_max_str_digits()
+    for limit, expected in ((old, {"type": "LimitExceeded", "message": DIGITS_EXCEEDED}),
+                            (0, {"type": "NotApplicable",
+                                 "message": "germ is not log canonical"})):
+        sys.set_int_max_str_digits(limit)
+        try:
+            for command in ("report", "discrepancy"):
+                assert main([command, path]) == 1
+                assert json.loads(capsys.readouterr().out)["error"] == expected
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 # JSON trees for the writer: text with every kind of character json

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import reference_decompose, reference_graph
-from germcalc.dualgraph import BoundaryBranch, ResolutionGraph
+from germcalc.dualgraph import (BoundaryBranch, ResolutionGraph, cartier_index,
+                                log_canonical_class, solved_numerators)
 from germcalc.errors import GermError, ValidationError
 from germcalc.germs import GermTag, _decompose, classify_lc_germ
 from test_dualgraph import random_trees, record_trees, recurrence_trees
@@ -99,19 +100,81 @@ def test_construction_matches_the_reference_constructor(case):
                        f"branches={brs!r})")
     assert hash(g) == hash(expected)
     assert g == ResolutionGraph(selfints, edges, brs)
-    if selfints:
-        # the search from vertex 0 is a spanning tree of exactly these edges
-        order, parent = g._tree
-        assert sorted(order) == list(range(len(selfints))) and order[0] == 0
-        assert parent[0] == -1
-        position = {v: k for k, v in enumerate(order)}
-        assert all(position[parent[v]] < position[v] for v in order[1:])
-        assert {tuple(sorted((parent[v], v))) for v in order[1:]} == edges
-        assert [sorted(nbrs) for nbrs in g._adj] == [
-            sorted(w for e in edges if v in e for w in e if w != v)
-            for v in range(len(selfints))]
-    else:
+    assert_spanning_tree(g)
+
+
+def assert_spanning_tree(g):
+    """``g._tree`` is a root-to-leaf order from vertex 0 of a spanning tree
+    of exactly the edges of g, and ``g._adj`` their neighbour tuples."""
+    n, edges = g.n_vertices, g.edges
+    if not n:
         assert g._tree == ((), ()) and g._adj == ()
+        return
+    order, parent = g._tree
+    assert sorted(order) == list(range(n)) and order[0] == 0
+    assert parent[0] == -1
+    position = {v: k for k, v in enumerate(order)}
+    assert all(position[parent[v]] < position[v] for v in order[1:])
+    assert {tuple(sorted((parent[v], v))) for v in order[1:]} == edges
+    assert [type(nbrs) for nbrs in g._adj] == [tuple] * n
+    assert [sorted(nbrs) for nbrs in g._adj] == [
+        sorted(w for e in edges if v in e for w in e if w != v) for v in range(n)]
+
+
+def _results(g):
+    """What every invariant gives on g, or the exception that each raises."""
+    out = []
+    for invariant in (solved_numerators, log_canonical_class, cartier_index,
+                      classify_lc_germ):
+        try:
+            out.append(invariant(g))
+        except GermError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_trees(), record_trees()), st.data())
+def test_the_tree_builder_matches_the_edge_form(g, data):
+    # in these shapes each vertex joins an earlier one, so its one edge to
+    # a lower index gives a parent array
+    n = g.n_vertices
+    lower = {j: i for i, j in g.edges}
+    parent = [-1] + [lower[v] for v in range(1, n)] if n else []
+    rooted = ResolutionGraph._rooted(g.selfints, parent, g.branches)
+    # the edges in the order of the parent array, so that the two
+    # frozensets are built alike and print alike
+    edge_form = ResolutionGraph(g.selfints, zip(parent[1:], range(1, n)), g.branches)
+    assert rooted == edge_form == g and hash(rooted) == hash(edge_form) == hash(g)
+    assert repr(rooted) == repr(edge_form)
+    assert (rooted.selfints, rooted.edges, rooted.branches) == (
+        edge_form.selfints, edge_form.edges, edge_form.branches)
+    assert rooted._tree == (tuple(range(n)), tuple(parent))
+    assert_spanning_tree(rooted)
+    assert_spanning_tree(edge_form)
+    assert _results(rooted) == _results(edge_form)
+    if n:
+        # a fork of either graph, by the tree builder or by the search
+        attach = data.draw(st.integers(0, n - 1))
+        forked = ResolutionGraph(g.selfints + (2,), g.edges | {(attach, n)}, g.branches)
+        for built in (rooted.with_fork(attach, 2), edge_form.with_fork(attach, 2)):
+            assert built == forked
+            assert_spanning_tree(built)
+            assert _results(built) == _results(forked)
+
+
+@pytest.mark.parametrize("labels, branches, message", [
+    ([2, 0, -1], [(5, 1)], "self-intersection label 0 must be >= 1"),
+    ([2, "x"], [], "self-intersection label 'x' is not an integer"),
+    ([2, 2], [(2, 1)], "branch attach index 2 out of range"),
+    ([2, 2], [(0, 1), (-1, HALF)], "branch attach index -1 out of range"),
+    ([2, 2], [(None, 1)], "branch attach index None out of range"),
+    ([], [(0, 1)], "branch attach index on an empty graph"),
+])
+def test_a_faulty_chain_names_its_first_fault(labels, branches, message):
+    with pytest.raises(ValidationError) as info:
+        ResolutionGraph.chain(labels, branches)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("labels, edges, message", [
