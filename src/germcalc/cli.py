@@ -37,16 +37,14 @@ from operator import neg
 from types import SimpleNamespace
 
 from ._record import FrozenRecord, memoized
-from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, LcClass, ResolutionGraph,
-                        cartier_index, check_label, log_canonical_class,
-                        solved_numerators)
+from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph, cartier_index,
+                        check_label, log_canonical_class, solved_numerators)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     resolution_graph)
-from .rational import (DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat,
-                       within_digit_limit)
+from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
 from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
                       restriction_exponents)
 from .stdcoeff import coeff_check
@@ -82,19 +80,17 @@ class GermFile(FrozenRecord):
 
     @memoized
     def discrepancy(self) -> dict:
-        """The lc class, the discrepancies and the Cartier index. Each
-        distinct reduced denominator of the discrepancies is written once."""
+        """The lc class, the discrepancies and the Cartier index. The
+        index is taken before any text is made, so a germ that is not lc
+        is refused as NotApplicable under any digit limit. Each distinct
+        reduced denominator of the discrepancies is written once."""
         g = self._resolved
         lc = log_canonical_class(g)
+        index = cartier_index(g)
         numerators, den = solved_numerators(g)
-        if lc is LcClass.NOT_LC and within_digit_limit((den, *numerators)):
-            # cartier_index refuses the germ before any text is made for
-            # it; a number that may pass the limit meets the writer's
-            # LimitExceeded first
-            cartier_index(g)
         return {"lc_class": lc.value,
                 "discrepancies": format_ratios(map(neg, numerators), den),
-                "cartier_index": cartier_index(g)}
+                "cartier_index": index}
 
     @memoized
     def classification(self) -> GermClass:

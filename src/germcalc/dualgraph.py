@@ -121,9 +121,11 @@ class ResolutionGraph(FrozenRecord):
     """Tree of exceptional curves plus attached boundary branches.
 
     Construction is one linear pass. ``edges`` may be any iterable of
-    index pairs (a list, a set, either orientation): each pair is put in
-    (low, high) order into the frozenset field, in the order the
-    iterable gives them, duplicates merged. ``__init__`` checks, in this
+    index pairs (a list, a set, either orientation, duplicates merged).
+    The frozenset field holds each edge as a (low, high) pair, inserted
+    in vertex order from the tree's parent array: a tree rooted at 0 has
+    one parent array, so equal graphs hold their pairs in one order and
+    print alike, however their edges came. ``__init__`` checks, in this
     order, and raises ValidationError at the first fault:
 
     * the labels, by ``index`` and one ``min``; only on a fault does
@@ -138,7 +140,8 @@ class ResolutionGraph(FrozenRecord):
 
     ``chain`` and the CLI's dual-graph reader build through ``_rooted``
     from a parent array instead: the same record, with the index order
-    as ``_tree``'s order, and only the label and attach checks.
+    as ``_tree``'s order, and only the attach checks; each checks its
+    labels itself first.
     """
 
     _fields = ("selfints", "edges", "branches")
@@ -176,6 +179,8 @@ class ResolutionGraph(FrozenRecord):
             parent[0] = -1
         if len(order) != n:
             raise ValidationError("edge set is not a tree on the vertex set")
+        # the tree's n - 1 edges, in the order _rooted gives them
+        edges = frozenset([(p, v) if p < v else (v, p) for v, p in enumerate(parent) if v])
         self._finish(labels, edges, branches, adj, order, parent)
 
     @classmethod
@@ -183,10 +188,10 @@ class ResolutionGraph(FrozenRecord):
         """The graph whose curve v > 0 meets curve ``parent[v]``, where
         ``parent[0] == -1`` and ``0 <= parent[v] < v``: every parent comes
         before its children, so the index order is a root-to-leaf order of
-        the tree and no search is run. The parent array is trusted, not
-        checked; the labels and the branch attach indices are checked as
-        ``__init__`` checks them."""
-        labels = _labels(selfints)
+        the tree and no search is run. The parent array and the labels,
+        ints of at least 1, are trusted, not checked; the branch attach
+        indices are checked as ``__init__`` checks them."""
+        labels = tuple(selfints)
         n = len(labels)
         adj: list[list[int]] = [[] for _ in range(n)]
         for v in range(1, n):
@@ -217,7 +222,8 @@ class ResolutionGraph(FrozenRecord):
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":
         """Build a path graph; branches as (attach, coeff) pairs."""
         branches = [BoundaryBranch(a, c) for a, c in branches]
-        return cls._rooted(selfints, range(-1, len(selfints) - 1), branches)
+        labels = _labels(selfints)
+        return cls._rooted(labels, range(-1, len(labels) - 1), branches)
 
     def with_fork(self, attach: int, selfint: int) -> "ResolutionGraph":
         """Return the graph with one extra leaf curve joined to ``attach``,

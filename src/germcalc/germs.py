@@ -52,7 +52,7 @@ from ._record import FrozenRecord, memoized
 from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
                         log_canonical_class)
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
-from .rational import as_fraction
+from .rational import DIGITS_EXCEEDED, as_fraction
 
 
 class CyclicQuotientGerm(FrozenRecord):
@@ -401,6 +401,11 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     if len(components) == 2:
         if not check_slc_glue(*components):
             d1, d2 = different_coeff(components[0]), different_coeff(components[1])
-            raise GlueMismatch(f"conductor differents disagree: {d1} vs {d2}")
+            try:
+                differents = f"{d1} vs {d2}"
+            except ValueError:
+                # only int-to-text raises it: a different past the digit limit
+                differents = f"too long to print: {DIGITS_EXCEEDED}"
+            raise GlueMismatch(f"conductor differents disagree: {differents}")
         return NonNormalGerm(components, Trichotomy.TWO_COMPONENT_PLT)
     return NonNormalGerm(components, Trichotomy.ONE_COMPONENT_PLT)

@@ -10,7 +10,6 @@ the one type rule for an exact coefficient argument.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -91,15 +90,6 @@ def format_ratios(numerators, den: int) -> list[str]:
     except ValueError as exc:
         raise LimitExceeded(DIGITS_EXCEEDED) from exc
     return out
-
-
-def within_digit_limit(numbers) -> bool:
-    """True when no int in numbers has so many bits that its text could
-    pass the interpreter's integer-to-text conversion limit (none when
-    it is 0, or before Python 3.10.7): b bits make at most b log10(2) + 1
-    digits, and log10(2) < 0.30103."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    return not limit or max(map(int.bit_length, numbers)) * 30_103 < limit * 100_000
 
 
 def as_fraction(x, error: type[GermError], what: str) -> Fraction:

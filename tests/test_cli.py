@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -1145,25 +1147,97 @@ def test_a_germ_that_is_not_lc_is_refused_before_its_discrepancies_are_formatted
         assert err == {"type": "NotApplicable", "message": "germ is not log canonical"}
 
 
-def test_a_germ_that_is_not_lc_with_numbers_past_the_digit_limit_is_limit_exceeded(
+# 45 curves of label 10^100 and three coefficient-1 branches on the
+# first, whose b passes 1: D and the numerators have 14,949 bits, past
+# 4300 digits
+NOTLC_BIG = {"kind": "dual_graph", "chain": [10**100] * 45, "branches": [[1, "1"]] * 3}
+# glued components whose differents disagree, with terms of about 8,000
+# digits
+GLUED_BIG = {"kind": "glued", "glue_ok": True, "components": [
+    {"n": 10**4000 + 1, "q": 1, "side": f"1/{10**4000 + 3}"}, {"n": 2, "q": 1}]}
+
+
+def test_a_germ_that_is_not_lc_with_numbers_past_the_digit_limit_is_not_applicable(
         tmp_path, capsys):
-    # 45 curves of label 10^100 and three coefficient-1 branches on the
-    # first, whose b passes 1: D and the numerators have 14,949 bits,
-    # past 4300 digits, so the formatting refuses them first; with no
-    # limit the germ is refused as not lc
-    record = {"kind": "dual_graph", "chain": [10**100] * 45, "branches": [[1, "1"]] * 3}
-    path = write(tmp_path, json.dumps(record))
+    # the germ is refused before any text is made for it, so its numbers
+    # meet no digit limit, whatever the limit is
+    path = write(tmp_path, json.dumps(NOTLC_BIG))
     old = sys.get_int_max_str_digits()
-    for limit, expected in ((old, {"type": "LimitExceeded", "message": DIGITS_EXCEEDED}),
-                            (0, {"type": "NotApplicable",
-                                 "message": "germ is not log canonical"})):
+    for limit in (old, 0):
         sys.set_int_max_str_digits(limit)
         try:
             for command in ("report", "discrepancy"):
                 assert main([command, path]) == 1
-                assert json.loads(capsys.readouterr().out)["error"] == expected
+                assert json.loads(capsys.readouterr().out)["error"] == {
+                    "type": "NotApplicable", "message": "germ is not log canonical"}
         finally:
             sys.set_int_max_str_digits(old)
+
+
+def _differential():
+    """scripts/cli_differential.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_differential.py"
+    spec = importlib.util.spec_from_file_location("cli_differential", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _in_process(argv):
+    """(exit code, stdout) of one in-process call of main; an uncaught
+    error gives ("traceback", its type and message)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except Exception as exc:  # the CLI is total: this is a fault
+            return "traceback", f"{type(exc).__name__}: {exc}"[:200]
+    return code, out.getvalue()
+
+
+def test_a_refusal_does_not_depend_on_the_digit_limit(tmp_path):
+    # every file variant of the differential, on the fixtures, on the
+    # first 300 files of its seed 17 and on germs whose numbers pass the
+    # limit, once with no limit and once at the default. A refusal keeps
+    # its type; a success keeps its bytes, or it ends in the digit-limit
+    # text when a number it prints is past the limit.
+    diff = _differential()
+    rng, aux = random.Random(17), random.Random("aux 17")
+    texts = [diff.germ_bytes(rng, aux) for _ in range(300)]
+    texts += [path.read_bytes() for path in sorted(FIXTURES.glob("*.json"))]
+    plt_big = {**NOTLC_BIG, "branches": [[1, "1"]]}  # its answer is past the limit
+    texts += [json.dumps(rec).encode()
+              for rec in (NOTLC_BIG, caterpillar(60), plt_big, GLUED_BIG)]
+    drawn = random.Random("drawn 17")
+    runs = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"germ{k:03d}.json"
+        path.write_bytes(text)
+        values = {diff.FILE: str(path),
+                  diff.DRAWN: str(drawn.randint(1, diff.DRAWN_M_MAX_TOP))}
+        runs += [[values.get(word, word) for word in variant] for variant in diff.VARIANTS]
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = [_in_process(argv) for argv in runs]
+    finally:
+        sys.set_int_max_str_digits(default)
+    limit_exceeded = {"type": "LimitExceeded", "message": DIGITS_EXCEEDED}
+    faults = []
+    for argv, (code, out), (code_at_limit, out_at_limit) in zip(
+            runs, unlimited, map(_in_process, runs)):
+        if "traceback" in (code, code_at_limit):
+            ok = False
+        elif code == 0:
+            ok = out_at_limit == out or (
+                code_at_limit == 1 and json.loads(out_at_limit)["error"] == limit_exceeded)
+        else:
+            kind = json.loads(out)["error"]["type"]
+            ok = kind == "LimitExceeded" or (
+                code_at_limit == code and json.loads(out_at_limit)["error"]["type"] == kind)
+        if not ok:
+            faults.append((argv, code, out[:200], code_at_limit, out_at_limit[:200]))
+    assert not faults, "\n".join(map(str, faults))
 
 
 # JSON trees for the writer: text with every kind of character json

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import reference_decompose, reference_graph
+from graph_oracle import reference_decompose, reference_graph, reference_order
 from germcalc.dualgraph import (BoundaryBranch, ResolutionGraph, cartier_index,
                                 log_canonical_class, solved_numerators)
 from germcalc.errors import GermError, ValidationError
@@ -96,6 +96,11 @@ def test_construction_matches_the_reference_constructor(case):
     labels, pairs, container, branches = case
     g = ResolutionGraph(labels, CONTAINERS[container](pairs), branches)
     selfints, edges, brs = expected
+    # the edges print in the vertex order of the endpoint farther from
+    # vertex 0, whatever order they came in
+    if edges:
+        position = {v: k for k, v in enumerate(reference_order(len(selfints), edges))}
+        edges = frozenset(sorted(edges, key=lambda e: max(e, key=position.get)))
     assert repr(g) == (f"ResolutionGraph(selfints={selfints!r}, edges={edges!r}, "
                        f"branches={brs!r})")
     assert hash(g) == hash(expected)
@@ -133,18 +138,21 @@ def _results(g):
     return out
 
 
+def parent_array(g):
+    """The parent array of a tree of test_dualgraph's: in those shapes each
+    vertex joins an earlier one, so its one edge to a lower index gives
+    its parent."""
+    lower = {j: i for i, j in g.edges}
+    return [-1] + [lower[v] for v in range(1, g.n_vertices)] if g.n_vertices else []
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(random_trees(), record_trees()), st.data())
 def test_the_tree_builder_matches_the_edge_form(g, data):
-    # in these shapes each vertex joins an earlier one, so its one edge to
-    # a lower index gives a parent array
     n = g.n_vertices
-    lower = {j: i for i, j in g.edges}
-    parent = [-1] + [lower[v] for v in range(1, n)] if n else []
+    parent = parent_array(g)
     rooted = ResolutionGraph._rooted(g.selfints, parent, g.branches)
-    # the edges in the order of the parent array, so that the two
-    # frozensets are built alike and print alike
-    edge_form = ResolutionGraph(g.selfints, zip(parent[1:], range(1, n)), g.branches)
+    edge_form = ResolutionGraph(g.selfints, g.edges, g.branches)
     assert rooted == edge_form == g and hash(rooted) == hash(edge_form) == hash(g)
     assert repr(rooted) == repr(edge_form)
     assert (rooted.selfints, rooted.edges, rooted.branches) == (
@@ -161,6 +169,28 @@ def test_the_tree_builder_matches_the_edge_form(g, data):
             assert built == forked
             assert_spanning_tree(built)
             assert _results(built) == _results(forked)
+
+
+@st.composite
+def shuffled_edges(draw):
+    """A tree of test_dualgraph's and its edges in a drawn order, each in
+    a drawn orientation."""
+    g = draw(st.one_of(random_trees(), record_trees()))
+    pairs = draw(st.permutations(sorted(g.edges)))
+    return g, [(j, i) if draw(st.booleans()) else (i, j) for i, j in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(shuffled_edges())
+@example((ResolutionGraph.chain([2] * 4), [(2, 3), (1, 2), (0, 1)]))
+@example((ResolutionGraph.chain([2] * 15), [(v, v - 1) for v in range(14, 0, -1)]))
+def test_equal_graphs_print_alike(case):
+    # the edges in any order, or the parent array: one repr, whichever
+    # builder ran
+    g, pairs = case
+    for built in (ResolutionGraph(g.selfints, pairs, g.branches),
+                  ResolutionGraph._rooted(g.selfints, parent_array(g), g.branches)):
+        assert built == g and repr(built) == repr(g)
 
 
 @pytest.mark.parametrize("labels, branches, message", [

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 from math import floor
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from germcalc.errors import LimitExceeded
 from germcalc.rational import (INPUT_DIGITS_EXCEEDED, format_rat, format_ratio,
-                               format_ratios, parse_rat, within_digit_limit)
+                               format_ratios, parse_rat)
 from residue_oracle import ceil_scale
 
 
@@ -143,24 +142,3 @@ def test_parse_rat_past_the_digit_limit_is_limit_exceeded(text):
     with pytest.raises(LimitExceeded) as info:
         parse_rat(text)
     assert str(info.value) == INPUT_DIGITS_EXCEEDED
-
-
-@pytest.mark.parametrize("limit", [640, 4300])
-def test_a_number_within_the_digit_limit_prints(limit):
-    # every bit length up to past the limit: a number that passes prints,
-    # and every number of at most 3.3 limit bits (0.99 limit digits) passes
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        for bits in range(1, 4 * limit):
-            x = 2**bits - 1
-            if within_digit_limit([1, -x]):
-                assert len(str(x)) <= limit
-            else:
-                assert bits > 3.3 * limit
-                assert not within_digit_limit([x, 1])
-        assert within_digit_limit([10 ** (limit * 99 // 100) - 1])
-        sys.set_int_max_str_digits(0)
-        assert within_digit_limit([10 ** (2 * limit), 1])
-    finally:
-        sys.set_int_max_str_digits(old)
