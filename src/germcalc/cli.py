@@ -45,8 +45,8 @@ from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
-from .residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
-                      restriction_exponents)
+from .residue import (ResidueTable, _exponent_rows, find_failure_m,
+                      glued_restriction_coeff)
 from .stdcoeff import coeff_check
 
 DEFAULT_M_MAX = 24
@@ -579,19 +579,19 @@ def _emit(obj, pad: str, append) -> None:
     elif kind is bool:
         append("true" if obj else "false")
     elif kind is ResidueTable:
-        # the list of row dicts, each row from one template with its
-        # keys in sorted order
+        # the list of row dicts: one row template with its keys in sorted
+        # order, repeated and joined, takes every row's values in one %
+        if not obj.m_max:
+            append("[]")
+            return
         inner = pad + "  "
         key = inner + '  "'
         row = ("{" + key + 'deficit": 0,' + key + 'm": %d,' + key + 'source_exponent": %d,'
                + key + 'surjective": true,' + key + 'target_exponent": %d' + inner + "}")
-        p, n, sep = obj.p, obj.n, "[" + inner
-        for m in range(1, obj.m_max + 1):
-            source, target = restriction_exponents(m, p, n)
-            append(sep)
-            append(row % (m, source, target))
-            sep = "," + inner
-        append(pad + "]" if obj.m_max >= 1 else "[]")
+        rows = ("," + inner).join([row] * obj.m_max)
+        append("[" + inner)
+        append(rows % tuple(_exponent_rows(obj.p, obj.n, range(1, obj.m_max + 1))))
+        append(pad + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -605,8 +605,9 @@ def _dumps(payload: dict) -> str:
     A payload is built fresh from dicts with str keys, lists, and str,
     int, bool and None leaves, so it holds no cycle and no float. The
     one value that is not JSON it takes is a ``residue.ResidueTable``,
-    written as json would write its list of row dicts: each row fills m
-    and ``restriction_exponents``' two exponents into one template, with
+    written as json would write its list of row dicts: one row template,
+    repeated m_max times and joined, takes every row's m and two
+    exponents from ``residue._exponent_rows`` in a single %, with
     deficit 0 and surjective true as constants, since the exponents
     always agree. The dispatch is on the exact type: any other type, a
     subclass included, raises TypeError. A list of at least _JOIN_MIN

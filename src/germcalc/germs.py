@@ -40,6 +40,12 @@ in one of three texts that name no vertex:
     label is not 2;
   * no shape or plt chain has the prong count and far coefficients;
   * a label-1 curve sits on the arm where the shape allows none.
+
+An lc center has Cartier index 1 or 2, so its class is one of eight
+frozen GermClass records, built once at import and shared by every
+classify_lc_germ call that returns one; whether two equal classes are
+one object is not part of the API. Plt chain and UNCLASSIFIED classes
+are built per call.
 """
 
 from __future__ import annotations
@@ -49,8 +55,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import FrozenRecord, memoized
-from .dualgraph import (VERTEX_LIMIT, LcClass, ResolutionGraph, cartier_index,
-                        log_canonical_class)
+from .dualgraph import VERTEX_LIMIT, LcClass, ResolutionGraph
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .rational import DIGITS_EXCEEDED, as_fraction
 
@@ -135,9 +140,11 @@ def _check_index(cartier_index) -> None:
 class GermClass(FrozenRecord):
     """Taxonomy tag with the derived invariants.
 
-    ``gamma`` is present exactly for plt chains, stored as a Fraction
-    even when given as an int. ``violation`` names the rule of the
-    shape decomposition that failed when the tag is UNCLASSIFIED.
+    ``gamma`` is stored as a Fraction even when given as an int. The
+    constructor requires it, in (0, 1], for a plt chain, and takes it
+    with any other tag too; ``classify_lc_germ`` gives it exactly for
+    plt chains. ``violation`` names the rule of the shape decomposition
+    that failed when classify_lc_germ's tag is UNCLASSIFIED.
     """
 
     _fields = ("tag", "cartier_index", "gamma", "violation")
@@ -159,6 +166,12 @@ class GermClass(FrozenRecord):
             raise BadParameters(
                 f"lc-center germ with Cartier index {cartier_index} not dividing 2")
         self._set(tag=tag, cartier_index=cartier_index, gamma=gamma, violation=violation)
+
+
+# every lc center has Cartier index 1 or 2, so its class is one of these
+# eight records, shared by every classify_lc_germ call that returns it
+_LC_CENTER_CLASSES = {(tag, index): GermClass(tag, index)
+                      for tag in LC_CENTER_TAGS for index in (1, 2)}
 
 
 class Trichotomy(str, Enum):
@@ -268,24 +281,27 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     elimination. The walk is plain loops: a classification that fits a
     shape creates no generator."""
     branches, labels = g.branches, g.selfints
-    # a coefficient in (0, 1] is 1 exactly when its terms are equal
-    for i, br in enumerate(branches):
-        if br.coeff.numerator == br.coeff.denominator:
-            break
-    else:
-        raise NotApplicable("no coefficient-1 branch through the point")
-    rest = branches[:i] + branches[i + 1:]
-    # each coefficient as its (numerator, denominator) pair, so that the
-    # lookup hashes and compares integers only
+    # one pass: the first coefficient-1 branch, and each other branch's
+    # coefficient as its (numerator, denominator) pair, so that the lookup
+    # hashes and compares integers only; a coefficient in (0, 1] is 1
+    # exactly when its terms are equal
+    one = None
     far, attached = [], set()
-    for other in rest:
-        far.append((other.coeff.numerator, other.coeff.denominator))
-        attached.add(other.attach)
-    far = tuple(sorted(far))
+    for br in branches:
+        c = br.coeff
+        if one is None and c.numerator == c.denominator:
+            one = br
+        else:
+            far.append((c.numerator, c.denominator))
+            attached.add(br.attach)
+    if one is None:
+        raise NotApplicable("no coefficient-1 branch through the point")
+    far.sort()
+    far = tuple(far)
     arm, ahead = [], ()
     if labels:
         adj = g._adj
-        v = br.attach
+        v = one.attach
         arm = [v]
         ahead = adj[v]
         # the first step, when v is a leaf with no other branch
@@ -317,18 +333,22 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     else:
         tag, unit_end = SHAPES.get((prongs, far), (None, False))
         if tag is None:
+            # by position: one branch object may sit in the tuple twice
+            i = branches.index(one)
+            rest = branches[:i] + branches[i + 1:]
             listed = ", ".join(str(c) for c in sorted(br.coeff for br in rest))
             return (GermTag.UNCLASSIFIED, None,
                     f"no shape or plt chain has prong count {prongs} and far "
                     f"coefficients [{listed}]")
-    # labels are ints >= 1, so a label below 2 is a 1
-    if 1 in map(labels.__getitem__, arm[:-1] if unit_end else arm):
-        return (GermTag.UNCLASSIFIED, None, "self-intersection label 1 on the "
-                "arm, allowed only at the far end of a dihedral 32 or 33 shape")
+    for v in arm[:-1] if unit_end else arm:
+        # labels are ints >= 1, so a label below 2 is a 1
+        if labels[v] == 1:
+            return (GermTag.UNCLASSIFIED, None, "self-intersection label 1 on the "
+                    "arm, allowed only at the far end of a dihedral 32 or 33 shape")
     if tag is not GermTag.PLT_CHAIN:
         return tag, None, None
     if arm:
-        # classify_lc_germ's log_canonical_class has stored the elimination
+        # classify_lc_germ's read of g._lc_class has stored the elimination
         numerators, den = g._elimination
         return tag, Fraction(den - numerators[arm[0]], den), None
     # the empty graph: gamma = 1 - p/d for the far coefficient p/d, or 1 with none
@@ -343,12 +363,17 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     Graphs outside the shapes come back UNCLASSIFIED with the broken
     rule of the decomposition spelled out, rather than raising.
     """
-    lc = log_canonical_class(g)
-    if lc not in (LcClass.PLT, LcClass.LC_CENTER):
+    lc = g._lc_class
+    if lc is not LcClass.PLT and lc is not LcClass.LC_CENTER:
         raise NotApplicable(f"germ classifies as {lc.value}, not plt or lc-center")
     tag, gamma, violation = _decompose(g)
     # a plt or lc-center graph has its index, so this raises nothing
-    return GermClass(tag, cartier_index(g), gamma, violation)
+    index = g._cartier_index
+    shared = _LC_CENTER_CLASSES.get((tag, index))
+    if shared is not None:
+        return shared
+    # a plt chain, UNCLASSIFIED, or an lc center whose index GermClass refuses
+    return GermClass(tag, index, gamma, violation)
 
 
 def different_coeff(germ: CyclicQuotientGerm) -> Fraction:

@@ -55,8 +55,20 @@ def restriction_exponents(m: int, p: int, n: int) -> tuple[int, int]:
     The target is m minus the source: floor(m - x) = m - ceil(x) for
     every rational x, so the two sides always agree.
     """
-    source = -((-m * p) // n)
-    return source, m - source
+    _, source, target = _exponent_rows(p, n, (m,))
+    return source, target
+
+
+def _exponent_rows(p: int, n: int, ms) -> list[int]:
+    """m, ceil(m p/n) and m minus that for each m of ms, one after
+    another in one flat list, the values of a residue table's rows in
+    the order they are written. The one copy of the ceiling formula:
+    restriction_exponents reads it for a single m."""
+    flat = []
+    for m in ms:
+        source = -((-m * p) // n)
+        flat += m, source, m - source
+    return flat
 
 
 def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
@@ -73,10 +85,10 @@ def single_branch_report(m: int, germ: CyclicQuotientGerm) -> ResidueReport:
 
 class ResidueTable(FrozenRecord):
     """single_branch_report's fields for m = 1..m_max at the slope
-    p/n in [0, 1], as one value: ``cli._dumps`` writes each row from
-    restriction_exponents, with deficit 0 and surjective true as
-    constants, so no row is built. Any germ of that slope gives the
-    same exponents, so none is kept.
+    p/n in [0, 1], as one value: ``cli._dumps`` writes every row from
+    _exponent_rows in one fill of a row template, with deficit 0 and
+    surjective true as constants, so no row is built. Any germ of that
+    slope gives the same exponents, so none is kept.
     """
 
     _fields = ("p", "n", "m_max")

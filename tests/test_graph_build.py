@@ -10,18 +10,20 @@ non-integer index in range (0.5, say) is refused in the edge walk by a
 ValidationError naming the edge, where the reference raised the
 TypeError of indexing a list; it has its own test below."""
 
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import reference_decompose, reference_graph, reference_order
-from germcalc.dualgraph import (BoundaryBranch, ResolutionGraph, cartier_index,
-                                log_canonical_class, solved_numerators)
-from germcalc.errors import GermError, ValidationError
-from germcalc.germs import GermTag, _decompose, classify_lc_germ
+from germcalc.dualgraph import (BoundaryBranch, LcClass, ResolutionGraph, cartier_index,
+                                is_contractible, log_canonical_class, solved_numerators)
+from germcalc.errors import GermError, NotApplicable, ValidationError
+from germcalc.germs import LC_CENTER_TAGS, GermClass, GermTag, _decompose, classify_lc_germ
 from test_dualgraph import random_trees, record_trees, recurrence_trees
 from test_germs import LABEL_ONE, NOT_A_PRONG
 
@@ -336,3 +338,77 @@ def test_the_arm_walk_matches_the_reference_decomposition_on_a_grid():
     assert set(GermTag) - {GermTag.UNCLASSIFIED} <= classes
     for rule in rules:
         assert any(type(c) is str and c.startswith(rule) for c in classes), rule
+
+
+def reference_class(g):
+    """GermClass(tag, cartier_index(g), gamma, violation) from
+    reference_decompose, after the refusals classify_lc_germ makes, in
+    its order: not contractible, not plt or lc center, no
+    coefficient-1 branch."""
+    lc = log_canonical_class(g)
+    if lc not in (LcClass.PLT, LcClass.LC_CENTER):
+        raise NotApplicable(f"germ classifies as {lc.value}, not plt or lc-center")
+    if not any(br.coeff == 1 for br in g.branches):
+        raise NotApplicable("no coefficient-1 branch through the point")
+    tag, gamma, violation = reference_decompose(g)
+    return GermClass(tag, cartier_index(g), gamma, violation)
+
+
+def _class_or_refusal(classify, g):
+    try:
+        return classify(g), None
+    except GermError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(random_trees(), record_trees()))
+# a cyclic lc center of index 1 and a dihedral 31 one of index 2
+@example(ResolutionGraph.chain([2], [(0, 1), (0, 1)]))
+@example(ResolutionGraph.chain([2], [(0, 1)]).with_fork(0, 2).with_fork(0, 2))
+def test_a_class_is_the_record_built_from_the_reference_decomposition(g):
+    # fresh graphs, so that neither side reads what the other stored
+    twin = ResolutionGraph(g.selfints, g.edges, g.branches)
+    expected, refusal = _class_or_refusal(reference_class, g)
+    cls, got = _class_or_refusal(classify_lc_germ, twin)
+    assert got == refusal
+    if refusal is not None:
+        return
+    assert cls == expected
+    assert hash(cls) == hash(expected)
+    assert repr(cls) == repr(expected)
+    if cls.tag in LC_CENTER_TAGS:
+        # an lc center's class is a shared record: an equal graph built
+        # on its own gets the same object
+        assert classify_lc_germ(ResolutionGraph(g.selfints, g.edges, g.branches)) is cls
+
+
+def survey_shapes():
+    """The cyclic and dihedral shapes of scripts/taxonomy_survey.py at
+    the bounds the CI compares against the base commit."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "taxonomy_survey.py"
+    spec = importlib.util.spec_from_file_location("taxonomy_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    # the survey skips the shapes that are not contractible, and so does this
+    return [g for g, _tag in survey.shapes(5, 5) if is_contractible(g)]
+
+
+def test_classifying_the_survey_shapes_builds_no_class(monkeypatch):
+    built = []
+    init = GermClass.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GermClass, "__init__", counting)
+    classes = {classify_lc_germ(g) for g in survey_shapes()}
+    assert built == []
+    # the survey's cyclic shapes have index 1 and its dihedral ones 2
+    assert {(cls.tag, cls.cartier_index) for cls in classes} == {
+        (GermTag.CYCLIC_NONPLT, 1), (GermTag.DIHEDRAL_31, 2),
+        (GermTag.DIHEDRAL_32, 2), (GermTag.DIHEDRAL_33, 2)}
+    # a plt chain's class is built per call, and counted
+    classify_lc_germ(ResolutionGraph.chain([3], [(0, 1)]))
+    assert len(built) == 1
