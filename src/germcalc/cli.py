@@ -41,7 +41,7 @@ from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph, cartier_i
                         check_label, log_canonical_class, solved_numerators)
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
-from .germs import (LC_CENTER_TAGS, CyclicQuotientGerm, GermClass, GermTag,
+from .germs import (_PLT_CHAIN, LC_CENTER_TAGS, CyclicQuotientGerm, GermClass,
                     classify_lc_germ, classify_nonnormal, different_coeff,
                     resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
@@ -112,7 +112,7 @@ class GermFile(FrozenRecord):
         as the "perturbed" flag rather than a concrete rational.
         """
         cls = self.classification
-        if cls.tag is GermTag.PLT_CHAIN:
+        if cls.tag is _PLT_CHAIN:
             # the conductor-end curve has discrepancy gamma - 1 and enters the
             # boundary at 1 - gamma, the different; gamma = 1 gives "0" twice
             p, d = cls.gamma.numerator, cls.gamma.denominator

@@ -257,21 +257,21 @@ class ResolutionGraph(FrozenRecord):
             den = lcm(1, *(br.coeff.denominator for br in self.branches))
             top = sum([den // b.coeff.denominator * b.coeff.numerator for b in self.branches]) - den
         if top > den:
-            return LcClass.NOT_LC
+            return _NOT_LC
         if top == den:
-            return LcClass.LC_CENTER
+            return _LC_CENTER
         if any(br.coeff.numerator == br.coeff.denominator for br in self.branches):
-            return LcClass.PLT
-        return LcClass.KLT
+            return _PLT
+        return _KLT
 
     @memoized
     def _cartier_index(self) -> int:
         """cartier_index, taken once: the least m with every m X_v / D an
         integer is D over the gcd of D and all X_v."""
-        if self._lc_class is LcClass.NOT_LC:
+        if self._lc_class is _NOT_LC:
             raise NotApplicable("germ is not log canonical")
         numerators, den = solved_numerators(self)
-        if self._lc_class is LcClass.LC_CENTER:
+        if self._lc_class is _LC_CENTER:
             # a b = 1 curve's numerator is D itself, which leaves gcd(D, ...) as it is
             numerators = [x for x in numerators if x != den]
         return lcm(den // gcd(den, *numerators),
@@ -283,6 +283,12 @@ class LcClass(str, Enum):
     PLT = "PLT"
     LC_CENTER = "LC_CENTER"
     NOT_LC = "NOT_LC"
+
+
+# the members as module names, for the code that reads one on every call:
+# a read through the class goes through the enum's metaclass, several
+# times the cost of a module name
+_KLT, _PLT, _LC_CENTER, _NOT_LC = LcClass.KLT, LcClass.PLT, LcClass.LC_CENTER, LcClass.NOT_LC
 
 
 def _eliminate(g: ResolutionGraph):

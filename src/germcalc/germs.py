@@ -44,8 +44,9 @@ in one of three texts that name no vertex:
 An lc center has Cartier index 1 or 2, so its class is one of eight
 frozen GermClass records, built once at import and shared by every
 classify_lc_germ call that returns one; whether two equal classes are
-one object is not part of the API. Plt chain and UNCLASSIFIED classes
-are built per call.
+one object is not part of the API. The call finds the record by the
+tag's value and the index, and hashes no member. Plt chain and
+UNCLASSIFIED classes are built per call.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import FrozenRecord, memoized
-from .dualgraph import VERTEX_LIMIT, LcClass, ResolutionGraph
+from .dualgraph import _LC_CENTER, _PLT, VERTEX_LIMIT, ResolutionGraph
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .rational import DIGITS_EXCEEDED, as_fraction
 
@@ -120,6 +121,11 @@ class GermTag(str, Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
+# the members read on every call, as module names, like dualgraph's
+# LcClass names: a read through the class costs several times more
+_PLT_CHAIN, _UNCLASSIFIED = GermTag.PLT_CHAIN, GermTag.UNCLASSIFIED
+
+
 # (prongs, sorted (numerator, denominator) pairs of the far coefficients)
 # -> (tag, whether the far end may carry label 1)
 SHAPES = {
@@ -157,7 +163,7 @@ class GermClass(FrozenRecord):
         # member's value passes == but no is test
         if type(tag) is not GermTag:
             raise BadParameters(f"tag {tag!r} is not a GermTag")
-        if tag is GermTag.PLT_CHAIN:
+        if tag is _PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
         _check_index(cartier_index)
@@ -169,9 +175,11 @@ class GermClass(FrozenRecord):
 
 
 # every lc center has Cartier index 1 or 2, so its class is one of these
-# eight records, shared by every classify_lc_germ call that returns it
-_LC_CENTER_CLASSES = {(tag, index): GermClass(tag, index)
-                      for tag in LC_CENTER_TAGS for index in (1, 2)}
+# eight records, shared by every classify_lc_germ call that returns it:
+# the records of index 1 and 2 by the tag's value, a str, since a member
+# hashes through a Python-level __hash__
+_LC_CENTER_CLASSES = {tag._value_: (GermClass(tag, 1), GermClass(tag, 2))
+                      for tag in LC_CENTER_TAGS}
 
 
 class Trichotomy(str, Enum):
@@ -183,6 +191,15 @@ class Trichotomy(str, Enum):
 class ClassGroup(str, Enum):
     RANK_ONE = "RANK_ONE"
     TORSION = "TORSION"
+
+
+# Trichotomy's members as module names, as GermTag's are, and the class
+# group of each plt case; an lc center's trichotomy is not a key
+_LC_CENTER_CASE = Trichotomy.LC_CENTER_CASE
+_TWO_COMPONENT_PLT = Trichotomy.TWO_COMPONENT_PLT
+_ONE_COMPONENT_PLT = Trichotomy.ONE_COMPONENT_PLT
+_CLASS_GROUPS = {_TWO_COMPONENT_PLT: ClassGroup.RANK_ONE,
+                 _ONE_COMPONENT_PLT: ClassGroup.TORSION}
 
 
 class NonNormalGerm(FrozenRecord):
@@ -198,9 +215,9 @@ class NonNormalGerm(FrozenRecord):
     def __init__(self, components: tuple[CyclicQuotientGerm, ...], trichotomy: Trichotomy,
                  cartier_index: int | None = None):
         components = tuple(components)
-        if trichotomy is Trichotomy.TWO_COMPONENT_PLT and len(components) != 2:
+        if trichotomy is _TWO_COMPONENT_PLT and len(components) != 2:
             raise BadParameters("two-component plt germ must have 2 components, rank-1 class group")
-        if trichotomy is Trichotomy.ONE_COMPONENT_PLT and len(components) != 1:
+        if trichotomy is _ONE_COMPONENT_PLT and len(components) != 1:
             raise BadParameters("one-component plt germ must have 1 component, torsion class group")
         if cartier_index is not None:
             _check_index(cartier_index)
@@ -209,15 +226,14 @@ class NonNormalGerm(FrozenRecord):
         if not isinstance(trichotomy, Trichotomy):
             # a str equal to a member passes == but none of the is tests
             raise BadParameters(f"trichotomy {trichotomy!r} is not a Trichotomy")
-        if cartier_index is not None and trichotomy is not Trichotomy.LC_CENTER_CASE:
+        if cartier_index is not None and trichotomy is not _LC_CENTER_CASE:
             raise BadParameters("a plt non-normal germ has no Cartier index")
         self._set(components=components, trichotomy=trichotomy, cartier_index=cartier_index)
 
     @property
     def class_group(self) -> ClassGroup | None:
         """RANK_ONE for two plt components, TORSION for one, None for an lc center."""
-        return {Trichotomy.TWO_COMPONENT_PLT: ClassGroup.RANK_ONE,
-                Trichotomy.ONE_COMPONENT_PLT: ClassGroup.TORSION}.get(self.trichotomy)
+        return _CLASS_GROUPS.get(self.trichotomy)
 
 
 def _check_order_weight(n, q) -> None:
@@ -279,7 +295,8 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     with no coefficient-1 branch raises NotApplicable. A plt chain's
     gamma is 1 - b at the arm's first curve, read off the graph's
     elimination. The walk is plain loops: a classification that fits a
-    shape creates no generator."""
+    shape creates no generator, reads each coefficient's terms with one
+    as_integer_ratio call, and reads no member through GermTag."""
     branches, labels = g.branches, g.selfints
     # one pass: the first coefficient-1 branch, and each other branch's
     # coefficient as its (numerator, denominator) pair, so that the lookup
@@ -288,11 +305,11 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
     one = None
     far, attached = [], set()
     for br in branches:
-        c = br.coeff
-        if one is None and c.numerator == c.denominator:
+        terms = br.coeff.as_integer_ratio()
+        if one is None and terms[0] == terms[1]:
             one = br
         else:
-            far.append((c.numerator, c.denominator))
+            far.append(terms)
             attached.add(br.attach)
     if one is None:
         raise NotApplicable("no coefficient-1 branch through the point")
@@ -325,11 +342,11 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
                 why = ("the graph goes on past it" if any(len(adj[w]) != 1 for w in ahead)
                        else "it carries a branch" if attached.intersection(ahead)
                        else "its label is not 2")
-                return (GermTag.UNCLASSIFIED, None,
+                return (_UNCLASSIFIED, None,
                         f"a curve beyond the far end is not a bare -2 prong: {why}")
     prongs = len(ahead)
     if prongs == 0 and len(far) <= 1 and (1, 1) not in far:
-        tag, unit_end = GermTag.PLT_CHAIN, False
+        tag, unit_end = _PLT_CHAIN, False
     else:
         tag, unit_end = SHAPES.get((prongs, far), (None, False))
         if tag is None:
@@ -337,15 +354,15 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
             i = branches.index(one)
             rest = branches[:i] + branches[i + 1:]
             listed = ", ".join(str(c) for c in sorted(br.coeff for br in rest))
-            return (GermTag.UNCLASSIFIED, None,
+            return (_UNCLASSIFIED, None,
                     f"no shape or plt chain has prong count {prongs} and far "
                     f"coefficients [{listed}]")
     for v in arm[:-1] if unit_end else arm:
         # labels are ints >= 1, so a label below 2 is a 1
         if labels[v] == 1:
-            return (GermTag.UNCLASSIFIED, None, "self-intersection label 1 on the "
+            return (_UNCLASSIFIED, None, "self-intersection label 1 on the "
                     "arm, allowed only at the far end of a dihedral 32 or 33 shape")
-    if tag is not GermTag.PLT_CHAIN:
+    if tag is not _PLT_CHAIN:
         return tag, None, None
     if arm:
         # classify_lc_germ's read of g._lc_class has stored the elimination
@@ -364,14 +381,14 @@ def classify_lc_germ(g: ResolutionGraph) -> GermClass:
     rule of the decomposition spelled out, rather than raising.
     """
     lc = g._lc_class
-    if lc is not LcClass.PLT and lc is not LcClass.LC_CENTER:
+    if lc is not _PLT and lc is not _LC_CENTER:
         raise NotApplicable(f"germ classifies as {lc.value}, not plt or lc-center")
     tag, gamma, violation = _decompose(g)
     # a plt or lc-center graph has its index, so this raises nothing
     index = g._cartier_index
-    shared = _LC_CENTER_CLASSES.get((tag, index))
-    if shared is not None:
-        return shared
+    shared = _LC_CENTER_CLASSES.get(tag._value_)
+    if shared is not None and index <= 2:
+        return shared[index - 1]
     # a plt chain, UNCLASSIFIED, or an lc center whose index GermClass refuses
     return GermClass(tag, index, gamma, violation)
 
@@ -421,8 +438,7 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     classes = [c.classification for c in components]
     if any(cl.tag in LC_CENTER_TAGS for cl in classes):
         index = lcm(*(cl.cartier_index for cl in classes))
-        return NonNormalGerm(components, Trichotomy.LC_CENTER_CASE,
-                             cartier_index=index)
+        return NonNormalGerm(components, _LC_CENTER_CASE, cartier_index=index)
     if len(components) == 2:
         if not check_slc_glue(*components):
             d1, d2 = different_coeff(components[0]), different_coeff(components[1])
@@ -432,5 +448,5 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
                 # only int-to-text raises it: a different past the digit limit
                 differents = f"too long to print: {DIGITS_EXCEEDED}"
             raise GlueMismatch(f"conductor differents disagree: {differents}")
-        return NonNormalGerm(components, Trichotomy.TWO_COMPONENT_PLT)
-    return NonNormalGerm(components, Trichotomy.ONE_COMPONENT_PLT)
+        return NonNormalGerm(components, _TWO_COMPONENT_PLT)
+    return NonNormalGerm(components, _ONE_COMPONENT_PLT)

@@ -148,24 +148,34 @@ def find_failure_m(coeffs) -> int:
     Each step is integer arithmetic: with c_i = a_i / L over the common
     denominator L, the residues m a_i mod L sum to m sum a_i mod L plus
     L times the deficit, so the deficit at m is positive exactly when
-    the residues sum to L or more.
+    the residues sum to L or more. One plain loop over the a_i sums
+    them, whatever the number of coefficients; the terms of each c_i are
+    read once, by as_integer_ratio.
     """
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise BadParameters("need at least two branch coefficients")
+    terms = []
     for c in coeffs:
-        as_fraction(c, BadParameters, "coefficient")
+        if type(c) is not Fraction:
+            # as_fraction returns an exact Fraction as it is
+            as_fraction(c, BadParameters, "coefficient")
+        p, d = c.as_integer_ratio()
         # the denominator is positive: 0 < c < 1 on the integers
-        if not 0 < c.numerator < c.denominator:
+        if not 0 < p < d:
             raise BadParameters(f"coefficient {c} outside (0, 1)")
+        terms.append((p, d))
     if len(coeffs) > FAILURE_COEFF_LIMIT:
         raise LimitExceeded(f"{len(coeffs)} coefficients exceed the limit "
                             f"{FAILURE_COEFF_LIMIT}")
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    den = lcm(*(d for _, d in terms))
+    nums = [p * (den // d) for p, d in terms]
     bound = den // gcd(den, sum(nums))
     for m in range(1, min(bound, FAILURE_SEARCH_LIMIT) + 1):
-        if sum(m * a % den for a in nums) >= den:
+        residues = 0
+        for a in nums:
+            residues += m * a % den
+        if residues >= den:
             return m
     try:
         fails = f"m = {_certificate(nums, den)} fails"

@@ -10,7 +10,9 @@ glued restriction coefficient is the Fraction formula that
 ``glued_restriction_coeff`` replaced by its integer form, and the
 comparison of its two sides is the one ``glue`` prints as ``equal``,
 with the refusals that leave it unavailable; the slopes of the two
-sides are compared here too, not by ``germcalc.germs``.
+sides are compared here too, not by ``germcalc.germs``. The first
+failing m is a scan of the Fraction floors themselves, which takes
+nothing from ``germcalc.residue``, not even ``multibranch_deficit``.
 """
 
 from fractions import Fraction
@@ -68,3 +70,14 @@ def fraction_glued_mcartier(m: int, g1, g2) -> bool:
         raise GlueMismatch("differents disagree, the pair does not glue")
     return (fraction_glued_restriction_coeff(m, g1.n, 1 - g1.side_coeff)
             == fraction_glued_restriction_coeff(m, g2.n, 1 - g2.side_coeff))
+
+
+def fraction_failure_m(coeffs) -> int:
+    """Least m with floor(m * sum c_i) > sum floor(m * c_i), by trying
+    m = 1, 2, ... on the Fractions; the coefficients are in (0, 1), and
+    there are at least two, so some m fails."""
+    total = sum(coeffs, Fraction(0))
+    m = 1
+    while floor(m * total) == sum(floor(m * c) for c in coeffs):
+        m += 1
+    return m

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_oracle import (ceil_scale, fraction_glued_mcartier,
+from residue_oracle import (ceil_scale, fraction_failure_m, fraction_glued_mcartier,
                             fraction_glued_restriction_coeff, fraction_table)
 from toric_oracle import image_pole_order, target_exponent, toric_different
 from germcalc import cli
@@ -160,6 +161,61 @@ def test_find_failure_m_rejects_bad_input():
         find_failure_m([HALF, Fraction(3, 2)])
     with pytest.raises(BadParameters):
         multibranch_deficit(0, [HALF])
+
+
+def proper_fractions(max_den: int) -> list[Fraction]:
+    """Every Fraction in (0, 1) with a denominator of at most max_den."""
+    return sorted({Fraction(p, q) for q in range(2, max_den + 1) for p in range(1, q)})
+
+
+@pytest.mark.parametrize("max_den, r, count", [(12, 2, 1035), (6, 3, 286)],
+                         ids=["pairs to 12", "triples to 6"])
+def test_find_failure_m_is_the_fraction_floor_scan_on_every_small_tuple(max_den, r, count):
+    # the pairs are the domain the survey benchmark draws its failure-m ops from
+    tuples = list(combinations_with_replacement(proper_fractions(max_den), r))
+    assert len(tuples) == count
+    for coeffs in tuples:
+        assert find_failure_m(list(coeffs)) == fraction_failure_m(coeffs), coeffs
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "coefficient True is not an integer or a Fraction"),
+    (0.5, "coefficient 0.5 is not an integer or a Fraction"),
+    ("1/2", "coefficient '1/2' is not an integer or a Fraction"),
+    (None, "coefficient None is not an integer or a Fraction"),
+    (0, "coefficient 0 outside (0, 1)"),
+    (1, "coefficient 1 outside (0, 1)"),
+], ids=["True", "0.5", "text", "None", "0", "1"])
+def test_find_failure_m_refuses_a_coefficient_by_type_and_text(bad, message):
+    for coeffs in ([HALF, bad], [bad, HALF]):
+        with pytest.raises(BadParameters) as info:
+            find_failure_m(coeffs)
+        assert type(info.value) is BadParameters
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("coeffs, error, message", [
+    # the count first, before any coefficient is looked at
+    ([], BadParameters, "need at least two branch coefficients"),
+    ([True], BadParameters, "need at least two branch coefficients"),
+    # then each coefficient in order
+    ([0.5, Fraction(3, 2)], BadParameters, "coefficient 0.5 is not an integer or a Fraction"),
+    ([Fraction(3, 2), 0.5], BadParameters, "coefficient 3/2 outside (0, 1)"),
+    # a bad coefficient before the coefficient limit
+    ([HALF] * FAILURE_COEFF_LIMIT + [None], BadParameters,
+     "coefficient None is not an integer or a Fraction"),
+    ([HALF] * FAILURE_COEFF_LIMIT + [Fraction(3, 2)], BadParameters,
+     "coefficient 3/2 outside (0, 1)"),
+    ([HALF] * (FAILURE_COEFF_LIMIT + 1), LimitExceeded,
+     f"{FAILURE_COEFF_LIMIT + 1} coefficients exceed the limit {FAILURE_COEFF_LIMIT}"),
+], ids=["none", "one", "type before range", "range before type", "type before limit",
+        "range before limit", "limit"])
+def test_find_failure_m_refuses_the_count_then_each_coefficient_then_the_limit(
+        coeffs, error, message):
+    with pytest.raises(error) as info:
+        find_failure_m(coeffs)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_find_failure_m_answers_early_past_a_huge_bound():
