@@ -528,11 +528,11 @@ def _dispatch(args) -> dict:
     return handler(gf, **{dest: getattr(args, dest) for dest in options})
 
 
-# A list of at least _JOIN_MIN items, all of one type here, is written by
-# one join of its items' texts. On a shorter list the scan of its types
-# costs more than the join saves.
+# A list of at least _JOIN_MIN items, all exact str or all exact int, is
+# written whole, by one join or one "%d" template fill. On a shorter list
+# the scan of its types costs more than the single write saves.
 _JOIN_MIN = 16
-_JOINED = {frozenset({str}): _quote, frozenset({int}): int.__repr__}
+_STRS, _INTS = frozenset({str}), frozenset({int})
 
 
 def _emit(obj, pad: str, append) -> None:
@@ -556,10 +556,13 @@ def _emit(obj, pad: str, append) -> None:
     elif kind is list:
         inner = pad + "  "
         comma = "," + inner
-        write = _JOINED.get(frozenset(map(type, obj))) if len(obj) >= _JOIN_MIN else None
-        if write is not None:
+        kinds = frozenset(map(type, obj)) if len(obj) >= _JOIN_MIN else None
+        if kinds == _STRS or kinds == _INTS:
             append("[" + inner)
-            append(comma.join(map(write, obj)))
+            if kinds == _STRS:
+                append(comma.join(map(_quote, obj)))
+            else:
+                append(comma.join(["%d"] * len(obj)) % tuple(obj))
             append(pad + "]")
             return
         sep = "[" + inner
@@ -612,10 +615,11 @@ def _dumps(payload: dict) -> str:
     always agree. The dispatch is on the exact type: any other type, a
     subclass included, raises TypeError. A list of at least _JOIN_MIN
     items that are all exactly str or all exactly int, the bulk of a
-    long report, is written by one join. Any other list writes its str
-    and int items in its own loop by the same exact-type rule, with no
-    call per item; its other items (bool, None, dict, list,
-    ``ResidueTable``, or a type to refuse) go through the dispatch.
+    long report, is written whole: its strings by one join, its ints by
+    one fill of a "%d" template. Any other list writes its str and int
+    items in its own loop by the same exact-type rule, with no call per
+    item; its other items (bool, None, dict, list, ``ResidueTable``, or
+    a type to refuse) go through the dispatch.
     """
     parts: list[str] = []
     try:

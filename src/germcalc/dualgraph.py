@@ -42,21 +42,23 @@ screens it: only a sum past the limit has the exact product built.
 
 All exceptional curves are assumed rational and the graph a tree. The
 constructor from an edge set checks the tree by one breadth-first search
-from vertex 0; a reader that knows its tree, the chain and the dual-graph
-file, passes a parent array instead, every parent before its children,
-and no search runs. Either way the graph stores a root-to-leaf order with
-its parents, and the elimination runs leaf to root along it, so each
-graph is traversed once. Branches meet their attachment curve
-transversally in one point each, which is a modeling assumption rather
-than checked input.
+from vertex 0; a builder that knows its tree (the chain, a cyclic
+quotient's and the dual-graph file's graphs) passes a parent array,
+every parent before its children, and no search runs; only the curves
+after the path that starts the array take a Python step. Either way
+the graph stores a root-to-leaf order with its parents, and the
+elimination runs leaf to root along it, so each graph is traversed once.
+Branches meet their attachment curve transversally in one point each,
+which is a modeling assumption rather than checked input.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, count, islice
 from math import gcd, lcm
-from operator import add, index
+from operator import add, index, ne
 
 from ._record import FrozenRecord, memoized
 from .errors import LimitExceeded, NotApplicable, ValidationError
@@ -138,10 +140,10 @@ class ResolutionGraph(FrozenRecord):
       that reaches all n, kept in ``_tree`` as (order, parent), ((), ()) if empty;
     * each branch attach index, in order.
 
-    ``chain`` and the CLI's dual-graph reader build through ``_rooted``
-    from a parent array instead: the same record, with the index order
-    as ``_tree``'s order, and only the attach checks; each checks its
-    labels itself first.
+    ``chain``, a cyclic quotient's graph and the CLI's dual-graph reader
+    build through ``_rooted`` from a parent array instead: the same
+    record, with the index order as ``_tree``'s order, and only the
+    attach checks; each checks its labels first, or has hj_expand's.
     """
 
     _fields = ("selfints", "edges", "branches")
@@ -181,7 +183,8 @@ class ResolutionGraph(FrozenRecord):
             raise ValidationError("edge set is not a tree on the vertex set")
         # the tree's n - 1 edges, in the order _rooted gives them
         edges = frozenset([(p, v) if p < v else (v, p) for v, p in enumerate(parent) if v])
-        self._finish(labels, edges, branches, adj, order, parent)
+        # tuples: read-only, and smaller than the lists
+        self._finish(labels, edges, branches, tuple(map(tuple, adj)), order, parent)
 
     @classmethod
     def _rooted(cls, selfints, parent, branches=()) -> "ResolutionGraph":
@@ -190,22 +193,33 @@ class ResolutionGraph(FrozenRecord):
         before its children, so the index order is a root-to-leaf order of
         the tree and no search is run. The parent array and the labels,
         ints of at least 1, are trusted, not checked; the branch attach
-        indices are checked as ``__init__`` checks them."""
+        indices are checked as ``__init__`` checks them. The path that
+        starts the array, all of a ``range`` and otherwise the curves
+        before the first v with ``parent[v] != v - 1``, gets its neighbour
+        tuples from one ``zip``; only the curves after it take a loop step."""
         labels = tuple(selfints)
         n = len(labels)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            p = parent[v]
-            adj[p].append(v)
-            adj[v].append(p)
+        k = n if type(parent) is range else next(
+            compress(count(1), map(ne, islice(parent, 1, None), count())), n)
+        # one int object per curve, shared by the order, the edges and adj
+        ids = tuple(range(n))
+        adj = [(1,), *zip(ids[:k - 2], ids[2:k]), (k - 2,)] if k > 1 else [()] * k
+        if k < n:
+            # lists for the curves after the path and the path curves they hang off
+            adj += [[p] for p in parent[k:]]
+            for p in {p for p in parent[k:] if p < k}:
+                adj[p] = list(adj[p])
+            for v in ids[k:]:
+                adj[parent[v]].append(v)
+            adj = map(tuple, adj)
         g = cls.__new__(cls)
-        g._finish(labels, frozenset(zip(parent[1:], range(1, n))), branches,
-                  adj, range(n), parent)
+        g._finish(labels, frozenset(zip(parent[1:], ids[1:])), branches,
+                  tuple(adj), ids, parent)
         return g
 
     def _finish(self, labels, edges, branches, adj, order, parent) -> None:
         """Check each branch attach index, in order, and store the record
-        with its neighbour tuples and its tree."""
+        with ``adj``, a tuple of neighbour tuples, and its tree."""
         branches = tuple(branches)
         n = len(labels)
         for br in branches:
@@ -214,8 +228,7 @@ class ResolutionGraph(FrozenRecord):
                     raise ValidationError("branch attach index on an empty graph")
             elif type(br.attach) is not int or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach!r} out of range")
-        # tuples: read-only, and smaller than the lists
-        self.__dict__.update(_adj=tuple(map(tuple, adj)), _tree=(tuple(order), tuple(parent)))
+        self.__dict__.update(_adj=adj, _tree=(tuple(order), tuple(parent)))
         self._set(selfints=labels, edges=edges, branches=branches)
 
     @classmethod

@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import FrozenRecord, memoized
-from .dualgraph import _LC_CENTER, _PLT, VERTEX_LIMIT, ResolutionGraph
+from .dualgraph import _LC_CENTER, _PLT, VERTEX_LIMIT, BoundaryBranch, ResolutionGraph
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
 from .rational import DIGITS_EXCEEDED, as_fraction
 
@@ -103,13 +103,12 @@ class CyclicQuotientGerm(FrozenRecord):
         """resolution_graph, built once per germ object."""
         chain = hj_expand(self.n, self.q)
         k = len(chain)
-        left = 0 if k else None
-        right = k - 1 if k else None
         # __init__ keeps the conductor coefficient in (0, 1]
-        branches = [(left, self.conductor_coeff)]
+        branches = [BoundaryBranch(0 if k else None, self.conductor_coeff)]
         if self.side_coeff.numerator:
-            branches.append((right, self.side_coeff))
-        return ResolutionGraph.chain(chain, branches)
+            branches.append(BoundaryBranch(k - 1 if k else None, self.side_coeff))
+        # hj_expand's labels are ints >= 2, so they need no check
+        return ResolutionGraph._rooted(chain, range(-1, k - 1), branches)
 
 
 class GermTag(str, Enum):
@@ -254,23 +253,36 @@ def hj_expand(n: int, q: int) -> list[int]:
     n/q = c_1 - 1/(c_2 - 1/(... - 1/c_k)) and every c_i >= 2.
 
     Refuses the pairs CyclicQuotientGerm refuses, with its texts. The
-    smooth case n = 1 returns the empty string. A string longer
+    smooth case n = 1 returns the empty string. A run of 2s takes one
+    step: a 2 takes (n, q) to (q, 2q - n), which keeps d = n - q and
+    takes d off q, so the run is q // d entries long. A string longer
     than VERTEX_LIMIT raises LimitExceeded as soon as its next entry
-    would pass the limit, so n/(n-1), which has n - 1 entries, costs at
-    most VERTEX_LIMIT steps whatever n is.
+    would pass the limit, so n/(n-1), n - 1 entries of 2, costs one
+    step whatever n is.
     """
     _check_order_weight(n, q)
     if n == 1:
         return []
     out = []
     n0, q0 = n, q
-    while q > 0:
-        if len(out) == VERTEX_LIMIT:
-            raise LimitExceeded(f"the string of {n0}/{q0} has more than "
-                                f"{VERTEX_LIMIT} curves")
-        c = -(-n // q)
-        out.append(c)
-        n, q = q, c * q - n
+    while q:
+        d = n - q
+        if q >= d:
+            run = q // d
+            if len(out) + run > VERTEX_LIMIT:
+                break
+            out += [2] * run
+            q -= run * d
+            n = q + d
+        elif len(out) == VERTEX_LIMIT:
+            break
+        else:
+            c = -(-n // q)
+            out.append(c)
+            n, q = q, c * q - n
+    if q:
+        raise LimitExceeded(f"the string of {n0}/{q0} has more than "
+                            f"{VERTEX_LIMIT} curves")
     return out
 
 

@@ -1273,6 +1273,9 @@ LONG_LISTS = st.lists(
 @given(LONG_LISTS)
 @example([True, 1, "1", None, [], {}, False, 0])
 @example([1] * 20 + [True])
+@example([True] + [2] * 15)
+@example([0, -1, 2, -3] * 4)
+@example([-10**400, 0, 10**400] * 6)
 @example(["x"] * 16)
 def test_the_report_writer_gives_the_text_of_json_dumps_on_long_lists(items):
     assert cli._dumps(items) == json.dumps(items, sort_keys=True, indent=2)
@@ -1285,8 +1288,10 @@ def test_an_integer_past_the_digit_limit_deep_in_a_long_list_is_limit_exceeded()
     with pytest.raises(LimitExceeded) as info:
         cli._dumps({"discrepancies": items})
     assert str(info.value) == DIGITS_EXCEEDED
-    with pytest.raises(LimitExceeded):
-        cli._dumps({"chain": [2] * 20 + [10**sys.get_int_max_str_digits()]})
+    for chain in ([2] * 20 + [10**sys.get_int_max_str_digits()],
+                  [10**sys.get_int_max_str_digits()] + [2] * 20):
+        with pytest.raises(LimitExceeded):
+            cli._dumps({"chain": chain})
 
 
 @pytest.mark.parametrize("value", [

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import intersection_matrix
@@ -84,6 +84,43 @@ def test_hj_roundtrip(n, data):
     assert all(c >= 2 for c in chain)
     # q % n is q, or 0 for the smooth case n = q = 1
     assert continued_fraction(chain) == (n, q % n)
+
+
+@st.composite
+def hj_strings(draw):
+    """Labels 3..9, each after a run of 2s that may be empty, then a last
+    run, cut to at most VERTEX_LIMIT entries."""
+    chain = []
+    for run, c in draw(st.lists(st.tuples(st.integers(0, 3000), st.integers(3, 9)),
+                                max_size=6)):
+        chain += [2] * run + [c]
+    chain += [2] * draw(st.integers(0, 3000))
+    return chain[:VERTEX_LIMIT]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hj_strings())
+@example([2] * VERTEX_LIMIT)
+@example([3] + [2] * (VERTEX_LIMIT - 1))
+@example([2] * 5000 + [9] + [2] * 4999)
+def test_hj_roundtrip_with_long_runs_of_2s(chain):
+    # continued_fraction gives q = 0 for n = 1, which hj_expand takes as q = 1
+    n, q = continued_fraction(chain)
+    assert hj_expand(n, q or 1) == chain
+
+
+@pytest.mark.parametrize("head", [[], [5], [2, 7, 3], [4] * 20])
+def test_a_string_is_refused_one_entry_past_the_vertex_limit(head):
+    # the last run of 2s ends exactly at the limit, then one more entry
+    chain = head + [2] * (VERTEX_LIMIT - len(head))
+    n, q = continued_fraction(chain)
+    assert hj_expand(n, q) == chain
+    for longer in (chain + [2], chain + [3], [2] + chain):
+        n, q = continued_fraction(longer)
+        with pytest.raises(LimitExceeded) as info:
+            hj_expand(n, q)
+        assert str(info.value) == (f"the string of {n}/{q} has more than "
+                                   f"{VERTEX_LIMIT} curves")
 
 
 # ---------------------------------------------------------- resolution graphs

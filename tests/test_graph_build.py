@@ -11,6 +11,7 @@ ValidationError naming the edge, where the reference raised the
 TypeError of indexing a list; it has its own test below."""
 
 import importlib.util
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import reference_decompose, reference_graph, reference_order
+from germcalc import germs
 from germcalc.dualgraph import (BoundaryBranch, LcClass, ResolutionGraph, cartier_index,
                                 is_contractible, log_canonical_class, solved_numerators)
 from germcalc.errors import GermError, NotApplicable, ValidationError
@@ -148,9 +150,30 @@ def parent_array(g):
     return [-1] + [lower[v] for v in range(1, g.n_vertices)] if g.n_vertices else []
 
 
+def tree_graph(parent):
+    """The graph of a parent array, labels 3 but 2 on the last curve,
+    through the edge form, with a coefficient-1 branch on curve 0 (at
+    the point when there is none) and a 1/2 branch on the last curve."""
+    n = len(parent)
+    return ResolutionGraph([3] * (n - 1) + [2] * (n > 0), zip(parent[1:], range(1, n)),
+                           [BoundaryBranch(0 if n else None, Fraction(1)),
+                            BoundaryBranch(n - 1 if n else None, HALF)])
+
+
+# the explicit trees start with a path and go on past it: forks off the
+# chain's last curve (so the path runs on through the first), off curve
+# 0, three forks on one curve, a fork of a fork; and n = 0, 1 and 2
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(random_trees(), record_trees()), st.data())
-def test_the_tree_builder_matches_the_edge_form(g, data):
+@given(st.one_of(random_trees(), record_trees()), st.integers(0, 10**6))
+@example(tree_graph([-1, 0, 1, 2, 3, 3]), 3)
+@example(tree_graph([-1, 0, 1, 2, 0, 0]), 0)
+@example(tree_graph([-1, 0, 1, 2, 1, 1, 1]), 1)
+@example(tree_graph([-1, 0, 1, 2, 1, 4]), 5)
+@example(tree_graph([-1, 0, 0, 2, 3, 2, 5]), 6)
+@example(tree_graph([]), 0)
+@example(tree_graph([-1]), 0)
+@example(tree_graph([-1, 0]), 1)
+def test_the_tree_builder_matches_the_edge_form(g, fork):
     n = g.n_vertices
     parent = parent_array(g)
     rooted = ResolutionGraph._rooted(g.selfints, parent, g.branches)
@@ -165,7 +188,7 @@ def test_the_tree_builder_matches_the_edge_form(g, data):
     assert _results(rooted) == _results(edge_form)
     if n:
         # a fork of either graph, by the tree builder or by the search
-        attach = data.draw(st.integers(0, n - 1))
+        attach = fork % n
         forked = ResolutionGraph(g.selfints + (2,), g.edges | {(attach, n)}, g.branches)
         for built in (rooted.with_fork(attach, 2), edge_form.with_fork(attach, 2)):
             assert built == forked
@@ -186,6 +209,13 @@ def shuffled_edges(draw):
 @given(shuffled_edges())
 @example((ResolutionGraph.chain([2] * 4), [(2, 3), (1, 2), (0, 1)]))
 @example((ResolutionGraph.chain([2] * 15), [(v, v - 1) for v in range(14, 0, -1)]))
+@example((tree_graph([-1, 0, 1, 2, 3, 3]), [(3, 5), (4, 3), (2, 3), (1, 2), (0, 1)]))
+@example((tree_graph([-1, 0, 1, 2, 0, 0]), [(5, 0), (4, 0), (3, 2), (2, 1), (1, 0)]))
+@example((tree_graph([-1, 0, 1, 2, 1, 1, 1]), [(6, 1), (1, 5), (4, 1), (2, 3), (0, 1), (1, 2)]))
+@example((tree_graph([-1, 0, 1, 2, 1, 4]), [(4, 5), (1, 4), (2, 3), (1, 2), (0, 1)]))
+@example((tree_graph([]), []))
+@example((tree_graph([-1]), []))
+@example((tree_graph([-1, 0]), [(1, 0)]))
 def test_equal_graphs_print_alike(case):
     # the edges in any order, or the parent array: one repr, whichever
     # builder ran
@@ -412,3 +442,39 @@ def test_classifying_the_survey_shapes_builds_no_class(monkeypatch):
     # a plt chain's class is built per call, and counted
     classify_lc_germ(ResolutionGraph.chain([3], [(0, 1)]))
     assert len(built) == 1
+
+
+def _lines_run(call):
+    """The line events that ``call()`` runs in germcalc's own frames,
+    comprehensions included, counted by a trace function."""
+    package = str(Path(germs.__file__).parent)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("build", [
+    lambda k: ResolutionGraph._rooted([2] * k, range(-1, k - 1)),
+    lambda k: ResolutionGraph._rooted([2] * k, list(range(-1, k - 1))),
+    lambda k: ResolutionGraph._rooted([2] * k, list(range(-1, k - 1)) + [k - 1, k - 1]),
+    lambda k: ResolutionGraph.chain([3] * k, [(0, 1)]),
+    lambda k: germs.hj_expand(k + 1, k),
+    lambda k: germs.CyclicQuotientGerm(k + 1, k)._graph,
+], ids=["path-range", "path-list", "path-two-forks", "chain", "hj_expand", "cyclic-graph"])
+def test_a_long_path_builds_in_a_number_of_lines_that_does_not_grow(build):
+    # a timer-free guard: each per-curve pass runs in C, so the lines
+    # that germcalc runs are the same for 10^3 and 10^4 curves
+    assert _lines_run(lambda: build(1000)) == _lines_run(lambda: build(10_000))
