@@ -42,8 +42,8 @@ from .dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph, cartier_i
 from .errors import (GermError, GlueMismatch, LimitExceeded, NotApplicable,
                      ParseError, ValidationError)
 from .germs import (_PLT_CHAIN, LC_CENTER_TAGS, CyclicQuotientGerm, GermClass,
-                    classify_lc_germ, classify_nonnormal, different_coeff,
-                    resolution_graph)
+                    check_slc_glue, classify_lc_germ, classify_nonnormal,
+                    different_coeff, resolution_graph)
 from .rational import DIGITS_EXCEEDED, format_rat, format_ratio, format_ratios, parse_rat
 from .residue import (ResidueTable, _exponent_rows, find_failure_m,
                       glued_restriction_coeff)
@@ -198,8 +198,7 @@ def _graph_file(obj: dict) -> GermFile:
     if len(chain) + len(forks) > VERTEX_LIMIT:
         raise LimitExceeded(f"{len(chain) + len(forks)} curves exceed the "
                             f"limit {VERTEX_LIMIT}")
-    # each curve's parent: the one before it on the chain, a fork's attach curve
-    parent = list(range(-1, len(chain) - 1))
+    attaches = []
     for entry in forks:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
@@ -209,7 +208,7 @@ def _graph_file(obj: dict) -> GermFile:
         if not 1 <= attach <= n:
             raise ValidationError(f"fork attach index {attach} out of range 1..{n}")
         selfints.append(check_label(selfint))
-        parent.append(attach - 1)
+        attaches.append(attach - 1)
     n = len(selfints)
     if not isinstance(branches, list):
         raise ValidationError("'branches' must be a list of [attach, coeff] entries")
@@ -231,7 +230,7 @@ def _graph_file(obj: dict) -> GermFile:
         brs.append(BoundaryBranch(attach - 1 if attach else None, coeff))
         norm_branches.append([attach, format_rat(coeff)])
     # chain and forks are echoed as read: every entry is checked to be an int
-    return GermFile(graph=ResolutionGraph._rooted(selfints, parent, brs), payload={
+    return GermFile(graph=ResolutionGraph._rooted(selfints, attaches, brs), payload={
         "kind": "dual_graph", "chain": chain, "forks": forks, "branches": norm_branches})
 
 
@@ -328,9 +327,7 @@ def _cmd_glue(gf: GermFile, m: int) -> dict:
     comps = [part.germ for part in gf.parts]
     flags: set[str] = set()
     differents = [format_rat(different_coeff(c)) for c in comps]
-    # a different is 1 - gamma and its text is canonical, so equal texts
-    # are equal slopes
-    glue_consistent = differents[0] == differents[-1]
+    glue_consistent = check_slc_glue(comps[0], comps[-1])
     restriction = None
     if len(comps) == 2:
         if comps[0].q != comps[1].q:

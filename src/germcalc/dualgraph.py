@@ -43,11 +43,10 @@ screens it: only a sum past the limit has the exact product built.
 All exceptional curves are assumed rational and the graph a tree. The
 constructor from an edge set checks the tree by one breadth-first search
 from vertex 0; a builder that knows its tree (the chain, a cyclic
-quotient's and the dual-graph file's graphs) passes a parent array,
-every parent before its children, and no search runs; only the curves
-after the path that starts the array take a Python step. Either way
-the graph stores a root-to-leaf order with its parents, and the
-elimination runs leaf to root along it, so each graph is traversed once.
+quotient's and the dual-graph file's graphs) passes its chain and the
+attach curve of each fork, and no search runs. Either way the graph
+stores a root-to-leaf order with its parents, and the elimination runs
+leaf to root along it, so each graph is traversed once.
 Branches meet their attachment curve transversally in one point each,
 which is a modeling assumption rather than checked input.
 """
@@ -56,9 +55,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count, islice
 from math import gcd, lcm
-from operator import add, index, ne
+from operator import add, index
 
 from ._record import FrozenRecord, memoized
 from .errors import LimitExceeded, NotApplicable, ValidationError
@@ -124,11 +122,11 @@ class ResolutionGraph(FrozenRecord):
 
     Construction is one linear pass. ``edges`` may be any iterable of
     index pairs (a list, a set, either orientation, duplicates merged).
-    The frozenset field holds each edge as a (low, high) pair, inserted
-    in vertex order from the tree's parent array: a tree rooted at 0 has
-    one parent array, so equal graphs hold their pairs in one order and
-    print alike, however their edges came. ``__init__`` checks, in this
-    order, and raises ValidationError at the first fault:
+    The ``edges`` field is read off the stored tree, each edge a
+    (low, high) pair in curve order: a tree rooted at 0 has one set of
+    parents, so equal graphs print alike, however their edges came.
+    ``__init__`` checks, in this order, and raises ValidationError at
+    the first fault:
 
     * the labels, by ``index`` and one ``min``; only on a fault does
       ``check_label`` name the first that is not an integer or is below 1;
@@ -141,8 +139,8 @@ class ResolutionGraph(FrozenRecord):
     * each branch attach index, in order.
 
     ``chain``, a cyclic quotient's graph and the CLI's dual-graph reader
-    build through ``_rooted`` from a parent array instead: the same
-    record, with the index order as ``_tree``'s order, and only the
+    build through ``_rooted`` from a chain and its forks instead: the
+    same record, with the index order as ``_tree``'s order, and only the
     attach checks; each checks its labels first, or has hj_expand's.
     """
 
@@ -181,43 +179,40 @@ class ResolutionGraph(FrozenRecord):
             parent[0] = -1
         if len(order) != n:
             raise ValidationError("edge set is not a tree on the vertex set")
-        # the tree's n - 1 edges, in the order _rooted gives them
-        edges = frozenset([(p, v) if p < v else (v, p) for v, p in enumerate(parent) if v])
         # tuples: read-only, and smaller than the lists
-        self._finish(labels, edges, branches, tuple(map(tuple, adj)), order, parent)
+        self._finish(labels, branches, tuple(map(tuple, adj)), order, parent)
 
     @classmethod
-    def _rooted(cls, selfints, parent, branches=()) -> "ResolutionGraph":
-        """The graph whose curve v > 0 meets curve ``parent[v]``, where
-        ``parent[0] == -1`` and ``0 <= parent[v] < v``: every parent comes
-        before its children, so the index order is a root-to-leaf order of
-        the tree and no search is run. The parent array and the labels,
-        ints of at least 1, are trusted, not checked; the branch attach
-        indices are checked as ``__init__`` checks them. The path that
-        starts the array, all of a ``range`` and otherwise the curves
-        before the first v with ``parent[v] != v - 1``, gets its neighbour
-        tuples from one ``zip``; only the curves after it take a loop step."""
+    def _rooted(cls, selfints, forks=(), branches=()) -> "ResolutionGraph":
+        """The graph of a chain of k curves, each meeting the next, and
+        of a fork curve k + i meeting curve ``forks[i] < k + i`` for each
+        i; ``selfints`` lists the chain's labels, then the forks'. Every
+        curve comes after the one it meets, so the index order is a
+        root-to-leaf order of the tree and no search is run. The labels,
+        ints of at least 1, and the fork attach curves are trusted, not
+        checked; the branch attach indices are checked as ``__init__``
+        checks them. The chain gets its neighbour tuples from one
+        ``zip``; only the forks take a loop step."""
         labels = tuple(selfints)
         n = len(labels)
-        k = n if type(parent) is range else next(
-            compress(count(1), map(ne, islice(parent, 1, None), count())), n)
-        # one int object per curve, shared by the order, the edges and adj
+        k = n - len(forks)
+        # one int object per curve, shared by the order, the parents and adj
         ids = tuple(range(n))
         adj = [(1,), *zip(ids[:k - 2], ids[2:k]), (k - 2,)] if k > 1 else [()] * k
-        if k < n:
-            # lists for the curves after the path and the path curves they hang off
-            adj += [[p] for p in parent[k:]]
-            for p in {p for p in parent[k:] if p < k}:
+        if forks:
+            # lists for the forks and the chain curves they hang off
+            adj += [[p] for p in forks]
+            for p in {p for p in forks if p < k}:
                 adj[p] = list(adj[p])
-            for v in ids[k:]:
-                adj[parent[v]].append(v)
+            for v, p in zip(ids[k:], forks):
+                adj[p].append(v)
             adj = map(tuple, adj)
         g = cls.__new__(cls)
-        g._finish(labels, frozenset(zip(parent[1:], ids[1:])), branches,
-                  tuple(adj), ids, parent)
+        # the empty graph has no parents, not (-1,)
+        g._finish(labels, branches, tuple(adj), ids, (-1, *ids[:k - 1], *forks)[:n])
         return g
 
-    def _finish(self, labels, edges, branches, adj, order, parent) -> None:
+    def _finish(self, labels, branches, adj, order, parent) -> None:
         """Check each branch attach index, in order, and store the record
         with ``adj``, a tuple of neighbour tuples, and its tree."""
         branches = tuple(branches)
@@ -229,14 +224,18 @@ class ResolutionGraph(FrozenRecord):
             elif type(br.attach) is not int or not 0 <= br.attach < n:
                 raise ValidationError(f"branch attach index {br.attach!r} out of range")
         self.__dict__.update(_adj=adj, _tree=(tuple(order), tuple(parent)))
-        self._set(selfints=labels, edges=edges, branches=branches)
+        self._set(selfints=labels, branches=branches)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The tree's n - 1 edges as (low, high) pairs, in curve order."""
+        return frozenset([(p, v) if p < v else (v, p) for v, p in enumerate(self._tree[1]) if v])
 
     @classmethod
     def chain(cls, selfints, branches=()) -> "ResolutionGraph":
         """Build a path graph; branches as (attach, coeff) pairs."""
         branches = [BoundaryBranch(a, c) for a, c in branches]
-        labels = _labels(selfints)
-        return cls._rooted(labels, range(-1, len(labels) - 1), branches)
+        return cls._rooted(_labels(selfints), (), branches)
 
     def with_fork(self, attach: int, selfint: int) -> "ResolutionGraph":
         """Return the graph with one extra leaf curve joined to ``attach``,

@@ -108,7 +108,7 @@ class CyclicQuotientGerm(FrozenRecord):
         if self.side_coeff.numerator:
             branches.append(BoundaryBranch(k - 1 if k else None, self.side_coeff))
         # hj_expand's labels are ints >= 2, so they need no check
-        return ResolutionGraph._rooted(chain, range(-1, k - 1), branches)
+        return ResolutionGraph._rooted(chain, (), branches)
 
 
 class GermTag(str, Enum):
@@ -238,14 +238,18 @@ class NonNormalGerm(FrozenRecord):
 def _check_order_weight(n, q) -> None:
     """Refuse an order n and weight q that are not ints with n >= 1,
     1 <= q <= n and gcd(n, q) = 1; q = n passes only at n = 1."""
-    if type(n) is not int or type(q) is not int:
-        raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
-    if n < 1:
-        raise BadParameters(f"order n = {n} must be >= 1")
-    if not 1 <= q <= n:
-        raise BadParameters(f"weight q = {q} outside [1, {n}]")
-    if gcd(n, q) != 1:
-        raise BadParameters(f"gcd({n}, {q}) != 1")
+    try:
+        if type(n) is not int or type(q) is not int:
+            raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
+        if n < 1:
+            raise BadParameters(f"order n = {n} must be >= 1")
+        if not 1 <= q <= n:
+            raise BadParameters(f"weight q = {q} outside [1, {n}]")
+        if gcd(n, q) != 1:
+            raise BadParameters(f"gcd({n}, {q}) != 1")
+    except ValueError:  # only int-to-text raises it: n or q past the digit limit
+        raise BadParameters(f"order n and weight q are not ints with 1 <= q <= n and "
+                            f"gcd(n, q) = 1, and too long to print: {DIGITS_EXCEEDED}") from None
 
 
 def hj_expand(n: int, q: int) -> list[int]:
@@ -281,8 +285,12 @@ def hj_expand(n: int, q: int) -> list[int]:
             out.append(c)
             n, q = q, c * q - n
     if q:
-        raise LimitExceeded(f"the string of {n0}/{q0} has more than "
-                            f"{VERTEX_LIMIT} curves")
+        try:
+            text = f"the string of {n0}/{q0} has more than {VERTEX_LIMIT} curves"
+        except ValueError:  # only int-to-text raises it: n past the digit limit
+            text = (f"the string of n/q has more than {VERTEX_LIMIT} curves, "
+                    f"and n is too long to print: {DIGITS_EXCEEDED}")
+        raise LimitExceeded(text)
     return out
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,7 @@ from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy, check_slc_glue, classify_lc_germ,
                             classify_nonnormal, different_coeff,
                             hj_expand, resolution_graph)
+from germcalc.rational import DIGITS_EXCEEDED
 
 HALF = Fraction(1, 2)
 
@@ -121,6 +123,36 @@ def test_a_string_is_refused_one_entry_past_the_vertex_limit(head):
             hj_expand(n, q)
         assert str(info.value) == (f"the string of {n}/{q} has more than "
                                    f"{VERTEX_LIMIT} curves")
+
+
+BIG = 10**5000
+
+
+# each text is made only when no digit limit is set
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: hj_expand(BIG + 1, BIG), LimitExceeded,
+     lambda: f"the string of {BIG + 1}/{BIG} has more than {VERTEX_LIMIT} curves"),
+    (lambda: hj_expand(BIG, BIG - 2), BadParameters, lambda: f"gcd({BIG}, {BIG - 2}) != 1"),
+    (lambda: hj_expand(-BIG, 1), BadParameters, lambda: f"order n = {-BIG} must be >= 1"),
+    (lambda: hj_expand(BIG, 0.5), BadParameters,
+     lambda: f"order n = {BIG} and weight q = 0.5 must be integers"),
+    (lambda: hj_expand(BIG, BIG + 1), BadParameters,
+     lambda: f"weight q = {BIG + 1} outside [1, {BIG}]"),
+    (lambda: CyclicQuotientGerm(BIG, BIG - 2), BadParameters,
+     lambda: f"gcd({BIG}, {BIG - 2}) != 1"),
+], ids=["string-too-long", "gcd", "order", "weight-type", "weight-range", "germ"])
+def test_a_refusal_of_numbers_past_the_digit_limit_keeps_its_type(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).endswith(f"too long to print: {DIGITS_EXCEEDED}")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == text()
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 # ---------------------------------------------------------- resolution graphs

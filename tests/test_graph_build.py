@@ -150,6 +150,17 @@ def parent_array(g):
     return [-1] + [lower[v] for v in range(1, g.n_vertices)] if g.n_vertices else []
 
 
+def rooted_builds(g):
+    """g built twice through ``_rooted``: as a 1-curve chain with every
+    other curve a fork, which runs the fork loop, and as the path that
+    starts its parent array with the remaining curves as forks, which
+    runs the chain's ``zip``."""
+    parent = parent_array(g)
+    k = next((v for v in range(1, len(parent)) if parent[v] != v - 1), len(parent))
+    return [ResolutionGraph._rooted(g.selfints, forks, g.branches)
+            for forks in (parent[1:], parent[k:])]
+
+
 def tree_graph(parent):
     """The graph of a parent array, labels 3 but 2 on the last curve,
     through the edge form, with a coefficient-1 branch on curve 0 (at
@@ -162,7 +173,8 @@ def tree_graph(parent):
 
 # the explicit trees start with a path and go on past it: forks off the
 # chain's last curve (so the path runs on through the first), off curve
-# 0, three forks on one curve, a fork of a fork; and n = 0, 1 and 2
+# 0, three forks on one curve, a fork of a fork; and n = 0, 1 and 2,
+# with branches and without
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(random_trees(), record_trees()), st.integers(0, 10**6))
 @example(tree_graph([-1, 0, 1, 2, 3, 3]), 3)
@@ -173,24 +185,30 @@ def tree_graph(parent):
 @example(tree_graph([]), 0)
 @example(tree_graph([-1]), 0)
 @example(tree_graph([-1, 0]), 1)
+@example(ResolutionGraph((), ()), 0)
+@example(ResolutionGraph((4,), ()), 0)
+@example(ResolutionGraph((1, 3), [(1, 0)]), 0)
 def test_the_tree_builder_matches_the_edge_form(g, fork):
     n = g.n_vertices
     parent = parent_array(g)
-    rooted = ResolutionGraph._rooted(g.selfints, parent, g.branches)
     edge_form = ResolutionGraph(g.selfints, g.edges, g.branches)
-    assert rooted == edge_form == g and hash(rooted) == hash(edge_form) == hash(g)
-    assert repr(rooted) == repr(edge_form)
-    assert (rooted.selfints, rooted.edges, rooted.branches) == (
-        edge_form.selfints, edge_form.edges, edge_form.branches)
-    assert rooted._tree == (tuple(range(n)), tuple(parent))
-    assert_spanning_tree(rooted)
     assert_spanning_tree(edge_form)
-    assert _results(rooted) == _results(edge_form)
+    builds = rooted_builds(g)
+    for rooted in builds:
+        assert rooted == edge_form == g and hash(rooted) == hash(edge_form) == hash(g)
+        assert repr(rooted) == repr(edge_form)
+        assert (rooted.selfints, rooted.edges, rooted.branches) == (
+            edge_form.selfints, edge_form.edges, edge_form.branches)
+        # the same parents; the index order is a root-to-leaf order
+        assert rooted._tree == (tuple(range(n)), tuple(parent))
+        assert rooted._tree[1] == edge_form._tree[1]
+        assert_spanning_tree(rooted)
+        assert _results(rooted) == _results(edge_form)
     if n:
         # a fork of either graph, by the tree builder or by the search
         attach = fork % n
         forked = ResolutionGraph(g.selfints + (2,), g.edges | {(attach, n)}, g.branches)
-        for built in (rooted.with_fork(attach, 2), edge_form.with_fork(attach, 2)):
+        for built in (*(b.with_fork(attach, 2) for b in builds), edge_form.with_fork(attach, 2)):
             assert built == forked
             assert_spanning_tree(built)
             assert _results(built) == _results(forked)
@@ -216,13 +234,16 @@ def shuffled_edges(draw):
 @example((tree_graph([]), []))
 @example((tree_graph([-1]), []))
 @example((tree_graph([-1, 0]), [(1, 0)]))
+@example((ResolutionGraph((), ()), []))
+@example((ResolutionGraph((4,), ()), []))
+@example((ResolutionGraph((1, 3), [(1, 0)]), [(1, 0)]))
 def test_equal_graphs_print_alike(case):
-    # the edges in any order, or the parent array: one repr, whichever
-    # builder ran
+    # the edges in any order, or the chain and its forks: one repr and
+    # one tree, whichever builder ran
     g, pairs = case
-    for built in (ResolutionGraph(g.selfints, pairs, g.branches),
-                  ResolutionGraph._rooted(g.selfints, parent_array(g), g.branches)):
-        assert built == g and repr(built) == repr(g)
+    for built in (ResolutionGraph(g.selfints, pairs, g.branches), *rooted_builds(g)):
+        assert built == g and hash(built) == hash(g) and repr(built) == repr(g)
+        assert built._tree[1] == g._tree[1]
 
 
 @pytest.mark.parametrize("labels, branches, message", [
@@ -466,15 +487,29 @@ def _lines_run(call):
     return count
 
 
+def path_two_forks(k):
+    """A chain of k curves with two forks off its last curve."""
+    return ResolutionGraph._rooted([2] * (k + 2), [k - 1, k - 1])
+
+
 @pytest.mark.parametrize("build", [
-    lambda k: ResolutionGraph._rooted([2] * k, range(-1, k - 1)),
-    lambda k: ResolutionGraph._rooted([2] * k, list(range(-1, k - 1))),
-    lambda k: ResolutionGraph._rooted([2] * k, list(range(-1, k - 1)) + [k - 1, k - 1]),
+    lambda k: ResolutionGraph._rooted([2] * k),
+    path_two_forks,
     lambda k: ResolutionGraph.chain([3] * k, [(0, 1)]),
     lambda k: germs.hj_expand(k + 1, k),
     lambda k: germs.CyclicQuotientGerm(k + 1, k)._graph,
-], ids=["path-range", "path-list", "path-two-forks", "chain", "hj_expand", "cyclic-graph"])
+], ids=["path-list", "path-two-forks", "chain", "hj_expand", "cyclic-graph"])
 def test_a_long_path_builds_in_a_number_of_lines_that_does_not_grow(build):
     # a timer-free guard: each per-curve pass runs in C, so the lines
     # that germcalc runs are the same for 10^3 and 10^4 curves
     assert _lines_run(lambda: build(1000)) == _lines_run(lambda: build(10_000))
+
+
+def test_the_path_with_two_forks_is_the_edge_form_graph():
+    k = 1000
+    edges = [(v - 1, v) for v in range(1, k)] + [(k - 1, k), (k - 1, k + 1)]
+    edge_form = ResolutionGraph([2] * (k + 2), edges)
+    built = path_two_forks(k)
+    assert built == edge_form and repr(built) == repr(edge_form)
+    assert built._tree[1] == edge_form._tree[1]
+    assert_spanning_tree(built)

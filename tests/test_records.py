@@ -93,10 +93,28 @@ def test_construction_stores_exactly_the_fields(case):
     cls, params, args, _, _ = case
     rec = cls(*args)
     cached = {name for name, attr in vars(cls).items() if isinstance(attr, cached_property)}
-    derived = {"_adj", "_tree"} if cls is ResolutionGraph else set(DERIVED.get(cls, ()))
-    assert set(vars(rec)) - cached - derived == set(params)
-    assert [vars(rec)[name] for name in params] == list(args)
+    derived, kept = set(DERIVED.get(cls, ())), params
+    if cls is ResolutionGraph:
+        # a graph stores its tree, and reads its edges off it
+        derived, kept = {"_adj", "_tree"}, ("selfints", "branches")
+        assert "edges" not in vars(rec) and rec.edges == args[params.index("edges")]
+    assert set(vars(rec)) - cached - derived == set(kept)
+    assert [vars(rec)[name] for name in kept] == [args[params.index(name)] for name in kept]
     assert cls._fields == stored(cls, params, args)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GermFile(graph=ResolutionGraph.chain([2, 3, 2], [(0, 1), (2, HALF)])),
+    lambda: cli.parse_germ_file('{"kind": "cyclic_quotient", "n": 5, "q": 2, "side": "1/2"}'),
+    lambda: cli.parse_germ_file('{"kind": "dual_graph", "chain": [2, 2], '
+                                '"forks": [[2, 2], [2, 2]], "branches": [[1, "1"]]}'),
+], ids=["chain", "cyclic-quotient", "dual-graph-forks"])
+def test_a_reported_graph_holds_no_edge_set(make):
+    # no report, class or index reads the edges, so none is built
+    gf = make()
+    cli._dumps(cli._cmd_report(gf))
+    graph = gf._resolved
+    assert "_elimination" in vars(graph) and "edges" not in vars(graph)
 
 
 def test_records_with_equal_fields_are_equal_and_hash_equal(case):
