@@ -60,7 +60,7 @@ from operator import add, index
 
 from ._record import FrozenRecord, memoized
 from .errors import LimitExceeded, NotApplicable, ValidationError
-from .rational import as_fraction
+from .rational import as_fraction, shown
 
 # Most exceptional curves a graph read from input may have: hj_expand and
 # the CLI's dual-graph reader stop past it with LimitExceeded.
@@ -87,7 +87,7 @@ class BoundaryBranch(FrozenRecord):
         coeff = as_fraction(coeff, ValidationError, "branch coefficient")
         # the denominator is positive: 0 < coeff <= 1 on the integers
         if not 0 < coeff.numerator <= coeff.denominator:
-            raise ValidationError(f"branch coefficient {coeff} outside (0, 1]")
+            raise ValidationError(f"branch coefficient {shown(coeff)} outside (0, 1]")
         self._set(attach=attach, coeff=coeff)
 
 
@@ -96,9 +96,10 @@ def check_label(c: int) -> int:
     try:
         c = index(c)
     except TypeError:
-        raise ValidationError(f"self-intersection label {c!r} is not an integer") from None
+        raise ValidationError(
+            f"self-intersection label {shown(c, repr)} is not an integer") from None
     if c < 1:
-        raise ValidationError(f"self-intersection label {c} must be >= 1")
+        raise ValidationError(f"self-intersection label {shown(c)} must be >= 1")
     return c
 
 
@@ -159,14 +160,14 @@ class ResolutionGraph(FrozenRecord):
             if not 0 <= i < j < n:
                 if i == j:
                     raise ValidationError("self-loop edge")
-                raise ValidationError(f"edge ({i}, {j}) references a missing vertex")
+                raise ValidationError(f"edge ({shown(i)}, {shown(j)}) references a missing vertex")
             try:
                 adj[i].append(j)
                 adj[j].append(i)
             except TypeError:
                 # only an index that is no integer fails to index a list
                 raise ValidationError(
-                    f"edge ({i}, {j}) has an index that is not an integer") from None
+                    f"edge ({shown(i)}, {shown(j)}) has an index that is not an integer") from None
         # parent marks each vertex visited, vertex 0 by itself while the search runs
         order, parent = [], [-1] * n
         if n and len(edges) == n - 1:
@@ -222,7 +223,7 @@ class ResolutionGraph(FrozenRecord):
                 if br.attach is not None:
                     raise ValidationError("branch attach index on an empty graph")
             elif type(br.attach) is not int or not 0 <= br.attach < n:
-                raise ValidationError(f"branch attach index {br.attach!r} out of range")
+                raise ValidationError(f"branch attach index {shown(br.attach, repr)} out of range")
         self.__dict__.update(_adj=adj, _tree=(tuple(order), tuple(parent)))
         self._set(selfints=labels, branches=branches)
 
@@ -242,9 +243,10 @@ class ResolutionGraph(FrozenRecord):
         a 0-based vertex index."""
         k = len(self.selfints)
         if not k:
-            raise ValidationError(f"fork attach index {attach} on an empty graph")
+            raise ValidationError(f"fork attach index {shown(attach)} on an empty graph")
         if type(attach) is not int or not 0 <= attach < k:
-            raise ValidationError(f"fork attach index {attach!r} out of range 0..{k - 1}")
+            raise ValidationError(
+                f"fork attach index {shown(attach, repr)} out of range 0..{k - 1}")
         return ResolutionGraph(self.selfints + (selfint,),
                                self.edges | {(attach, k)},
                                self.branches)

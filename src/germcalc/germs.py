@@ -58,7 +58,7 @@ from math import gcd, lcm
 from ._record import FrozenRecord, memoized
 from .dualgraph import _LC_CENTER, _PLT, VERTEX_LIMIT, BoundaryBranch, ResolutionGraph
 from .errors import BadParameters, GlueMismatch, LimitExceeded, NotApplicable
-from .rational import DIGITS_EXCEEDED, as_fraction
+from .rational import as_fraction, shown
 
 
 class CyclicQuotientGerm(FrozenRecord):
@@ -81,9 +81,9 @@ class CyclicQuotientGerm(FrozenRecord):
         # each denominator is positive, so the ranges are checked on the
         # numerators against the denominators
         if not 0 < conductor_coeff.numerator <= conductor_coeff.denominator:
-            raise BadParameters(f"conductor coefficient {conductor_coeff} outside (0, 1]")
+            raise BadParameters(f"conductor coefficient {shown(conductor_coeff)} outside (0, 1]")
         if not 0 <= side_coeff.numerator <= side_coeff.denominator:
-            raise BadParameters(f"side coefficient {side_coeff} outside [0, 1]")
+            raise BadParameters(f"side coefficient {shown(side_coeff)} outside [0, 1]")
         self._set(n=n, q=q, conductor_coeff=conductor_coeff, side_coeff=side_coeff)
 
     @memoized
@@ -139,7 +139,7 @@ LC_CENTER_TAGS = frozenset(tag for tag, _ in SHAPES.values())
 
 def _check_index(cartier_index) -> None:
     if type(cartier_index) is not int or cartier_index < 1:
-        raise BadParameters(f"Cartier index {cartier_index!r} is not an integer >= 1")
+        raise BadParameters(f"Cartier index {shown(cartier_index, repr)} is not an integer >= 1")
 
 
 class GermClass(FrozenRecord):
@@ -161,7 +161,7 @@ class GermClass(FrozenRecord):
         # GermTag has members, so it has no subclass: a str equal to a
         # member's value passes == but no is test
         if type(tag) is not GermTag:
-            raise BadParameters(f"tag {tag!r} is not a GermTag")
+            raise BadParameters(f"tag {shown(tag, repr)} is not a GermTag")
         if tag is _PLT_CHAIN:
             if gamma is None or not 0 < gamma.numerator <= gamma.denominator:
                 raise BadParameters("plt chain requires gamma in (0, 1]")
@@ -169,7 +169,7 @@ class GermClass(FrozenRecord):
         # the index test first: it is cheaper than hashing the tag
         if 2 % cartier_index != 0 and tag in LC_CENTER_TAGS:
             raise BadParameters(
-                f"lc-center germ with Cartier index {cartier_index} not dividing 2")
+                f"lc-center germ with Cartier index {shown(cartier_index)} not dividing 2")
         self._set(tag=tag, cartier_index=cartier_index, gamma=gamma, violation=violation)
 
 
@@ -224,7 +224,7 @@ class NonNormalGerm(FrozenRecord):
             raise BadParameters("a non-normal germ has 1 or 2 components")
         if not isinstance(trichotomy, Trichotomy):
             # a str equal to a member passes == but none of the is tests
-            raise BadParameters(f"trichotomy {trichotomy!r} is not a Trichotomy")
+            raise BadParameters(f"trichotomy {shown(trichotomy, repr)} is not a Trichotomy")
         if cartier_index is not None and trichotomy is not _LC_CENTER_CASE:
             raise BadParameters("a plt non-normal germ has no Cartier index")
         self._set(components=components, trichotomy=trichotomy, cartier_index=cartier_index)
@@ -238,18 +238,15 @@ class NonNormalGerm(FrozenRecord):
 def _check_order_weight(n, q) -> None:
     """Refuse an order n and weight q that are not ints with n >= 1,
     1 <= q <= n and gcd(n, q) = 1; q = n passes only at n = 1."""
-    try:
-        if type(n) is not int or type(q) is not int:
-            raise BadParameters(f"order n = {n!r} and weight q = {q!r} must be integers")
-        if n < 1:
-            raise BadParameters(f"order n = {n} must be >= 1")
-        if not 1 <= q <= n:
-            raise BadParameters(f"weight q = {q} outside [1, {n}]")
-        if gcd(n, q) != 1:
-            raise BadParameters(f"gcd({n}, {q}) != 1")
-    except ValueError:  # only int-to-text raises it: n or q past the digit limit
-        raise BadParameters(f"order n and weight q are not ints with 1 <= q <= n and "
-                            f"gcd(n, q) = 1, and too long to print: {DIGITS_EXCEEDED}") from None
+    if type(n) is not int or type(q) is not int:
+        raise BadParameters(f"order n = {shown(n, repr)} and weight q = {shown(q, repr)} "
+                            "must be integers")
+    if n < 1:
+        raise BadParameters(f"order n = {shown(n)} must be >= 1")
+    if not 1 <= q <= n:
+        raise BadParameters(f"weight q = {shown(q)} outside [1, {shown(n)}]")
+    if gcd(n, q) != 1:
+        raise BadParameters(f"gcd({shown(n)}, {shown(q)}) != 1")
 
 
 def hj_expand(n: int, q: int) -> list[int]:
@@ -285,12 +282,8 @@ def hj_expand(n: int, q: int) -> list[int]:
             out.append(c)
             n, q = q, c * q - n
     if q:
-        try:
-            text = f"the string of {n0}/{q0} has more than {VERTEX_LIMIT} curves"
-        except ValueError:  # only int-to-text raises it: n past the digit limit
-            text = (f"the string of n/q has more than {VERTEX_LIMIT} curves, "
-                    f"and n is too long to print: {DIGITS_EXCEEDED}")
-        raise LimitExceeded(text)
+        raise LimitExceeded(f"the string of {shown(n0)}/{shown(q0)} has more than "
+                            f"{VERTEX_LIMIT} curves")
     return out
 
 
@@ -373,7 +366,7 @@ def _decompose(g: ResolutionGraph) -> tuple[GermTag, Fraction | None, str | None
             # by position: one branch object may sit in the tuple twice
             i = branches.index(one)
             rest = branches[:i] + branches[i + 1:]
-            listed = ", ".join(str(c) for c in sorted(br.coeff for br in rest))
+            listed = ", ".join(shown(c) for c in sorted(br.coeff for br in rest))
             return (_UNCLASSIFIED, None,
                     f"no shape or plt chain has prong count {prongs} and far "
                     f"coefficients [{listed}]")
@@ -462,11 +455,6 @@ def classify_nonnormal(components, glue_ok: bool) -> NonNormalGerm:
     if len(components) == 2:
         if not check_slc_glue(*components):
             d1, d2 = different_coeff(components[0]), different_coeff(components[1])
-            try:
-                differents = f"{d1} vs {d2}"
-            except ValueError:
-                # only int-to-text raises it: a different past the digit limit
-                differents = f"too long to print: {DIGITS_EXCEEDED}"
-            raise GlueMismatch(f"conductor differents disagree: {differents}")
+            raise GlueMismatch(f"conductor differents disagree: {shown(d1)} vs {shown(d2)}")
         return NonNormalGerm(components, _TWO_COMPONENT_PLT)
     return NonNormalGerm(components, _ONE_COMPONENT_PLT)

@@ -4,7 +4,10 @@ Every numeric quantity in this package is a ``fractions.Fraction``, or an
 integer numerator over an integer denominator; there is no floating
 point anywhere. This module holds the canonical ``a/b`` text form used
 by the CLI file format, its parser and formatters, and ``as_fraction``,
-the one type rule for an exact coefficient argument.
+the one type rule for an exact coefficient argument. A result that
+prints a number past the int-to-text digit limit is LimitExceeded; a
+refusal's message writes its numbers by ``shown``, which puts TOO_LONG
+in place of such a number, so the refusal keeps its type.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ DIGITS_EXCEEDED = ("a number in the result has more digits than the "
                    "interpreter's integer-to-text conversion limit")
 INPUT_DIGITS_EXCEEDED = ("a number in the input has more digits than the "
                          "interpreter's text-to-integer conversion limit")
+TOO_LONG = "(too long to print)"
 
 # ASCII: \d alone would match any Unicode decimal digit, which int() reads,
 # and \s, like str.strip, any Unicode space; padding is [ \t\n\r\f\v] only
@@ -92,11 +96,19 @@ def format_ratios(numerators, den: int) -> list[str]:
     return out
 
 
+def shown(x, text=str) -> str:
+    """``text(x)``, or TOO_LONG when int-to-text refuses a number of x."""
+    try:
+        return text(x)
+    except ValueError:
+        return TOO_LONG
+
+
 def as_fraction(x, error: type[GermError], what: str) -> Fraction:
     """x, an int or a Fraction, as a Fraction; ``error`` refuses a bool and any other type."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return Fraction(x)
-    raise error(f"{what} {x!r} is not an integer or a Fraction")
+    raise error(f"{what} {shown(x, repr)} is not an integer or a Fraction")
 

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from ._record import FrozenRecord
 from .errors import BadParameters, LimitExceeded, NotApplicable
 from .germs import CyclicQuotientGerm
-from .rational import DIGITS_EXCEEDED, as_fraction, format_ratio
+from .rational import as_fraction, shown
 
 # Largest m that find_failure_m tries, and most coefficients it takes.
 # Together they bound the steps of one search, not its time: each step
@@ -95,11 +95,12 @@ class ResidueTable(FrozenRecord):
 
     def __init__(self, p: int, n: int, m_max: int):
         if not all(type(x) is int for x in (p, n, m_max)):
-            raise BadParameters(f"p = {p!r}, n = {n!r} and m_max = {m_max!r} must be integers")
+            raise BadParameters(f"p = {shown(p, repr)}, n = {shown(n, repr)} and "
+                                f"m_max = {shown(m_max, repr)} must be integers")
         if n < 1 or not 0 <= p <= n:
-            raise BadParameters(f"slope {p}/{n} outside [0, 1]")
+            raise BadParameters(f"slope {shown(p)}/{shown(n)} outside [0, 1]")
         if m_max < 0:
-            raise BadParameters(f"m_max = {m_max} must be >= 0")
+            raise BadParameters(f"m_max = {shown(m_max)} must be >= 0")
         self._set(p=p, n=n, m_max=m_max)
 
 
@@ -112,7 +113,7 @@ def multibranch_deficit(m: int, coeffs) -> int:
         raise BadParameters("at least one coefficient required")
     for c in coeffs:
         if not 0 < c < 1:
-            raise BadParameters(f"coefficient {c} outside (0, 1)")
+            raise BadParameters(f"coefficient {shown(c)} outside (0, 1)")
     total = sum(coeffs, Fraction(0))
     return ((m * total.numerator) // total.denominator
             - sum((m * c.numerator) // c.denominator for c in coeffs))
@@ -163,7 +164,7 @@ def find_failure_m(coeffs) -> int:
         p, d = c.as_integer_ratio()
         # the denominator is positive: 0 < c < 1 on the integers
         if not 0 < p < d:
-            raise BadParameters(f"coefficient {c} outside (0, 1)")
+            raise BadParameters(f"coefficient {shown(c)} outside (0, 1)")
         terms.append((p, d))
     if len(coeffs) > FAILURE_COEFF_LIMIT:
         raise LimitExceeded(f"{len(coeffs)} coefficients exceed the limit "
@@ -177,12 +178,8 @@ def find_failure_m(coeffs) -> int:
             residues += m * a % den
         if residues >= den:
             return m
-    try:
-        fails = f"m = {_certificate(nums, den)} fails"
-    except ValueError:
-        # only int-to-text raises it: a certificate past the digit limit
-        fails = f"the failing m is too long to print: {DIGITS_EXCEEDED}"
-    raise LimitExceeded(f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; {fails}")
+    raise LimitExceeded(f"no failure up to the search limit {FAILURE_SEARCH_LIMIT}; "
+                        f"m = {shown(_certificate(nums, den))} fails")
 
 
 def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
@@ -198,11 +195,11 @@ def glued_restriction_coeff(m: int, n: int, c: Fraction) -> Fraction:
     """
     c = as_fraction(c, BadParameters, "coefficient")
     if type(m) is not int or type(n) is not int:
-        raise BadParameters(f"m = {m!r} and n = {n!r} must be integers")
+        raise BadParameters(f"m = {shown(m, repr)} and n = {shown(n, repr)} must be integers")
     if m < 1 or n < 1:
         raise BadParameters("m and n must be >= 1")
     p, d = c.numerator, c.denominator
     if not 0 < p < d:
-        raise BadParameters(f"coefficient {format_ratio(p, d)} outside (0, 1)")
+        raise BadParameters(f"coefficient {shown(c)} outside (0, 1)")
     # m n - ceil(m p / d), with the ceiling as a negated floor division
     return Fraction(m * n + (-m * p) // d, n)

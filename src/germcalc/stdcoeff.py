@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._record import FrozenRecord
 from .errors import BadParameters
-from .rational import as_fraction
+from .rational import as_fraction, shown
 
 
 class CoeffCheck(FrozenRecord):
@@ -43,12 +43,12 @@ class CoeffCheck(FrozenRecord):
     def __init__(self, c: Fraction, m: int):
         q = as_fraction(c, BadParameters, "coefficient")
         if type(m) is not int:
-            raise BadParameters(f"m = {m!r} is not an integer")
+            raise BadParameters(f"m = {shown(m, repr)} is not an integer")
         if m < 2:
             raise BadParameters("m must be >= 2")
         a, b = q.numerator, q.denominator
         if not 0 < a <= b:
-            raise BadParameters(f"coefficient {q} outside (0, 1]")
+            raise BadParameters(f"coefficient {shown(q)} outside (0, 1]")
         standard = a == b or 0 < a == b - 1
         self._set(c=q, m=m, standard=standard,
                   hypothesis_ok=standard or a * m >= b * (m - 1), bracket_ok=m * a % b <= a)

@@ -587,7 +587,8 @@ def test_failure_m_with_a_certificate_past_the_digit_limit_is_an_error(capsys):
     assert main(["failure-m", "--coeffs", coeffs]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "LimitExceeded"
-    assert err["message"].endswith(f"too long to print: {DIGITS_EXCEEDED}")
+    assert err["message"] == ("no failure up to the search limit 100000; "
+                              "m = (too long to print) fails")
 
 
 @pytest.mark.parametrize("pair, flags", [
@@ -1198,7 +1199,8 @@ def _in_process(argv):
 def test_a_refusal_does_not_depend_on_the_digit_limit(tmp_path):
     # every file variant of the differential, on the fixtures, on the
     # first 300 files of its seed 17 and on germs whose numbers pass the
-    # limit, once with no limit and once at the default. A refusal keeps
+    # limit, and its first 300 argument calls of failure-m and stdcoeff,
+    # once with no limit and once at the default. A refusal keeps
     # its type; a success keeps its bytes, or it ends in the digit-limit
     # text when a number it prints is past the limit.
     diff = _differential()
@@ -1216,6 +1218,11 @@ def test_a_refusal_does_not_depend_on_the_digit_limit(tmp_path):
         values = {diff.FILE: str(path),
                   diff.DRAWN: str(drawn.randint(1, diff.DRAWN_M_MAX_TOP))}
         runs += [[values.get(word, word) for word in variant] for variant in diff.VARIANTS]
+    # the differential's argument calls, drawn after its files as it draws
+    # them, and a failure-m call whose certificate has about 8,700 digits
+    runs += [diff.argument_words(rng, aux) for _ in range(300)]
+    runs.append(["failure-m", "--coeffs",
+                 ",".join(f"1/{10**2900 + k}" for k in (1, 3, 7))])
     default = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)

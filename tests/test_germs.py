@@ -11,13 +11,16 @@ from graph_oracle import continued_fraction
 from germcalc.dualgraph import (VERTEX_LIMIT, BoundaryBranch, ResolutionGraph,
                                 boundary_coefficients, is_contractible,
                                 log_canonical_class, LcClass)
-from germcalc.errors import (BadParameters, GlueMismatch, LimitExceeded,
-                             NotApplicable)
+from germcalc.errors import (BadParameters, GermError, GlueMismatch, LimitExceeded,
+                             NotApplicable, ValidationError)
 from germcalc.germs import (ClassGroup, CyclicQuotientGerm, GermClass, GermTag,
                             NonNormalGerm, Trichotomy, check_slc_glue, classify_lc_germ,
                             classify_nonnormal, different_coeff,
                             hj_expand, resolution_graph)
-from germcalc.rational import DIGITS_EXCEEDED
+from germcalc.rational import TOO_LONG
+from germcalc.residue import (ResidueTable, find_failure_m, glued_restriction_coeff,
+                              multibranch_deficit)
+from germcalc.stdcoeff import coeff_check
 
 HALF = Fraction(1, 2)
 
@@ -126,9 +129,31 @@ def test_a_string_is_refused_one_entry_past_the_vertex_limit(head):
 
 
 BIG = 10**5000
+# a Fraction whose terms pass the default digit limit and 640
+BIG_Q = Fraction(BIG + 1, BIG)
 
 
-# each text is made only when no digit limit is set
+def _outcome(call):
+    """(error type, message) of a refusal, or (None, result) of a call
+    that returns."""
+    try:
+        return None, call()
+    except GermError as exc:
+        return type(exc), str(exc)
+
+
+def _unclassified(coeffs):
+    g = ResolutionGraph.chain([2], [(0, 1)] + [(0, c) for c in coeffs])
+    return classify_lc_germ(g).violation
+
+
+GLUED_BIG = [CyclicQuotientGerm(10**4000 + 1, 1, 1, Fraction(1, 10**4000 + 3)),
+             CyclicQuotientGerm(2, 1)]
+
+
+# one row per refusal text that formats a caller's value, and the one
+# result, _decompose's violation, that does; each text is made only when
+# no digit limit is set
 @pytest.mark.parametrize("call, error, text", [
     (lambda: hj_expand(BIG + 1, BIG), LimitExceeded,
      lambda: f"the string of {BIG + 1}/{BIG} has more than {VERTEX_LIMIT} curves"),
@@ -140,17 +165,77 @@ BIG = 10**5000
      lambda: f"weight q = {BIG + 1} outside [1, {BIG}]"),
     (lambda: CyclicQuotientGerm(BIG, BIG - 2), BadParameters,
      lambda: f"gcd({BIG}, {BIG - 2}) != 1"),
-], ids=["string-too-long", "gcd", "order", "weight-type", "weight-range", "germ"])
+    (lambda: BoundaryBranch(0, BIG_Q), ValidationError,
+     lambda: f"branch coefficient {BIG_Q} outside (0, 1]"),
+    (lambda: ResolutionGraph.chain([BIG_Q]), ValidationError,
+     lambda: f"self-intersection label {BIG_Q!r} is not an integer"),
+    (lambda: ResolutionGraph.chain([-BIG]), ValidationError,
+     lambda: f"self-intersection label {-BIG} must be >= 1"),
+    (lambda: ResolutionGraph((2, 2), [(0, BIG)]), ValidationError,
+     lambda: f"edge (0, {BIG}) references a missing vertex"),
+    (lambda: ResolutionGraph((2, 2), [(0, BIG_Q)]), ValidationError,
+     lambda: f"edge (0, {BIG_Q}) has an index that is not an integer"),
+    (lambda: ResolutionGraph.chain([2], [(BIG, HALF)]), ValidationError,
+     lambda: f"branch attach index {BIG} out of range"),
+    (lambda: ResolutionGraph.chain([]).with_fork(BIG, 2), ValidationError,
+     lambda: f"fork attach index {BIG} on an empty graph"),
+    (lambda: ResolutionGraph.chain([2]).with_fork(BIG, 2), ValidationError,
+     lambda: f"fork attach index {BIG} out of range 0..0"),
+    (lambda: CyclicQuotientGerm(3, 1, BIG_Q), BadParameters,
+     lambda: f"conductor coefficient {BIG_Q} outside (0, 1]"),
+    (lambda: CyclicQuotientGerm(3, 1, 1, BIG_Q), BadParameters,
+     lambda: f"side coefficient {BIG_Q} outside [0, 1]"),
+    (lambda: CyclicQuotientGerm(3, 1, (BIG,)), BadParameters,
+     lambda: f"conductor coefficient {(BIG,)!r} is not an integer or a Fraction"),
+    (lambda: GermClass(GermTag.PLT_CHAIN, -BIG, HALF), BadParameters,
+     lambda: f"Cartier index {-BIG} is not an integer >= 1"),
+    (lambda: NonNormalGerm([CyclicQuotientGerm(2, 1)], Trichotomy.LC_CENTER_CASE, -BIG),
+     BadParameters, lambda: f"Cartier index {-BIG} is not an integer >= 1"),
+    (lambda: GermClass(GermTag.DIHEDRAL_31, BIG), BadParameters,
+     lambda: f"lc-center germ with Cartier index {BIG} not dividing 2"),
+    (lambda: GermClass(BIG, 1), BadParameters, lambda: f"tag {BIG} is not a GermTag"),
+    (lambda: NonNormalGerm([CyclicQuotientGerm(2, 1)], BIG), BadParameters,
+     lambda: f"trichotomy {BIG} is not a Trichotomy"),
+    (lambda: _unclassified([Fraction(1, BIG), Fraction(1, BIG + 1)]), None,
+     lambda: (f"no shape or plt chain has prong count 0 and far coefficients "
+              f"[{Fraction(1, BIG + 1)}, {Fraction(1, BIG)}]")),
+    (lambda: classify_nonnormal(GLUED_BIG, True), GlueMismatch,
+     lambda: (f"conductor differents disagree: "
+              f"{1 - Fraction(10**4000 + 2, (10**4000 + 3) * (10**4000 + 1))} vs 1/2")),
+    (lambda: ResidueTable(BIG, 1.5, 3), BadParameters,
+     lambda: f"p = {BIG}, n = 1.5 and m_max = 3 must be integers"),
+    (lambda: ResidueTable(BIG, 1, 3), BadParameters,
+     lambda: f"slope {BIG}/1 outside [0, 1]"),
+    (lambda: ResidueTable(0, 1, -BIG), BadParameters,
+     lambda: f"m_max = {-BIG} must be >= 0"),
+    (lambda: multibranch_deficit(2, [HALF, BIG_Q]), BadParameters,
+     lambda: f"coefficient {BIG_Q} outside (0, 1)"),
+    (lambda: find_failure_m([HALF, BIG_Q]), BadParameters,
+     lambda: f"coefficient {BIG_Q} outside (0, 1)"),
+    (lambda: glued_restriction_coeff(BIG, 0.5, HALF), BadParameters,
+     lambda: f"m = {BIG} and n = 0.5 must be integers"),
+    (lambda: glued_restriction_coeff(2, 3, BIG_Q), BadParameters,
+     lambda: f"coefficient {BIG_Q} outside (0, 1)"),
+    (lambda: coeff_check(HALF, BIG_Q), BadParameters,
+     lambda: f"m = {BIG_Q!r} is not an integer"),
+    (lambda: coeff_check(BIG_Q, 2), BadParameters,
+     lambda: f"coefficient {BIG_Q} outside (0, 1]"),
+], ids=["string-too-long", "gcd", "order", "weight-type", "weight-range", "germ",
+        "branch-coeff", "label-type", "label-range", "edge-vertex", "edge-index",
+        "branch-attach", "fork-on-empty", "fork-attach", "conductor", "side",
+        "coeff-type", "index", "nonnormal-index", "index-not-dividing-2", "tag",
+        "trichotomy", "far-coefficients", "differents", "table-types", "table-slope",
+        "table-m-max", "deficit-coeff", "failure-coeff", "glue-types", "glue-coeff",
+        "stdcoeff-m", "stdcoeff-coeff"])
 def test_a_refusal_of_numbers_past_the_digit_limit_keeps_its_type(call, error, text):
-    with pytest.raises(error) as info:
-        call()
-    assert str(info.value).endswith(f"too long to print: {DIGITS_EXCEEDED}")
     default = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        with pytest.raises(error) as info:
-            call()
-        assert str(info.value) == text()
+        for limit in (default, 640):
+            sys.set_int_max_str_digits(limit)
+            kind, message = _outcome(call)
+            assert kind is error and TOO_LONG in message
+        sys.set_int_max_str_digits(0)
+        assert _outcome(call) == (error, text())
     finally:
         sys.set_int_max_str_digits(default)
 

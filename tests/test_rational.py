@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import floor
 
@@ -7,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germcalc.errors import LimitExceeded
-from germcalc.rational import (INPUT_DIGITS_EXCEEDED, format_rat, format_ratio,
-                               format_ratios, parse_rat)
+from germcalc.rational import (INPUT_DIGITS_EXCEEDED, TOO_LONG, format_rat, format_ratio,
+                               format_ratios, parse_rat, shown)
 from residue_oracle import ceil_scale
 
 
@@ -109,6 +110,22 @@ def test_format_past_the_digit_limit_is_limit_exceeded(num, den):
         format_ratios([0, num], den)
     with pytest.raises(LimitExceeded):
         format_rat(Fraction(num, den))
+
+
+def test_shown_writes_a_number_past_the_digit_limit_as_fixed_text():
+    n = 10**639  # 640 digits
+    q = Fraction(n + 1, n + 2)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert shown(n) == str(n) and shown(-n) == str(-n)
+        assert shown(q) == f"{n + 1}/{n + 2}"
+        assert shown(q, repr) == f"Fraction({n + 1}, {n + 2})"
+        # one more digit
+        for x in (10 * n, Fraction(1, 10 * n), Fraction(10 * n + 1, 3), [0, 10 * n]):
+            assert shown(x) == shown(x, repr) == TOO_LONG
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 @pytest.mark.parametrize("text, value", [
